@@ -169,6 +169,7 @@ def _cmd_trace(args) -> int:
         eps2=args.eps2,
         seeds=(args.seed,),
         iters=args.iters,
+        config=_solver_config(args, get_problem(args.problem)),
     )
     written = paths[0]
     if out.suffix:  # exact file name requested

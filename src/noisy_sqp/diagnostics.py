@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import least_squares_multiplier, min_singular_value, project_tangent
+from .kernels import factor_gram, project_tangent
 from .oracles import Matrix, Problem, Vector
 
 
@@ -29,9 +29,13 @@ def stationarity_psi(
     constraint violation must vanish.  ``b_u`` is the upper bound on the
     Hessian scaling (equal to beta when beta is constant).
     """
+    return _psi(project_tangent(J, g), c, pi, tau, b_u)
+
+
+def _psi(pg: Vector, c: Vector, pi: float, tau: float, b_u: float) -> float:
+    """psi from the projected gradient pg = P g."""
     if b_u <= 0:
         raise ValueError(f"b_u must be positive, got {b_u}")
-    pg = project_tangent(J, g)
     return float(np.dot(pg, pg) / b_u + pi * tau * np.sum(np.abs(c)))
 
 
@@ -47,14 +51,16 @@ def kkt_residual(g: Vector, J: Matrix, lam: Vector) -> float:
 def evaluate_diagnostics(
     p: Problem, x: Vector, pi: float, tau: float, b_u: float
 ) -> DiagnosticsRow:
-    """All indicators at x from the exact oracles."""
+    """All indicators at x from the exact oracles, from one factorization of JJ'."""
     g = np.asarray(p.eval_g(x), dtype=float)
     c = np.asarray(p.eval_c(x), dtype=float)
     J = np.asarray(p.eval_J(x), dtype=float)
-    lam = -least_squares_multiplier(J, g)
+    solve, sigma = factor_gram(J)
+    # P g = g - J'lam_ls is the KKT residual at the multiplier -lam_ls.
+    pg = g - J.T @ solve(J @ g)
     return DiagnosticsRow(
-        psi=stationarity_psi(g, c, J, pi, tau, b_u),
-        kkt_residual=kkt_residual(g, J, lam),
+        psi=_psi(pg, c, pi, tau, b_u),
+        kkt_residual=float(np.linalg.norm(pg)),
         feasibility=float(np.sum(np.abs(c))),
-        sigma_min=min_singular_value(J),
+        sigma_min=float(sigma[-1]),
     )

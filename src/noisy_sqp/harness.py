@@ -14,7 +14,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -95,7 +95,6 @@ def _run_one(
     est_multiplier: float,
     max_iters: int,
     termination_enabled: bool,
-    collect_psi: bool = False,
 ) -> tuple[RunSummary, SolveResult]:
     p = get_problem(problem_name)
     ref = reference_solution(problem_name)
@@ -105,7 +104,7 @@ def _run_one(
         max_iters=max_iters,
         termination_enabled=termination_enabled,
     ).with_estimates(spec.bounds(p.n, p.m), est_multiplier)
-    result = solve(p, spec, cfg, x_ref=ref.x_star, collect_psi=collect_psi)
+    result = solve(p, spec, cfg, x_ref=ref.x_star)
 
     dists = [r.dist_to_ref for r in result.trace]
     dists.append(float(np.linalg.norm(result.x - ref.x_star)))
@@ -159,20 +158,29 @@ def run_trace_experiment(
     seeds: Iterable[int] = (0,),
     iters: int = 1000,
     jobs: Optional[int] = None,
+    config: Optional[SolverConfig] = None,
 ) -> list[Path]:
     """Write one per-iteration CSV per (problem, seed) and return the paths.
 
     Runs go the full ``iters`` iterations (stop test disabled) so the
     trace shows the noise-floor band rather than an early stop.
+    ``config`` supplies the remaining solver settings, estimates
+    included; None means the defaults with each problem's true noise
+    bounds as estimates.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(name, seed) for name in problems for seed in seeds]
 
     def one(name: str, seed: int) -> Path:
-        _, result = _run_one(name, eps1, eps2, seed, relaxation=True,
-                             est_multiplier=1.0, max_iters=iters,
-                             termination_enabled=False, collect_psi=True)
+        p = get_problem(name)
+        spec = NoiseSpec(eps1, eps2, seed=seed)
+        if config is None:
+            cfg = SolverConfig().with_estimates(spec.bounds(p.n, p.m))
+        else:
+            cfg = config
+        cfg = replace(cfg, max_iters=iters, termination_enabled=False)
+        result = solve(p, spec, cfg, x_ref=reference_solution(name).x_star, collect_psi=True)
         path = out_dir / f"trace_{name}_eps{eps1:g}_seed{seed}.csv"
         write_trace_csv(result, path)
         return path

@@ -7,9 +7,9 @@ With a scaled-identity Hessian model beta*I the quadratic subproblem
 has the closed-form solution d = v + u with a normal component
 v = -J'(JJ')^{-1} c restoring linearized feasibility and a tangential
 component u = -(1/beta) P g, where P = I - J'(JJ')^{-1} J projects onto
-the null space of J.  All solves go through a Cholesky factorization of
-the small Gram matrix JJ' (SVD fallback); the n-by-n projector is never
-formed.
+the null space of J.  All solves go through one Cholesky factorization
+of the small Gram matrix JJ' (pseudo-inverse fallback when Cholesky
+breaks down); the n-by-n projector is never formed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -52,19 +52,30 @@ def min_singular_value(J: Matrix) -> float:
     return float(np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)[-1])
 
 
-def _gram_solver(J: Matrix, rank_tol: float) -> Callable[[Vector], Vector]:
-    """Return a solver for (JJ')y = b, guarding against rank deficiency."""
+def factor_gram(
+    J: Matrix, rank_tol: float = RANK_TOL
+) -> tuple[Callable[[Vector], Vector], Vector]:
+    """Rank-gate J and factor JJ' once.
+
+    Returns a solver for (JJ')y = b and the singular values of J in
+    descending order.  Raises SingularJacobianError when
+    sigma_min <= rank_tol * sigma_max.  The LAPACK routines are the ones
+    scipy.linalg.cho_factor/cho_solve call, minus their argument checks.
+    """
     s = np.linalg.svd(J, compute_uv=False)
     if s[-1] <= rank_tol * s[0]:
         raise SingularJacobianError(s[-1])
     gram = J @ J.T
-    try:
-        cho = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        return lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        # Should not trigger past the rank gate; kept for numerical safety.
-        gram_inv = np.linalg.pinv(gram)
-        return lambda b: gram_inv @ b
+    factor, info = dpotrf(gram, lower=1, clean=0)
+    if info == 0:
+        return (lambda b: dpotrs(factor, b, lower=1)[0]), s
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    # Reachable past the rank gate: forming JJ' squares the condition
+    # number, so with sigma_min/sigma_max between ~1e-10 and ~1e-8 the
+    # Gram matrix can lose definiteness in floating point.
+    gram_inv = np.linalg.pinv(gram)
+    return (lambda b: gram_inv @ b), s
 
 
 def least_squares_multiplier(J: Matrix, g: Vector, rank_tol: float = RANK_TOL) -> Vector:
@@ -74,7 +85,7 @@ def least_squares_multiplier(J: Matrix, g: Vector, rank_tol: float = RANK_TOL) -
     """
     J = np.asarray(J, dtype=float)
     g = np.asarray(g, dtype=float)
-    solve = _gram_solver(J, rank_tol)
+    solve, _ = factor_gram(J, rank_tol)
     return solve(J @ g)
 
 
@@ -82,7 +93,7 @@ def project_tangent(J: Matrix, w: Vector, rank_tol: float = RANK_TOL) -> Vector:
     """Project w onto the null space of J: w - J'(JJ')^{-1} J w."""
     J = np.asarray(J, dtype=float)
     w = np.asarray(w, dtype=float)
-    solve = _gram_solver(J, rank_tol)
+    solve, _ = factor_gram(J, rank_tol)
     return w - J.T @ solve(J @ w)
 
 
@@ -112,7 +123,7 @@ def solve_sqp_step(
     J = np.asarray(J, dtype=float)
     c = np.asarray(c, dtype=float)
     g = np.asarray(g, dtype=float)
-    solve = _gram_solver(J, rank_tol)
+    solve, _ = factor_gram(J, rank_tol)
     lambda_hat = solve(J @ g)
     v = -J.T @ solve(c)
     u = -(g - J.T @ lambda_hat) / beta

@@ -189,10 +189,19 @@ def eval_noisy(p: Problem, x: Vector, spec: NoiseSpec, stream: NoiseStream) -> N
     exact = eval_exact(p, x)
     rng = stream.next_rng()
     f, c, g, J = exact.f, exact.c, exact.g, exact.J
-    if spec.eps1 > 0:
-        f = f + rng.uniform(-spec.eps1, spec.eps1)
-        c = c + rng.uniform(-spec.eps1, spec.eps1, size=p.m)
-    if spec.eps2 > 0:
-        g = g + rng.uniform(-spec.eps2, spec.eps2, size=p.n)
-        J = J + rng.uniform(-spec.eps2, spec.eps2, size=(p.m, p.n))
+    e1, e2 = spec.eps1, spec.eps2
+    # One block of draws in the order f, c, g, J (row-major), each mapped
+    # as low + (high - low) * u exactly as Generator.uniform does, so the
+    # values equal separate uniform(-eps, eps) calls bit for bit.
+    k1 = 1 + p.m if e1 > 0 else 0
+    k2 = p.n * (1 + p.m) if e2 > 0 else 0
+    u = rng.random(k1 + k2)
+    if k1:
+        w = -e1 + (e1 - -e1) * u[:k1]
+        f = f + w[0]
+        c = c + w[1:]
+    if k2:
+        w = -e2 + (e2 - -e2) * u[k1:]
+        g = g + w[:p.n]
+        J = J + w[p.n:].reshape(p.m, p.n)
     return NoisyEval(f=float(f), c=c, g=g, J=J)

@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's own code paths: the dense
 stationarity-system solve checks the closed-form step, and the explicit
-projector checks the factored projection.
+projector checks the factored projection.  The scipy-wrapper kernels and
+the per-quantity noise draws are the straightforward forms of the
+library's kernels and noise model; the library must match them bit for
+bit.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def dense_kkt_step(J, c, g, beta):
@@ -38,3 +42,32 @@ def random_full_rank(rng, n_max=6, sigma_floor=1e-2):
         if np.linalg.svd(J, compute_uv=False)[-1] > sigma_floor:
             break
     return J, rng.normal(size=m), rng.normal(size=n)
+
+
+def cho_gram_solver(J):
+    """Solver for (JJ')y = b through scipy's cho_factor/cho_solve wrappers."""
+    cho = scipy.linalg.cho_factor(J @ J.T, lower=True, check_finite=False)
+    return lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False)
+
+
+def cho_reference_step(J, c, g, beta):
+    """(d, v, u, lambda_hat) of the closed-form step via the scipy wrappers."""
+    solve = cho_gram_solver(J)
+    lambda_hat = solve(J @ g)
+    v = -J.T @ solve(c)
+    u = -(g - J.T @ lambda_hat) / beta
+    return v + u, v, u, lambda_hat
+
+
+def uniform_reference_eval(p, x, spec, stream):
+    """Noisy (f, c, g, J) drawn with one Generator.uniform call per quantity."""
+    rng = stream.next_rng()
+    f, c = float(p.eval_f(x)), np.asarray(p.eval_c(x), dtype=float)
+    g, J = np.asarray(p.eval_g(x), dtype=float), np.asarray(p.eval_J(x), dtype=float)
+    if spec.eps1 > 0:
+        f = f + rng.uniform(-spec.eps1, spec.eps1)
+        c = c + rng.uniform(-spec.eps1, spec.eps1, size=p.m)
+    if spec.eps2 > 0:
+        g = g + rng.uniform(-spec.eps2, spec.eps2, size=p.n)
+        J = J + rng.uniform(-spec.eps2, spec.eps2, size=(p.m, p.n))
+    return f, c, g, J

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from noisy_sqp import (NoiseSpec, SolverConfig, get_problem, reference_solution, solve,
+                       write_trace_csv)
 from noisy_sqp.cli import dispatch
 from noisy_sqp.solver import Status
 from noisy_sqp.cli import _STATUS_EXIT
@@ -66,6 +68,24 @@ def test_trace_is_seed_deterministic(tmp_path):
     assert dispatch(base + ["--seed", "8", "--out", str(c)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_trace_honours_solver_flags(tmp_path, capsys):
+    base = ["trace", "--problem", "HS7", "--eps1", "1e-3", "--eps2", "1e-3",
+            "--iters", "60", "--seed", "3"]
+    default, flagged = tmp_path / "default.csv", tmp_path / "flagged.csv"
+    assert dispatch(base + ["--out", str(default)]) == 0
+    assert dispatch(base + ["--beta", "3", "--no-relaxation", "--out", str(flagged)]) == 0
+    capsys.readouterr()
+    # Default flags: the relaxed, stop-test-free run on the true noise bounds.
+    p = get_problem("HS7")
+    spec = NoiseSpec(1e-3, 1e-3, seed=3)
+    cfg = SolverConfig(max_iters=60, termination_enabled=False)
+    cfg = cfg.with_estimates(spec.bounds(p.n, p.m))
+    result = solve(p, spec, cfg, x_ref=reference_solution("HS7").x_star, collect_psi=True)
+    write_trace_csv(result, tmp_path / "reference.csv")
+    assert default.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert flagged.read_bytes() != default.read_bytes()
 
 
 def test_check_passes_on_shipped_problems(capsys):

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dpotrf
 
-from helpers import dense_kkt_step, explicit_projector, random_full_rank
+from helpers import (
+    cho_gram_solver,
+    cho_reference_step,
+    dense_kkt_step,
+    explicit_projector,
+    random_full_rank,
+)
 from noisy_sqp import (
     SingularJacobianError,
     get_problem,
@@ -129,3 +138,65 @@ class TestMinSingularValue:
     def test_diagonal_rectangle(self):
         J = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
         assert min_singular_value(J) == pytest.approx(3.0)
+
+
+@st.composite
+def full_rank_instances(draw):
+    """(J, c, g, beta) with m <= 3 < n <= 6, entries spread over six decades."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    J = rng.normal(size=(m, n)) * 10.0 ** draw(st.integers(-3, 3))
+    s = np.linalg.svd(J, compute_uv=False)
+    assume(s[-1] > 1e-6 * s[0])  # well inside the range where Cholesky succeeds
+    beta = draw(st.sampled_from((0.7, 1.0, 5.0, 50.0)))
+    return J, rng.normal(size=m), rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3)), beta
+
+
+class TestBitwiseAgainstScipyWrappers:
+    """The direct LAPACK calls give the same bits as cho_factor/cho_solve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(full_rank_instances())
+    def test_step_kernels(self, instance):
+        J, c, g, beta = instance
+        step = solve_sqp_step(J, c, g, beta)
+        d, v, u, lambda_hat = cho_reference_step(J, c, g, beta)
+        assert np.array_equal(step.d, d)
+        assert np.array_equal(step.v, v)
+        assert np.array_equal(step.u, u)
+        assert np.array_equal(step.lambda_hat, lambda_hat)
+        solve = cho_gram_solver(J)
+        assert np.array_equal(least_squares_multiplier(J, g), solve(J @ g))
+        assert np.array_equal(project_tangent(J, g), g - J.T @ solve(J @ g))
+
+
+class TestCholeskyBreakdownFallback:
+    """Past the rank gate JJ' can still fail Cholesky; the pinv formula takes over."""
+
+    @staticmethod
+    def _nearly_singular(ratio=1e-9):
+        # About half of such 3x5 instances break Cholesky; take the first.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            V, _ = np.linalg.qr(rng.normal(size=(5, 3)))
+            J = (U * np.array([1.0, 0.5, ratio])) @ V.T
+            if dpotrf(J @ J.T, lower=1, clean=0)[1] > 0:
+                return J, rng.normal(size=3), rng.normal(size=5)
+        raise AssertionError("no Cholesky breakdown in 100 nearly singular instances")
+
+    def test_ratio_1e9_passes_gate_and_uses_pinv(self):
+        J, c, g = self._nearly_singular()
+        s = np.linalg.svd(J, compute_uv=False)
+        assert s[-1] > 1e-10 * s[0]
+        step = solve_sqp_step(J, c, g, 50.0)
+        gram_inv = np.linalg.pinv(J @ J.T)
+        lambda_hat = gram_inv @ (J @ g)
+        v = -J.T @ (gram_inv @ c)
+        u = -(g - J.T @ lambda_hat) / 50.0
+        assert np.array_equal(step.lambda_hat, lambda_hat)
+        assert np.array_equal(step.v, v)
+        assert np.array_equal(step.u, u)
+        assert np.array_equal(step.d, v + u)
+        assert np.array_equal(project_tangent(J, g), g - J.T @ lambda_hat)

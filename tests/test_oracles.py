@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from helpers import uniform_reference_eval
 from noisy_sqp import (
     NoiseSpec,
     NoiseStream,
@@ -77,6 +78,23 @@ class TestNoisyEvaluation:
         b = eval_noisy(p, p.x_start, spec, stream)
         assert a.f != b.f
         assert stream.counter == 2
+
+    @pytest.mark.parametrize("eps1,eps2", [(0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3), (1e-1, 1e-5)])
+    def test_block_draw_matches_per_quantity_uniform_bitwise(self, eps1, eps2):
+        rng = np.random.default_rng(11)
+        for name in ("HS7", "BT11", "HS40"):
+            p = get_problem(name)
+            spec = NoiseSpec(eps1, eps2, seed=8)
+            stream, ref_stream = spec.stream(), spec.stream()
+            for _ in range(50):
+                x = p.x_start + rng.normal(size=p.n)
+                out = eval_noisy(p, x, spec, stream)
+                f, c, g, J = uniform_reference_eval(p, x, spec, ref_stream)
+                assert type(out.f) is float
+                assert out.f == f
+                assert_array_equal(out.c, c)
+                assert_array_equal(out.g, g)
+                assert_array_equal(out.J, J)
 
     def test_entrywise_bounds_hold_over_10000_evaluations(self):
         p = get_problem("HS7")
