@@ -175,7 +175,9 @@ def _cmd_trace(args) -> int:
     if out.suffix:  # exact file name requested
         written.replace(out)
         written = out
-    print(f"wrote {args.iters}-row trace to {written}")
+    with written.open() as fh:
+        rows = sum(1 for _ in fh) - 1  # minus the header; a run may end before --iters
+    print(f"wrote {rows}-row trace to {written}")
     return 0
 
 

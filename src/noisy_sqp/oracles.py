@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -119,33 +119,168 @@ class NoiseSpec:
         return NoiseStream(self.seed)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# LCG multiplier (pcg64.h), for hashing many entropy pairs at once.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_FIRST_BLOCK, _MAX_BLOCK = 32, 256
+
+
+def _hash_constants(value: int, mult: int, count: int) -> list[int]:
+    out = []
+    for _ in range(count):
+        out.append(value)
+        value = value * mult & _M32
+    return out
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# hashmix call k xors with A[k] and multiplies by A[k+1]; generate_state
+# word k likewise uses B[k] and B[k+1].
+_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_INIT_X, _INIT_M = _column(_A[0:4]), _column(_A[1:5])
+
+
+def _cross_constants() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per source word, the hashmix constants of each destination word.
+
+    numpy mixes source s into every other destination d in (s, d) loop
+    order; the source's own row gets placeholders, and its result is
+    discarded.
+    """
+    out, k = [], 4
+    for s in range(4):
+        xor, mult = [0] * 4, [0] * 4
+        for d in range(4):
+            if d != s:
+                xor[d], mult[d] = _A[k], _A[k + 1]
+                k += 1
+        out.append((_column(xor), _column(mult)))
+    return out
+
+
+_CROSS = _cross_constants()
+_GEN_X, _GEN_M = _column(_B[0:8]), _column(_B[1:9])
+
+
+def _seed_words(seed: int, start: int, size: int) -> list[list[int]]:
+    """``SeedSequence((seed, c)).generate_state(4, np.uint64)`` for c in [start, start + size).
+
+    numpy's pool mixing and state generation for a two-word entropy, with
+    one uint32 lane per counter; seed and every counter must fit in 32 bits.
+    """
+    pool = np.empty((4, size), dtype=np.uint32)
+    pool[0], pool[2:] = seed, 0
+    pool[1] = np.arange(start, start + size, dtype=np.uint32)
+    pool ^= _INIT_X
+    pool *= _INIT_M
+    pool ^= pool >> 16
+    for s, (xor, mult) in enumerate(_CROSS):
+        h = pool[s] ^ xor
+        h *= mult
+        h ^= h >> 16
+        h *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= h
+        mixed ^= mixed >> 16
+        mixed[s] = pool[s]
+        pool = mixed
+    state = np.concatenate((pool, pool))
+    state ^= _GEN_X
+    state *= _GEN_M
+    state ^= state >> 16
+    # generate_state(4, np.uint64) pairs the eight uint32 words low word first.
+    words = state.astype(np.uint64)
+    return (words[0::2] | words[1::2] << np.uint64(32)).T.tolist()
+
+
 @dataclass
 class NoiseStream:
     """Counter-keyed source of per-evaluation random generators.
 
-    Each oracle evaluation gets its own generator derived from
-    ``(seed, counter)``, so a run's noise depends only on its seed and
-    call sequence.  Concurrent runs each own a stream and cannot
-    perturb one another.
+    Evaluation ``counter`` of stream ``seed`` draws from the PCG64 state
+    that ``np.random.default_rng(np.random.SeedSequence((seed, counter)))``
+    starts in, so a run's noise depends only on its seed and call
+    sequence.  Concurrent runs each own a stream and cannot perturb one
+    another.
+
+    The first evaluation goes through numpy's own path and the stream
+    keeps that Generator.  Later ones hash their seed sequences in blocks
+    of consecutive counters (32 at first, doubling up to 256) and load each
+    PCG64 state into the kept Generator, so the Generator returned by
+    :meth:`next_rng` belongs to the stream and is valid until the next
+    call.  Entropy that is not two 32-bit words (a seed or counter of
+    2**32 or more, or a negative one) always takes numpy's path.
     """
 
     seed: int
     counter: int = 0
 
+    def __post_init__(self):
+        self._rng: Optional[np.random.Generator] = None
+        self._words: list[list[int]] = []  # generate_state(4, uint64) per counter
+        self._words_seed: Optional[int] = None
+        self._words_start = 0
+        self._block = _FIRST_BLOCK
+
     def next_rng(self) -> np.random.Generator:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(self.seed, self.counter)))
-        self.counter += 1
-        return rng
+        """Generator of evaluation ``counter``; advances the counter by one."""
+        counter = self.counter
+        j = counter - self._words_start
+        # Identity, not equality: a reassigned seed is checked again, so an
+        # equal float seed gets numpy's TypeError rather than cached words.
+        if self.seed is not self._words_seed or not 0 <= j < len(self._words):
+            # The first evaluation, and any whose entropy is not two 32-bit
+            # words, take numpy's path; the first one's Generator is kept.
+            if self._rng is None or not self._hash_block():
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=(self.seed, counter)))
+                self.counter = counter + 1
+                if self._rng is None:
+                    self._rng = rng
+                return rng
+            j = 0
+        a, b, c, d = self._words[j]
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            # pcg64_set_seed: two LCG steps from state 0 with initstate added between
+            "state": {"state": ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.counter = counter + 1
+        return self._rng
+
+    def _hash_block(self) -> bool:
+        """Hash the next block of counters from ``counter`` on, if both words fit 32 bits."""
+        seed, start = self.seed, self.counter
+        if not (isinstance(seed, int) and 0 <= seed <= _M32
+                and isinstance(start, int) and 0 <= start <= _M32):
+            return False
+        size = min(self._block, _M32 + 1 - start)
+        self._words = _seed_words(seed, start, size)
+        self._words_seed, self._words_start = seed, start
+        self._block = min(2 * self._block, _MAX_BLOCK)
+        return True
 
 
 @dataclass(frozen=True)
 class NoisyEval:
-    """One (possibly perturbed) oracle evaluation: value, constraints, derivatives."""
+    """One (possibly perturbed) oracle evaluation: value, constraints, derivatives.
+
+    ``g`` and ``J`` are None for a value-only evaluation.
+    """
 
     f: float
     c: Vector
-    g: Vector
-    J: Matrix
+    g: Optional[Vector]
+    J: Optional[Matrix]
 
 
 def _check_point(p: Problem, x: Vector) -> Vector:
@@ -155,18 +290,28 @@ def _check_point(p: Problem, x: Vector) -> Vector:
     return x
 
 
-def eval_exact(p: Problem, x: Vector) -> NoisyEval:
-    """Evaluate all four oracles at x with zero perturbation."""
+def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
+    """Evaluate the oracles at x with zero perturbation.
+
+    With ``derivatives`` false only f and c are evaluated, and g and J
+    are None.
+    """
     x = _check_point(p, x)
+    f = float(p.eval_f(x))
+    c = np.asarray(p.eval_c(x), dtype=float)
+    if not derivatives:
+        return NoisyEval(f=f, c=c, g=None, J=None)
     return NoisyEval(
-        f=float(p.eval_f(x)),
-        c=np.asarray(p.eval_c(x), dtype=float),
+        f=f,
+        c=c,
         g=np.asarray(p.eval_g(x), dtype=float),
         J=np.asarray(p.eval_J(x), dtype=float),
     )
 
 
-def eval_noisy(p: Problem, x: Vector, spec: NoiseSpec, stream: NoiseStream) -> NoisyEval:
+def eval_noisy(
+    p: Problem, x: Vector, spec: NoiseSpec, stream: NoiseStream, derivatives: bool = True
+) -> NoisyEval:
     """Evaluate the oracles at x and add one fresh uniform draw per scalar.
 
     Parameters
@@ -178,6 +323,9 @@ def eval_noisy(p: Problem, x: Vector, spec: NoiseSpec, stream: NoiseStream) -> N
     stream : NoiseStream
         Advanced by exactly one evaluation; repeated calls with equal
         (seed, counter) state reproduce identical draws.
+    derivatives : bool
+        False evaluates only f and c (g and J are None).  Their noise is
+        drawn first, so they equal a full evaluation's bit for bit.
 
     Returns
     -------
@@ -186,7 +334,7 @@ def eval_noisy(p: Problem, x: Vector, spec: NoiseSpec, stream: NoiseStream) -> N
     gradient and Jacobian perturbations.  With eps1 = eps2 = 0 the
     result equals :func:`eval_exact` bitwise.
     """
-    exact = eval_exact(p, x)
+    exact = eval_exact(p, x, derivatives)
     rng = stream.next_rng()
     f, c, g, J = exact.f, exact.c, exact.g, exact.J
     e1, e2 = spec.eps1, spec.eps2
@@ -194,7 +342,7 @@ def eval_noisy(p: Problem, x: Vector, spec: NoiseSpec, stream: NoiseStream) -> N
     # as low + (high - low) * u exactly as Generator.uniform does, so the
     # values equal separate uniform(-eps, eps) calls bit for bit.
     k1 = 1 + p.m if e1 > 0 else 0
-    k2 = p.n * (1 + p.m) if e2 > 0 else 0
+    k2 = p.n * (1 + p.m) if e2 > 0 and derivatives else 0
     u = rng.random(k1 + k2)
     if k1:
         w = -e1 + (e1 - -e1) * u[:k1]

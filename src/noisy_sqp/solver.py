@@ -126,11 +126,6 @@ class SolveResult:
         return len(self.trace)
 
     @property
-    def stop_iteration(self) -> int:
-        """Index of the iteration at which the run ended."""
-        return self.trace[-1].k if self.trace else 0
-
-    @property
     def failure_iter(self) -> Optional[int]:
         if self.status is Status.LINE_SEARCH_FAILURE:
             return self.trace[-1].k
@@ -243,8 +238,8 @@ def solve(
 
     Per iteration: one noisy oracle evaluation at x_k, the closed-form
     QP step, the penalty update, the stop test (when enabled), then the
-    relaxed backtracking search, each trial drawing a fresh merit
-    evaluation.  The relaxation margin is eps_R = 2*(eps_f_est +
+    relaxed backtracking search, each trial drawing a fresh value-only
+    merit evaluation.  The relaxation margin is eps_R = 2*(eps_f_est +
     pi_k*eps_c_est) when enabled, else 0.
 
     ``x_ref`` (when given) fills the per-iterate distance column of the
@@ -303,7 +298,7 @@ def solve(
 
         def merit_at(alpha: float) -> float:
             nonlocal last_trial
-            ev_t = eval_noisy(p, x + alpha * step.d, spec, stream)
+            ev_t = eval_noisy(p, x + alpha * step.d, spec, stream, derivatives=False)
             last_trial = merit_value(ev_t.f, ev_t.c, pi)
             return last_trial
 

@@ -2,10 +2,10 @@
 
 These deliberately avoid the library's own code paths: the dense
 stationarity-system solve checks the closed-form step, and the explicit
-projector checks the factored projection.  The scipy-wrapper kernels and
-the per-quantity noise draws are the straightforward forms of the
-library's kernels and noise model; the library must match them bit for
-bit.
+projector checks the factored projection.  The scipy-wrapper kernels,
+the per-quantity noise draws and numpy's per-evaluation SeedSequence
+generator are the straightforward forms of the library's kernels, noise
+model and noise stream; the library must match them bit for bit.
 """
 
 import numpy as np
@@ -59,9 +59,20 @@ def cho_reference_step(J, c, g, beta):
     return v + u, v, u, lambda_hat
 
 
+def seed_sequence_rng(seed, counter):
+    """numpy's own generator for evaluation ``counter`` of noise seed ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, counter)))
+
+
 def uniform_reference_eval(p, x, spec, stream):
-    """Noisy (f, c, g, J) drawn with one Generator.uniform call per quantity."""
-    rng = stream.next_rng()
+    """Noisy (f, c, g, J) drawn with one Generator.uniform call per quantity.
+
+    The generator comes from numpy's SeedSequence path at the stream's
+    (seed, counter), not from the stream itself; the counter is advanced
+    by one as an evaluation would.
+    """
+    rng = seed_sequence_rng(stream.seed, stream.counter)
+    stream.counter += 1
     f, c = float(p.eval_f(x)), np.asarray(p.eval_c(x), dtype=float)
     g, J = np.asarray(p.eval_g(x), dtype=float), np.asarray(p.eval_J(x), dtype=float)
     if spec.eps1 > 0:

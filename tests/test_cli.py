@@ -88,6 +88,16 @@ def test_trace_honours_solver_flags(tmp_path, capsys):
     assert flagged.read_bytes() != default.read_bytes()
 
 
+def test_trace_reports_rows_written_when_run_ends_early(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = dispatch(["trace", "--problem", "HS7", "--eps1", "1e-1", "--eps2", "1e-1",
+                     "--no-relaxation", "--iters", "500", "--out", str(out)])
+    assert code == 0
+    rows = len(out.read_text().splitlines()) - 1
+    assert rows < 500  # the classical search fails well before --iters
+    assert capsys.readouterr().out.strip() == f"wrote {rows}-row trace to {out}"
+
+
 def test_check_passes_on_shipped_problems(capsys):
     assert dispatch(["check", "--points", "5"]) == 0
     out = capsys.readouterr().out

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import uniform_reference_eval
+from helpers import seed_sequence_rng, uniform_reference_eval
 from noisy_sqp import (
     NoiseSpec,
     NoiseStream,
@@ -109,6 +111,116 @@ class TestNoisyEvaluation:
             assert np.all(np.abs(noisy.c - exact.c) <= spec.eps1)
             assert np.all(np.abs(noisy.g - exact.g) <= spec.eps2)
             assert np.all(np.abs(noisy.J - exact.J) <= spec.eps2)
+
+
+class TestValueOnlyEvaluation:
+    @pytest.mark.parametrize("eps1,eps2", [(0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3), (1e-1, 1e-5)])
+    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
+    def test_values_equal_full_evaluation_bitwise(self, name, eps1, eps2):
+        p = get_problem(name)
+        spec = NoiseSpec(eps1, eps2, seed=21)
+        full_stream, value_stream = spec.stream(), spec.stream()
+        rng = np.random.default_rng(4)
+        for i in range(40):
+            x = p.x_start + rng.normal(size=p.n)
+            full = eval_noisy(p, x, spec, full_stream)
+            value = eval_noisy(p, x, spec, value_stream, derivatives=False)
+            assert value_stream.counter == full_stream.counter == i + 1
+            assert type(value.f) is float and value.f == full.f
+            assert_array_equal(value.c, full.c)
+            assert value.g is None and value.J is None
+
+    def test_derivative_callbacks_are_skipped(self):
+        def fail(x):
+            raise AssertionError("derivative callback called")
+
+        p = Problem("values", 2, 1, lambda x: x @ x, lambda x: x[:1], fail, fail, np.ones(2))
+        out = eval_exact(p, p.x_start, derivatives=False)
+        assert out.f == 2.0 and out.g is None and out.J is None
+        stream = NoiseStream(3)
+        noisy = eval_noisy(p, p.x_start, NoiseSpec(1e-2, 1e-2, seed=3), stream, derivatives=False)
+        assert noisy.g is None and stream.counter == 1
+
+
+SEEDS = st.one_of(st.sampled_from([0, 1, 2**31 - 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
+# Counters near 2**32 cross into three-word entropy, which numpy hashes itself.
+COUNTERS = st.one_of(st.integers(0, 1000), st.integers(2**32 - 300, 2**32 + 5))
+STREAM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("draw"), st.integers(1, 300)),
+        st.tuples(st.just("counter"), COUNTERS),
+        st.tuples(st.just("seed"), st.one_of(SEEDS, st.integers(2**32, 2**70))),
+    ),
+    max_size=6,
+)
+
+
+class TestNoiseStreamMatchesSeedSequence:
+    """Draw i of NoiseStream(seed) equals numpy's SeedSequence((seed, i)) path, bit for bit."""
+
+    @staticmethod
+    def _check_draws(stream, count):
+        for _ in range(count):
+            seed, counter = stream.seed, stream.counter
+            got = stream.next_rng().random(3)
+            assert stream.counter == counter + 1
+            assert_array_equal(got, seed_sequence_rng(seed, counter).random(3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, counter=COUNTERS, count=st.integers(1, 600))
+    @example(seed=0, counter=0, count=600)
+    @example(seed=2**32 - 1, counter=2**32 - 100, count=110)
+    def test_consecutive_draws(self, seed, counter, count):
+        # 600 draws cross every block boundary up to the largest block size.
+        self._check_draws(NoiseStream(seed, counter), count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, ops=STREAM_OPS)
+    def test_reassigned_counter_and_seed(self, seed, ops):
+        stream = NoiseStream(seed)
+        self._check_draws(stream, 20)
+        for op, value in ops:
+            if op == "draw":
+                self._check_draws(stream, value)
+            else:
+                setattr(stream, op, value)
+                self._check_draws(stream, 3)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(2**32, 2**96), counter=st.integers(0, 50))
+    def test_wide_seeds_take_numpy_path(self, seed, counter):
+        self._check_draws(NoiseStream(seed, counter), 12)
+
+    @pytest.mark.parametrize("seed", [1.0, np.int64(5)])
+    def test_reassigned_seed_of_another_type_behaves_like_numpy(self, seed):
+        stream = NoiseStream(int(seed))
+        self._check_draws(stream, 3)
+        stream.seed = seed
+        try:
+            expected = seed_sequence_rng(seed, 3).random(3)
+        except TypeError as numpy_error:
+            with pytest.raises(TypeError, match=str(numpy_error)):
+                stream.next_rng()
+        else:
+            assert_array_equal(stream.next_rng().random(3), expected)
+
+    def test_generator_belongs_to_stream(self):
+        stream = NoiseStream(9)
+        rngs = [stream.next_rng() for _ in range(20)]
+        assert all(rng is rngs[0] for rng in rngs)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_raises_like_numpy(self, seed):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence(entropy=(seed, 0))
+        fresh, reseeded = NoiseStream(seed), NoiseStream(4)
+        self._check_draws(reseeded, 3)
+        reseeded.seed = seed
+        for stream, counter in ((fresh, 0), (reseeded, 3)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=str(numpy_error.value)):
+                    stream.next_rng()
+            assert stream.counter == counter
 
 
 class TestDerivedBounds:

@@ -1,13 +1,17 @@
 """Tests for the merit machinery, line search, and the full iteration."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import noisy_sqp.solver as solver_module
+from helpers import seed_sequence_rng
 from noisy_sqp import (
     NoiseSpec,
+    NoiseStream,
     Problem,
     SolverConfig,
     Status,
@@ -239,6 +243,49 @@ class TestSolveNoisy:
         psis = np.array([r.psi for r in result.trace])
         assert np.all(np.isfinite(psis)) and np.all(psis >= 0)
         assert psis[-1] < psis[0]
+
+
+def _row_bits(row):
+    return [np.asarray(getattr(row, f.name), dtype=float).tobytes() for f in fields(row)]
+
+
+class TestOracleFastPathsPreserveRuns:
+    """Runs are bitwise those of per-evaluation SeedSequence generators and full trials."""
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
+    def test_rows_match_reference_oracle(self, name, eps, monkeypatch):
+        p = get_problem(name)
+        spec = NoiseSpec(eps, eps, seed=13)
+        x_ref = reference_solution(name).x_star
+        relaxed = SolverConfig(max_iters=120, termination_enabled=False).with_estimates(
+            spec.bounds(p.n, p.m))
+        configs = (relaxed, SolverConfig(max_iters=120, relaxation_enabled=False))
+
+        def runs():
+            return [solve(p, spec, cfg, x_ref=x_ref, collect_psi=True) for cfg in configs]
+
+        fast = runs()
+
+        def per_evaluation_rng(stream):
+            rng = seed_sequence_rng(stream.seed, stream.counter)
+            stream.counter += 1
+            return rng
+
+        eval_noisy = solver_module.eval_noisy
+
+        def full_evaluation(p, x, spec, stream, derivatives=True):
+            return eval_noisy(p, x, spec, stream)
+
+        monkeypatch.setattr(NoiseStream, "next_rng", per_evaluation_rng)
+        monkeypatch.setattr(solver_module, "eval_noisy", full_evaluation)
+        reference = runs()
+
+        assert sum(r.backtracks for run in fast for r in run.trace) > 0
+        for a, b in zip(fast, reference):
+            assert a.status is b.status
+            assert a.x.tobytes() == b.x.tobytes()
+            assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
 
 
 class TestSolverConfig:
