@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / experiment completed; 1 usage error; 2 the run
 ended with a line-search failure; 3 the run hit a rank-deficient
-Jacobian.
+Jacobian; 4 the oracle returned a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,19 +34,10 @@ _STATUS_EXIT = {
     Status.MAX_ITERS: 0,
     Status.LINE_SEARCH_FAILURE: 2,
     Status.SINGULAR_JACOBIAN: 3,
+    Status.NONFINITE: 4,
 }
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("NOISY_SQP_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _float_list(text: str) -> list[float]:
@@ -101,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated levels, eps1 = eps2 at each")
         sp.add_argument("--seeds", type=_int_list, default=list(range(10)))
         sp.add_argument("--kmax", type=_int_list, default=[100, 500, 1000])
-        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--out", type=Path, help="directory for JSON documents")
         sp.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -206,13 +195,13 @@ def _emit_tables(summaries, render, table_name: str, args) -> int:
 
 def _cmd_tables(args) -> int:
     plan = _make_plan(args)
-    summaries = run_relaxation_table(plan, jobs=args.jobs or _default_jobs())
+    summaries = run_relaxation_table(plan)
     return _emit_tables(summaries, render_relaxation_table, "relaxation", args)
 
 
 def _cmd_misest(args) -> int:
     plan = _make_plan(args)
-    summaries = run_misestimation_table(plan, jobs=args.jobs or _default_jobs())
+    summaries = run_misestimation_table(plan)
     return _emit_tables(summaries, render_misestimation_table, "misestimation", args)
 
 

@@ -36,7 +36,7 @@ def _psi(pg: Vector, c: Vector, pi: float, tau: float, b_u: float) -> float:
     """psi from the projected gradient pg = P g."""
     if b_u <= 0:
         raise ValueError(f"b_u must be positive, got {b_u}")
-    return float(np.dot(pg, pg) / b_u + pi * tau * np.sum(np.abs(c)))
+    return float(np.dot(pg, pg) / b_u + pi * tau * np.abs(c).sum())
 
 
 def kkt_residual(g: Vector, J: Matrix, lam: Vector) -> float:

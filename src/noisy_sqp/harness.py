@@ -3,8 +3,9 @@
 All experiments run the solver with the defaults nu=0.1, tau=0.9,
 beta=50 and report distances to the derived reference solutions.
 Results are deterministic functions of the plan: each run owns a noise
-stream keyed by its seed, so fanning runs out across workers cannot
-change any output.
+stream keyed by its seed.  Runs execute one after another in plan order;
+they are Python-bound, so threads would only queue on the interpreter
+lock.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import csv
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -40,6 +40,7 @@ _TERMINATION_KIND = {
     Status.LINE_SEARCH_FAILURE: "ls",
     Status.MAX_ITERS: "max_iters",
     Status.SINGULAR_JACOBIAN: "singular",
+    Status.NONFINITE: "nonfinite",
 }
 
 
@@ -126,13 +127,6 @@ def _run_one(
     return summary, result
 
 
-def _map_ordered(fn, tasks: Sequence[tuple], jobs: Optional[int]) -> list:
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: fn(*t), tasks))
-    return [fn(*t) for t in tasks]
-
-
 def write_trace_csv(result: SolveResult, path: Path) -> None:
     """One row per executed iteration, in shortest round-trip decimals."""
     with open(path, "w", newline="") as fh:
@@ -157,7 +151,6 @@ def run_trace_experiment(
     eps2: float = 1e-3,
     seeds: Iterable[int] = (0,),
     iters: int = 1000,
-    jobs: Optional[int] = None,
     config: Optional[SolverConfig] = None,
 ) -> list[Path]:
     """Write one per-iteration CSV per (problem, seed) and return the paths.
@@ -170,7 +163,6 @@ def run_trace_experiment(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(name, seed) for name in problems for seed in seeds]
 
     def one(name: str, seed: int) -> Path:
         p = get_problem(name)
@@ -185,10 +177,10 @@ def run_trace_experiment(
         write_trace_csv(result, path)
         return path
 
-    return _map_ordered(one, tasks, jobs)
+    return [one(name, seed) for name in problems for seed in seeds]
 
 
-def run_relaxation_table(plan: ExperimentPlan, jobs: Optional[int] = None) -> list[RunSummary]:
+def run_relaxation_table(plan: ExperimentPlan) -> list[RunSummary]:
     """Relaxation on/off comparison over the plan grid.
 
     Disabled runs go until the first line-search failure (or the largest
@@ -212,10 +204,10 @@ def run_relaxation_table(plan: ExperimentPlan, jobs: Optional[int] = None) -> li
                               termination_enabled=False)
         return summary
 
-    return _map_ordered(one, tasks, jobs)
+    return [one(*task) for task in tasks]
 
 
-def run_misestimation_table(plan: ExperimentPlan, jobs: Optional[int] = None) -> list[RunSummary]:
+def run_misestimation_table(plan: ExperimentPlan) -> list[RunSummary]:
     """Misestimated-noise study: scale the solver's estimates, stop test enabled.
 
     Each run multiplies all four estimated bounds by the same factor and
@@ -235,7 +227,7 @@ def run_misestimation_table(plan: ExperimentPlan, jobs: Optional[int] = None) ->
                               termination_enabled=True)
         return summary
 
-    return _map_ordered(one, tasks, jobs)
+    return [one(*task) for task in tasks]
 
 
 def summaries_to_json(summaries: Iterable[RunSummary], table: str) -> str:

@@ -9,16 +9,18 @@ v = -J'(JJ')^{-1} c restoring linearized feasibility and a tangential
 component u = -(1/beta) P g, where P = I - J'(JJ')^{-1} J projects onto
 the null space of J.  All solves go through one Cholesky factorization
 of the small Gram matrix JJ' (pseudo-inverse fallback when Cholesky
-breaks down); the n-by-n projector is never formed.
+breaks down); the n-by-n projector is never formed.  Singular values,
+for the rank gate and for diagnostics, come from one LAPACK dgesdd call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dgesdd, dpotrf, dpotrs
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -36,6 +38,10 @@ class SingularJacobianError(RuntimeError):
         self.sigma_min = float(sigma_min)
 
 
+class NonFiniteJacobianError(np.linalg.LinAlgError):
+    """Constraint Jacobian holds a NaN or an infinity."""
+
+
 @dataclass(frozen=True)
 class StepResult:
     """Step d = v + u, its orthogonal components, and the multiplier estimate."""
@@ -47,9 +53,25 @@ class StepResult:
     beta: float
 
 
+def singular_values(J: Matrix) -> Vector:
+    """Singular values of the float matrix J in descending order.
+
+    Calls LAPACK dgesdd without singular vectors, the routine behind
+    np.linalg.svd(J, compute_uv=False), minus numpy's wrapper.  A NaN
+    entry raises NonFiniteJacobianError (dgesdd reports info = -4); an
+    infinite entry passes through as NaN singular values.
+    """
+    _, s, _, info = dgesdd(J, compute_uv=0)
+    if info == 0:
+        return s
+    if info == -4:
+        raise NonFiniteJacobianError("Jacobian has a NaN entry")
+    raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info={info})")
+
+
 def min_singular_value(J: Matrix) -> float:
     """Smallest singular value of J (0 for rank-deficient J)."""
-    return float(np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)[-1])
+    return float(singular_values(np.asarray(J, dtype=float))[-1])
 
 
 def factor_gram(
@@ -59,12 +81,15 @@ def factor_gram(
 
     Returns a solver for (JJ')y = b and the singular values of J in
     descending order.  Raises SingularJacobianError when
-    sigma_min <= rank_tol * sigma_max.  The LAPACK routines are the ones
+    sigma_min <= rank_tol * sigma_max, and NonFiniteJacobianError when J
+    holds a NaN or an infinity.  The LAPACK routines are the ones
     scipy.linalg.cho_factor/cho_solve call, minus their argument checks.
     """
-    s = np.linalg.svd(J, compute_uv=False)
-    if s[-1] <= rank_tol * s[0]:
-        raise SingularJacobianError(s[-1])
+    s = singular_values(J)
+    if not s[-1] > rank_tol * s[0]:
+        if math.isfinite(s[0]) and math.isfinite(s[-1]):
+            raise SingularJacobianError(s[-1])
+        raise NonFiniteJacobianError("Jacobian has an infinite entry")
     gram = J @ J.T
     factor, info = dpotrf(gram, lower=1, clean=0)
     if info == 0:

@@ -7,7 +7,10 @@ function.  The sufficient-decrease test carries an additive margin
 eps_R = 2*(eps_f + pi*eps_c) built from the *estimated* noise bounds,
 so bounded noise cannot force the backtracking to fail.  Disabling the
 relaxation recovers the classical Armijo condition, whose failure under
-noise is reported as a terminal status rather than an exception.
+noise is reported as a terminal status rather than an exception.  So is
+a NaN or an infinity from the oracle, which the loop detects from
+scalars it already holds: the merit and model at x_k, the rank gate,
+and the last trial merit of a failed line search.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import stationarity_psi
-from .kernels import SingularJacobianError, solve_sqp_step
+from .kernels import NonFiniteJacobianError, SingularJacobianError, solve_sqp_step
 from .oracles import Matrix, NoiseSpec, Problem, Vector, eval_noisy
 
 __all__ = [
@@ -95,6 +98,7 @@ class Status(enum.Enum):
     MAX_ITERS = "max_iters"
     LINE_SEARCH_FAILURE = "line_search_failure"
     SINGULAR_JACOBIAN = "singular_jacobian"
+    NONFINITE = "nonfinite"
 
 
 @dataclass
@@ -136,7 +140,7 @@ def merit_value(f_val: float, c_val: Vector, pi: float) -> float:
     """l1 merit: f + pi * ||c||_1."""
     if pi <= 0:
         raise ValueError(f"penalty must be positive, got {pi}")
-    return float(f_val + pi * np.sum(np.abs(c_val)))
+    return float(f_val + pi * np.abs(c_val).sum())
 
 
 def linear_model(g: Vector, c: Vector, J: Matrix, d: Vector, pi: float) -> float:
@@ -146,9 +150,7 @@ def linear_model(g: Vector, c: Vector, J: Matrix, d: Vector, pi: float) -> float
     linearized constraints the middle term vanishes to solver accuracy.
     """
     c = np.asarray(c, dtype=float)
-    return float(
-        np.dot(g, d) + pi * np.sum(np.abs(c + J @ d)) - pi * np.sum(np.abs(c))
-    )
+    return float(np.dot(g, d) + pi * np.abs(c + J @ d).sum() - pi * np.abs(c).sum())
 
 
 def update_penalty(pi: float, lambda_hat: Vector, tau: float) -> float:
@@ -160,7 +162,7 @@ def update_penalty(pi: float, lambda_hat: Vector, tau: float) -> float:
     """
     if not 0 < tau < 1:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    lam_inf = float(np.max(np.abs(lambda_hat))) if len(lambda_hat) else 0.0
+    lam_inf = float(np.abs(lambda_hat).max()) if len(lambda_hat) else 0.0
     # pi >= lam/(1-tau), rearranged so the boundary case is not lost to
     # the rounding of the division
     if pi >= lam_inf + pi * tau:
@@ -212,10 +214,11 @@ def check_termination(
     multiplier paired with the ``g + J' lam`` residual convention (the
     solver passes the negated least-squares estimate).
     """
-    if float(np.sum(np.abs(c))) > eps_c_est:
+    if float(np.abs(c).sum()) > eps_c_est:
         return False
-    residual = float(np.linalg.norm(g + J.T @ lam))
-    lam_inf = float(np.max(np.abs(lam))) if len(lam) else 0.0
+    r = g + J.T @ lam
+    residual = math.sqrt(r.dot(r))  # np.linalg.norm's formula for a 1-D array
+    lam_inf = float(np.abs(lam).max()) if len(lam) else 0.0
     return residual <= eps_g_est + lam_inf * eps_J_est
 
 
@@ -245,9 +248,10 @@ def solve(
     ``x_ref`` (when given) fills the per-iterate distance column of the
     trace; ``collect_psi`` additionally records the exact-oracle
     stationarity measure, at the cost of one exact evaluation per
-    iteration.  Terminal events (line-search failure, rank-deficient
-    Jacobian) are reported through ``SolveResult.status`` with the
-    partial trace intact.
+    iteration (nan where the exact Jacobian fails the rank gate).
+    Terminal events (line-search failure, rank-deficient Jacobian, a
+    non-finite oracle value) are reported through ``SolveResult.status``
+    with the partial trace intact.
     """
     stream = spec.stream()
     x = np.array(p.x_start, dtype=float)
@@ -257,11 +261,18 @@ def solve(
     eps_c_stop, eps_g_stop, eps_J_stop = _effective_stop_bounds(cfg)
 
     def record(k, alpha, merit0, model, backtracks, failed, merit_trial, eps_r):
-        dist = float(np.linalg.norm(x - x_ref)) if x_ref is not None else math.nan
-        if collect_psi:
-            psi = stationarity_psi(p.eval_g(x), p.eval_c(x), p.eval_J(x), pi, cfg.tau, cfg.beta)
+        if x_ref is not None:
+            r = x - x_ref
+            dist = math.sqrt(r.dot(r))
         else:
-            psi = math.nan
+            dist = math.nan
+        psi = math.nan
+        if collect_psi:
+            try:
+                psi = stationarity_psi(p.eval_g(x), p.eval_c(x), p.eval_J(x), pi, cfg.tau,
+                                       cfg.beta)
+            except (SingularJacobianError, NonFiniteJacobianError):
+                pass
         trace.append(
             IterateRecord(
                 k=k, x=x.copy(), alpha=alpha, pi=pi, merit_noisy=merit0,
@@ -275,15 +286,22 @@ def solve(
         ev = eval_noisy(p, x, spec, stream)
         try:
             step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
-        except SingularJacobianError:
+        except (SingularJacobianError, NonFiniteJacobianError) as err:
             record(k, math.nan, merit_value(ev.f, ev.c, pi), math.nan, 0, False,
                    math.nan, math.nan)
-            status = Status.SINGULAR_JACOBIAN
+            singular = isinstance(err, SingularJacobianError)
+            status = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
             break
 
         pi = update_penalty(pi, step.lambda_hat, cfg.tau)
         merit0 = merit_value(ev.f, ev.c, pi)
         model = linear_model(ev.g, ev.c, ev.J, step.d, pi)
+        # A NaN or infinity in f, c or g (through pi or the step) reaches
+        # one of these two.
+        if not (math.isfinite(merit0) and math.isfinite(model)):
+            record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
+            status = Status.NONFINITE
+            break
 
         if cfg.termination_enabled and check_termination(
             ev.c, ev.g, ev.J, -step.lambda_hat, eps_c_stop, eps_g_stop, eps_J_stop
@@ -307,7 +325,12 @@ def solve(
         )
         if found is None:
             record(k, math.nan, merit0, model, cfg.max_backtracks, True, math.nan, eps_r)
-            status = Status.LINE_SEARCH_FAILURE
+            # The last trial lies next to x_k, whose merit is finite: a
+            # non-finite value there means the oracle broke, not the search.
+            if math.isfinite(last_trial):
+                status = Status.LINE_SEARCH_FAILURE
+            else:
+                status = Status.NONFINITE
             break
 
         alpha, backtracks = found

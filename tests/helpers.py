@@ -3,9 +3,11 @@
 These deliberately avoid the library's own code paths: the dense
 stationarity-system solve checks the closed-form step, and the explicit
 projector checks the factored projection.  The scipy-wrapper kernels,
-the per-quantity noise draws and numpy's per-evaluation SeedSequence
-generator are the straightforward forms of the library's kernels, noise
-model and noise stream; the library must match them bit for bit.
+the per-quantity noise draws, numpy's per-evaluation SeedSequence
+generator, the numpy-wrapper merit helpers and numpy's SVD rank gate are
+the straightforward forms of the library's kernels, noise model, noise
+stream, iteration helpers and rank gate; the library must match them
+bit for bit (the gate: decision for decision).
 """
 
 import numpy as np
@@ -82,3 +84,42 @@ def uniform_reference_eval(p, x, spec, stream):
         g = g + rng.uniform(-spec.eps2, spec.eps2, size=p.n)
         J = J + rng.uniform(-spec.eps2, spec.eps2, size=(p.m, p.n))
     return f, c, g, J
+
+
+def merit_value_reference(f_val, c_val, pi):
+    """f + pi*||c||_1 through np.sum."""
+    return float(f_val + pi * np.sum(np.abs(c_val)))
+
+
+def linear_model_reference(g, c, J, d, pi):
+    """g'd + pi*||c + Jd||_1 - pi*||c||_1 through np.sum."""
+    c = np.asarray(c, dtype=float)
+    return float(np.dot(g, d) + pi * np.sum(np.abs(c + J @ d)) - pi * np.sum(np.abs(c)))
+
+
+def update_penalty_reference(pi, lambda_hat, tau):
+    """The penalty update with ||lambda_hat||_inf through np.max."""
+    lam_inf = float(np.max(np.abs(lambda_hat))) if len(lambda_hat) else 0.0
+    if pi >= lam_inf + pi * tau:
+        return pi
+    return 2.0 * lam_inf / (1.0 - tau)
+
+
+def check_termination_reference(c, g, J, lam, eps_c_est, eps_g_est, eps_J_est):
+    """The noisy stop test through np.sum, np.linalg.norm and np.max."""
+    if float(np.sum(np.abs(c))) > eps_c_est:
+        return False
+    residual = float(np.linalg.norm(g + J.T @ lam))
+    lam_inf = float(np.max(np.abs(lam))) if len(lam) else 0.0
+    return residual <= eps_g_est + lam_inf * eps_J_est
+
+
+def psi_reference(pg, c, pi, tau, b_u):
+    """(1/b_u)*||pg||^2 + pi*tau*||c||_1 through np.sum."""
+    return float(np.dot(pg, pg) / b_u + pi * tau * np.sum(np.abs(c)))
+
+
+def svd_gate_passes(J, rank_tol=1e-10):
+    """numpy's SVD rank gate: False when sigma_min <= rank_tol * sigma_max."""
+    s = np.linalg.svd(J, compute_uv=False)
+    return not s[-1] <= rank_tol * s[0]

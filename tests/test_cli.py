@@ -41,13 +41,9 @@ def test_status_exit_mapping_is_total():
     assert _STATUS_EXIT[Status.SINGULAR_JACOBIAN] == 3
 
 
-def test_jobs_env_fallback(monkeypatch):
-    from noisy_sqp.cli import _default_jobs
-
-    monkeypatch.setenv("NOISY_SQP_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.setenv("NOISY_SQP_JOBS", "not-a-number")
-    assert _default_jobs() >= 1
+def test_nonfinite_status_exits_4():
+    assert _STATUS_EXIT[Status.NONFINITE] == 4
+    assert set(_STATUS_EXIT) == set(Status)
 
 
 def test_trace_writes_requested_file(tmp_path, capsys):
@@ -143,7 +139,7 @@ def test_config_file_rejects_unknown_fields(tmp_path, capsys):
 
 def test_tables_small_grid(tmp_path, capsys):
     code = dispatch(["tables", "--problems", "HS7", "--eps-levels", "1e-3",
-                     "--seeds", "0,1", "--kmax", "50,100", "--jobs", "2",
+                     "--seeds", "0,1", "--kmax", "50,100",
                      "--out", str(tmp_path), "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from helpers import explicit_projector, random_full_rank
+from helpers import explicit_projector, psi_reference, random_full_rank
+from noisy_sqp.diagnostics import _psi
 from noisy_sqp import (
     evaluate_diagnostics,
     get_problem,
@@ -86,3 +90,20 @@ class TestEvaluateDiagnostics:
         row = evaluate_diagnostics(p, p.x_start, pi=10.0, tau=0.9, b_u=50.0)
         assert row.feasibility > 1.0
         assert row.psi > 1.0
+
+
+class TestPsiBitwise:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_np_sum_form(self, data):
+        elements = data.draw(st.sampled_from(
+            (st.floats(-1e6, 1e6), st.floats(allow_nan=True, allow_infinity=True))))
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, min(n, 3)))
+        pg = data.draw(arrays(np.float64, n, elements=elements))
+        c = data.draw(arrays(np.float64, m, elements=elements))
+        pi, b_u = data.draw(st.floats(1e-6, 1e6)), data.draw(st.floats(1e-3, 1e3))
+        tau = data.draw(st.floats(1e-3, 0.999))
+        with np.errstate(all="ignore"):
+            got, want = _psi(pg, c, pi, tau, b_u), psi_reference(pg, c, pi, tau, b_u)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

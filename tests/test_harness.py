@@ -16,7 +16,8 @@ from noisy_sqp import (
     run_trace_experiment,
     summaries_to_json,
 )
-from noisy_sqp.harness import MISESTIMATION_MULTIPLIERS
+from noisy_sqp.harness import _TERMINATION_KIND, MISESTIMATION_MULTIPLIERS
+from noisy_sqp.solver import Status
 
 
 def _read_csv(path):
@@ -129,6 +130,11 @@ class TestMisestimationTable:
         assert "(opt)" in text and "(ls)" in text
 
 
+def test_every_status_has_a_termination_kind():
+    assert _TERMINATION_KIND[Status.NONFINITE] == "nonfinite"
+    assert set(_TERMINATION_KIND) == set(Status)
+
+
 class TestPlanValidation:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
@@ -166,10 +172,3 @@ class TestGridProperties:
                 for eps in (1e-5, 1e-3, 1e-1)
             }
             assert medians[1e-1] >= medians[1e-3] >= medians[1e-5], (name, medians)
-
-    def test_parallel_execution_matches_serial(self):
-        plan = ExperimentPlan(problems=("HS7",), eps_levels=((1e-3, 1e-3),),
-                              seeds=(0, 1, 2), k_max_values=(60,))
-        serial = run_relaxation_table(plan, jobs=1)
-        parallel = run_relaxation_table(plan, jobs=4)
-        assert serial == parallel

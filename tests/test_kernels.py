@@ -13,15 +13,18 @@ from helpers import (
     dense_kkt_step,
     explicit_projector,
     random_full_rank,
+    svd_gate_passes,
 )
 from noisy_sqp import (
     SingularJacobianError,
+    evaluate_diagnostics,
     get_problem,
     least_squares_multiplier,
     min_singular_value,
     project_tangent,
     solve_sqp_step,
 )
+from noisy_sqp.kernels import NonFiniteJacobianError, factor_gram
 
 
 class TestLeastSquaresMultiplier:
@@ -200,3 +203,56 @@ class TestCholeskyBreakdownFallback:
         assert np.array_equal(step.u, u)
         assert np.array_equal(step.d, v + u)
         assert np.array_equal(project_tangent(J, g), g - J.T @ lambda_hat)
+
+
+@st.composite
+def gate_instances(draw):
+    """J with m <= 3 and m <= n <= 5: random full rank, or exactly rank deficient."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    if draw(st.booleans()):
+        return rng.normal(size=(m, n)) * scale
+    # Small integer factors and a power-of-two scale keep the product exact.
+    rank = draw(st.integers(0, m - 1))
+    A = rng.integers(-3, 4, size=(m, rank)).astype(float)
+    B = rng.integers(-3, 4, size=(rank, n)).astype(float)
+    return (A @ B) * scale
+
+
+class TestRankGate:
+    """The dgesdd gate decides as numpy's SVD gate does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_instances())
+    def test_decision_matches_numpy(self, J):
+        expected = np.linalg.svd(J, compute_uv=False)
+        try:
+            _, s = factor_gram(J)
+        except SingularJacobianError as err:
+            assert not svd_gate_passes(J)
+            assert err.sigma_min == pytest.approx(expected[-1], rel=1e-12, abs=1e-14 * expected[0])
+        else:
+            assert svd_gate_passes(J)
+            assert_allclose(s, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_linalg_error(self, value):
+        J = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]])
+        J[1, 2] = value
+        for call in (lambda: factor_gram(J), lambda: solve_sqp_step(J, np.ones(2), np.ones(3), 1.0)):
+            with pytest.raises(NonFiniteJacobianError):
+                call()
+        assert issubclass(NonFiniteJacobianError, np.linalg.LinAlgError)
+
+    def test_kernels_and_diagnostics_take_no_numpy_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        p = get_problem("BT11")
+        J = p.eval_J(p.x_start)
+        assert min_singular_value(J) > 0
+        solve_sqp_step(J, p.eval_c(p.x_start), p.eval_g(p.x_start), 50.0)
+        assert evaluate_diagnostics(p, p.x_start, 1.0, 0.9, 50.0).sigma_min > 0

@@ -1,14 +1,23 @@
 """Tests for the merit machinery, line search, and the full iteration."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import noisy_sqp.solver as solver_module
-from helpers import seed_sequence_rng
+from helpers import (
+    check_termination_reference,
+    linear_model_reference,
+    merit_value_reference,
+    seed_sequence_rng,
+    update_penalty_reference,
+)
 from noisy_sqp import (
     NoiseSpec,
     NoiseStream,
@@ -286,6 +295,142 @@ class TestOracleFastPathsPreserveRuns:
             assert a.status is b.status
             assert a.x.tobytes() == b.x.tobytes()
             assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
+
+
+# Entries either finite with magnitude at most 1e6, or any float: hypothesis
+# then mixes NaN, +-inf and its own extremes in.
+FINITE_ENTRIES = st.floats(-1e6, 1e6)
+ANY_ENTRIES = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def helper_inputs(draw):
+    """Arguments of the iteration helpers with m <= 3 and m <= n <= 5."""
+    elements = draw(st.sampled_from((FINITE_ENTRIES, ANY_ENTRIES)))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 5))
+
+    def vec(size):
+        return draw(arrays(np.float64, size, elements=elements))
+
+    return {
+        "f": draw(elements), "c": vec(m), "g": vec(n), "d": vec(n), "lam": vec(m),
+        "J": draw(arrays(np.float64, (m, n), elements=elements)),
+        "pi": draw(st.floats(1e-6, 1e6)), "tau": draw(st.floats(1e-3, 0.999)),
+        "eps": [draw(st.floats(0.0, 1e7)) for _ in range(3)],
+    }
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestHelpersBitwiseAgainstNumpyWrappers:
+    """The helpers give the bits of their np.sum / np.max / np.linalg.norm forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(helper_inputs())
+    def test_helpers_match(self, a):
+        stop_args = (a["c"], a["g"], a["J"], a["lam"], *a["eps"])
+        with np.errstate(all="ignore"):
+            # A loose eps_c takes every finite c on to the residual clause,
+            # and a bound equal to the reference residual tests it at the edge.
+            edge = float(np.linalg.norm(a["g"] + a["J"].T @ a["lam"]))
+            loose_stop_args = (*stop_args[:4], math.inf, edge, 0.0)
+            assert _bits(merit_value(a["f"], a["c"], a["pi"])) == _bits(
+                merit_value_reference(a["f"], a["c"], a["pi"]))
+            assert _bits(linear_model(a["g"], a["c"], a["J"], a["d"], a["pi"])) == _bits(
+                linear_model_reference(a["g"], a["c"], a["J"], a["d"], a["pi"]))
+            assert _bits(update_penalty(a["pi"], a["lam"], a["tau"])) == _bits(
+                update_penalty_reference(a["pi"], a["lam"], a["tau"]))
+            assert check_termination(*stop_args) == check_termination_reference(*stop_args)
+            assert check_termination(*loose_stop_args) == check_termination_reference(
+                *loose_stop_args)
+
+
+def _poisoned(name, quantity, value, after):
+    """Problem `name` whose `quantity` callback returns `value` in its first
+    entry from call `after` + 1 on."""
+    p = get_problem(name)
+    clean = getattr(p, f"eval_{quantity}")
+    calls = 0
+
+    def poisoned(x):
+        nonlocal calls
+        calls += 1
+        out = clean(x)
+        if calls <= after:
+            return out
+        if quantity == "f":
+            return value
+        out = np.array(out, dtype=float)
+        out.flat[0] = value
+        return out
+
+    return replace(p, **{f"eval_{quantity}": poisoned})
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteOracleValues:
+    """A NaN or an infinity from any oracle output ends the run as NONFINITE."""
+
+    SPEC = NoiseSpec(1e-3, 1e-3, seed=5)
+
+    def _config(self, p):
+        return SolverConfig(max_iters=60, termination_enabled=False).with_estimates(
+            self.SPEC.bounds(p.n, p.m))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("quantity", ["f", "c", "g", "J"])
+    @pytest.mark.parametrize("after", [10, 25])
+    def test_status_and_partial_trace(self, quantity, value, after):
+        p = get_problem("BT11")
+        x_ref = reference_solution("BT11").x_star
+        clean = solve(p, self.SPEC, self._config(p), x_ref=x_ref)
+        result = solve(_poisoned("BT11", quantity, value, after), self.SPEC, self._config(p),
+                       x_ref=x_ref)
+        assert result.status is Status.NONFINITE
+        assert result.failure_iter is None
+        rows = result.trace
+        assert 2 <= len(rows) < len(clean.trace)
+        assert [r.k for r in rows] == list(range(len(rows)))
+        # Every row before the poisoned iteration is the clean run's row.
+        assert [_row_bits(r) for r in rows[:-1]] == [
+            _row_bits(r) for r in clean.trace[:len(rows) - 1]]
+        last = rows[-1]
+        assert math.isnan(last.alpha) and math.isnan(last.merit_trial)
+        assert last.x.tobytes() == clean.trace[len(rows) - 1].x.tobytes()
+        assert result.x.tobytes() == last.x.tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("quantity", ["f", "c", "g", "J"])
+    def test_collect_psi_run_ends_without_raising(self, quantity, value):
+        # psi reads the exact oracles, so the poison reaches them too.
+        p = _poisoned("HS40", quantity, value, 15)
+        cfg = SolverConfig(max_iters=60, termination_enabled=False).with_estimates(
+            self.SPEC.bounds(p.n, p.m))
+        result = solve(p, self.SPEC, cfg, x_ref=reference_solution("HS40").x_star,
+                       collect_psi=True)
+        assert result.status is Status.NONFINITE
+        assert 1 <= len(result.trace) < 60
+        assert np.all(np.isfinite(result.x))
+
+    def test_search_with_only_distant_non_finite_trials_is_a_line_search_failure(self):
+        # The gradient points uphill, so no trial decreases the merit; the
+        # long trials land where f is NaN, the short ones next to x_k are
+        # finite.  The search failed, not the oracle.
+        p = Problem(
+            "uphill", 2, 1,
+            eval_f=lambda x: math.nan if x[0] > 1.5 else float(x[0] ** 2 + x[1] ** 2),
+            eval_c=lambda x: np.array([x[0] - x[1]]),
+            eval_g=lambda x: -2.0 * x,
+            eval_J=lambda x: np.array([[1.0, -1.0]]),
+            x_start=np.array([1.0, 1.0]),
+        )
+        result = solve(p, NoiseSpec(0.0, 0.0, seed=0),
+                       SolverConfig(beta=0.5, max_iters=5, relaxation_enabled=False))
+        assert result.status is Status.LINE_SEARCH_FAILURE
+        assert len(result.trace) == 1 and result.trace[0].line_search_failed
 
 
 class TestSolverConfig:
