@@ -109,22 +109,55 @@ def _solver_config(args, problem) -> SolverConfig:
         if unknown:
             raise SystemExit(f"unknown config fields: {', '.join(sorted(unknown))}")
         values.update(loaded)
-    for flag, key in (("beta", "beta"), ("nu", "nu"), ("tau", "tau"), ("pi_init", "pi_init")):
+    for flag, key in (("beta", "beta"), ("nu", "nu"), ("tau", "tau"), ("pi_init", "pi_init"),
+                      ("max_iters", "max_iters"), ("iters", "max_iters")):
         val = getattr(args, flag, None)
         if val is not None:
             values[key] = val
     if args.no_relaxation:
         values["relaxation_enabled"] = False
-    explicit_iters = getattr(args, "max_iters", None) or getattr(args, "iters", None)
-    if explicit_iters is not None:
-        values["max_iters"] = explicit_iters
     values.setdefault("max_iters", 1000)
     if getattr(args, "no_termination", False):
         values["termination_enabled"] = False
-    cfg = SolverConfig(**values)
     # Estimated bounds default to the true derived bounds, optionally rescaled.
     spec = NoiseSpec(args.eps1, args.eps2, seed=args.seed)
-    return cfg.with_estimates(spec.bounds(problem.n, problem.m), args.est_multiplier)
+    try:
+        cfg = SolverConfig(**values)
+        return cfg.with_estimates(spec.bounds(problem.n, problem.m), args.est_multiplier)
+    except (TypeError, ValueError) as err:
+        raise SystemExit(f"invalid solver config: {err}") from None
+
+
+def _problem_names(text: str) -> list[str]:
+    return [tok for tok in text.split(",") if tok]
+
+
+def _check_args(args) -> None:
+    """Reject bad input before any run starts, with a one-line message."""
+
+    def require(ok: bool, message: str) -> None:
+        if not ok:
+            raise SystemExit(message)
+
+    for flag in ("max_iters", "iters"):
+        val = getattr(args, flag, None)
+        require(val is None or val > 0, f"--{flag.replace('_', '-')} must be positive, got {val}")
+    for flag in ("eps1", "eps2", "seed", "est_multiplier"):
+        val = getattr(args, flag, None)
+        require(val is None or val >= 0,
+                f"--{flag.replace('_', '-')} must be non-negative, got {val}")
+    if args.subcommand in ("tables", "misest"):
+        problems = _problem_names(args.problems)
+        lists = {"--problems": problems, "--eps-levels": args.eps_levels,
+                 "--seeds": args.seeds, "--kmax": args.kmax}
+        for flag, values in lists.items():
+            require(bool(values), f"{flag} needs at least one value")
+        unknown = [name for name in problems if name not in PROBLEM_NAMES]
+        require(not unknown, f"unknown problems: {', '.join(unknown)} "
+                             f"(choose from {', '.join(PROBLEM_NAMES)})")
+        require(all(e >= 0 for e in args.eps_levels), "--eps-levels must be non-negative")
+        require(all(s >= 0 for s in args.seeds), "--seeds must be non-negative")
+        require(all(k > 0 for k in args.kmax), "--kmax values must be positive")
 
 
 def _cmd_solve(args) -> int:
@@ -171,15 +204,21 @@ def _cmd_trace(args) -> int:
 
 
 def _make_plan(args) -> ExperimentPlan:
-    return ExperimentPlan(
-        problems=tuple(tok for tok in args.problems.split(",") if tok),
-        eps_levels=tuple((e, e) for e in args.eps_levels),
-        seeds=tuple(args.seeds),
-        k_max_values=tuple(args.kmax),
-    )
+    try:
+        return ExperimentPlan(
+            problems=tuple(_problem_names(args.problems)),
+            eps_levels=tuple((e, e) for e in args.eps_levels),
+            seeds=tuple(args.seeds),
+            k_max_values=tuple(args.kmax),
+        )
+    except ValueError as err:
+        raise SystemExit(f"invalid plan: {err}") from None
 
 
 def _emit_tables(summaries, render, table_name: str, args) -> int:
+    if args.format == "json" and not args.out:
+        print(summaries_to_json(summaries, table_name))
+        return 0
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -188,7 +227,7 @@ def _emit_tables(summaries, render, table_name: str, args) -> int:
             path = out / f"{table_name}_eps{eps:g}.json"
             path.write_text(summaries_to_json(rows, f"{table_name} eps={eps:g}"))
             print(f"wrote {path}")
-    if args.format == "text" or not args.out:
+    if args.format == "text":
         print(render(summaries))
     return 0
 
@@ -239,6 +278,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_args(args)
         return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:
         print(str(exc), file=sys.stderr)

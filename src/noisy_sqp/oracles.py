@@ -9,6 +9,7 @@ and ``eps2`` governing gradient/Jacobian entries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -169,11 +170,15 @@ _CROSS = _cross_constants()
 _GEN_X, _GEN_M = _column(_B[0:8]), _column(_B[1:9])
 
 
-def _seed_words(seed: int, start: int, size: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=128, typed=True)
+def _seed_words(seed: int, start: int, size: int) -> np.ndarray:
     """``SeedSequence((seed, c)).generate_state(4, np.uint64)`` for c in [start, start + size).
 
     numpy's pool mixing and state generation for a two-word entropy, with
     one uint32 lane per counter; seed and every counter must fit in 32 bits.
+    Returns a read-only ``(size, 4)`` uint64 array.  Every stream of one
+    seed hashes the same blocks, so the process keeps the last 128 of them
+    (at most 8 KB each).
     """
     pool = np.empty((4, size), dtype=np.uint32)
     pool[0], pool[2:] = seed, 0
@@ -197,7 +202,9 @@ def _seed_words(seed: int, start: int, size: int) -> list[list[int]]:
     state ^= state >> 16
     # generate_state(4, np.uint64) pairs the eight uint32 words low word first.
     words = state.astype(np.uint64)
-    return (words[0::2] | words[1::2] << np.uint64(32)).T.tolist()
+    out = (words[0::2] | words[1::2] << np.uint64(32)).T
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -211,9 +218,10 @@ class NoiseStream:
     another.
 
     The first evaluation goes through numpy's own path and the stream
-    keeps that Generator.  Later ones hash their seed sequences in blocks
-    of consecutive counters (32 at first, doubling up to 256) and load each
-    PCG64 state into the kept Generator, so the Generator returned by
+    keeps that Generator.  Later ones take their seed sequences' hashes
+    from blocks of consecutive counters (32 at first, doubling up to 256),
+    which the process caches per seed, and load each PCG64 state into the
+    kept Generator through one state dict, so the Generator returned by
     :meth:`next_rng` belongs to the stream and is valid until the next
     call.  Entropy that is not two 32-bit words (a seed or counter of
     2**32 or more, or a negative one) always takes numpy's path.
@@ -228,6 +236,9 @@ class NoiseStream:
         self._words_seed: Optional[int] = None
         self._words_start = 0
         self._block = _FIRST_BLOCK
+        self._pcg = {"state": 0, "inc": 0}
+        self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,
+                       "uinteger": 0}
 
     def next_rng(self) -> np.random.Generator:
         """Generator of evaluation ``counter``; advances the counter by one."""
@@ -247,13 +258,11 @@ class NoiseStream:
             j = 0
         a, b, c, d = self._words[j]
         inc = ((c << 64 | d) << 1 | 1) & _M128
-        self._rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            # pcg64_set_seed: two LCG steps from state 0 with initstate added between
-            "state": {"state": ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        pcg = self._pcg
+        # pcg64_set_seed: two LCG steps from state 0 with initstate added between
+        pcg["state"] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
+        pcg["inc"] = inc
+        self._rng.bit_generator.state = self._state
         self.counter = counter + 1
         return self._rng
 
@@ -264,7 +273,7 @@ class NoiseStream:
                 and isinstance(start, int) and 0 <= start <= _M32):
             return False
         size = min(self._block, _M32 + 1 - start)
-        self._words = _seed_words(seed, start, size)
+        self._words = _seed_words(seed, start, size).tolist()
         self._words_seed, self._words_start = seed, start
         self._block = min(2 * self._block, _MAX_BLOCK)
         return True
@@ -309,6 +318,18 @@ def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
     )
 
 
+@functools.lru_cache(maxsize=128)
+def _noise_map(eps1: float, eps2: float, m: int, n: int, derivatives: bool):
+    """Draw counts (k1 for f and c, k2 for g and J) and the read-only
+    per-draw ``lo`` (-eps) and ``span`` (eps - -eps) of one evaluation."""
+    k1 = 1 + m if eps1 > 0 else 0
+    k2 = n * (1 + m) if eps2 > 0 and derivatives else 0
+    lo = np.repeat(np.array([-eps1, -eps2], dtype=float), (k1, k2))
+    span = np.repeat(np.array([eps1 - -eps1, eps2 - -eps2], dtype=float), (k1, k2))
+    lo.flags.writeable = span.flags.writeable = False
+    return k1, k2, lo, span
+
+
 def eval_noisy(
     p: Problem, x: Vector, spec: NoiseSpec, stream: NoiseStream, derivatives: bool = True
 ) -> NoisyEval:
@@ -337,19 +358,15 @@ def eval_noisy(
     exact = eval_exact(p, x, derivatives)
     rng = stream.next_rng()
     f, c, g, J = exact.f, exact.c, exact.g, exact.J
-    e1, e2 = spec.eps1, spec.eps2
-    # One block of draws in the order f, c, g, J (row-major), each mapped
-    # as low + (high - low) * u exactly as Generator.uniform does, so the
-    # values equal separate uniform(-eps, eps) calls bit for bit.
-    k1 = 1 + p.m if e1 > 0 else 0
-    k2 = p.n * (1 + p.m) if e2 > 0 and derivatives else 0
-    u = rng.random(k1 + k2)
+    k1, k2, lo, span = _noise_map(spec.eps1, spec.eps2, p.m, p.n, derivatives)
+    # One block of draws in the order f, c, g, J (row-major), mapped in one
+    # step by the per-entry lo + span * u of Generator.uniform, so the values
+    # equal separate uniform(-eps, eps) calls bit for bit.
+    w = lo + span * rng.random(k1 + k2)
     if k1:
-        w = -e1 + (e1 - -e1) * u[:k1]
-        f = f + w[0]
-        c = c + w[1:]
+        f = f + float(w[0])
+        c = c + w[1:k1]
     if k2:
-        w = -e2 + (e2 - -e2) * u[k1:]
-        g = g + w[:p.n]
-        J = J + w[p.n:].reshape(p.m, p.n)
-    return NoisyEval(f=float(f), c=c, g=g, J=J)
+        g = g + w[k1:k1 + p.n]
+        J = J + w[k1 + p.n:].reshape(p.m, p.n)
+    return NoisyEval(f=f, c=c, g=g, J=J)

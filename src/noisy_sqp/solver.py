@@ -312,11 +312,12 @@ def solve(
 
         eps_r = 2.0 * (cfg.eps_f_est + pi * cfg.eps_c_est) if cfg.relaxation_enabled else 0.0
 
-        last_trial = math.nan
+        last_trial, trial_x = math.nan, x
 
         def merit_at(alpha: float) -> float:
-            nonlocal last_trial
-            ev_t = eval_noisy(p, x + alpha * step.d, spec, stream, derivatives=False)
+            nonlocal last_trial, trial_x
+            trial_x = x + alpha * step.d
+            ev_t = eval_noisy(p, trial_x, spec, stream, derivatives=False)
             last_trial = merit_value(ev_t.f, ev_t.c, pi)
             return last_trial
 
@@ -335,6 +336,6 @@ def solve(
 
         alpha, backtracks = found
         record(k, alpha, merit0, model, backtracks, False, last_trial, eps_r)
-        x = x + alpha * step.d
+        x = trial_x  # the accepted trial is the last one evaluated
 
     return SolveResult(x=x, trace=trace, status=status)

@@ -7,11 +7,14 @@ the per-quantity noise draws, numpy's per-evaluation SeedSequence
 generator, the numpy-wrapper merit helpers and numpy's SVD rank gate are
 the straightforward forms of the library's kernels, noise model, noise
 stream, iteration helpers and rank gate; the library must match them
-bit for bit (the gate: decision for decision).
+bit for bit (the gate: decision for decision).  The fresh-state-dict
+generator and the two-step noise map are the oracle's earlier forms.
 """
 
 import numpy as np
 import scipy.linalg
+
+from noisy_sqp import oracles
 
 
 def dense_kkt_step(J, c, g, beta):
@@ -64,6 +67,49 @@ def cho_reference_step(J, c, g, beta):
 def seed_sequence_rng(seed, counter):
     """numpy's own generator for evaluation ``counter`` of noise seed ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, counter)))
+
+
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def fresh_dict_rng(stream):
+    """The stream's next Generator, with its counter's seed words hashed on
+    their own (no block cache) and loaded through a fresh state dict.
+
+    For seeds and counters below 2**32; advances the counter by one.
+    """
+    a, b, c, d = oracles._seed_words.__wrapped__(stream.seed, stream.counter, 1)[0].tolist()
+    inc = ((c << 64 | d) << 1 | 1) & _M128
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    stream.counter += 1
+    return rng
+
+
+def two_step_eval_noisy(p, x, spec, stream, derivatives=True):
+    """eval_noisy with each noise group mapped by a scalar -eps + (eps - -eps) * u."""
+    exact = oracles.eval_exact(p, x, derivatives)
+    rng = stream.next_rng()
+    f, c, g, J = exact.f, exact.c, exact.g, exact.J
+    e1, e2 = spec.eps1, spec.eps2
+    k1 = 1 + p.m if e1 > 0 else 0
+    k2 = p.n * (1 + p.m) if e2 > 0 and derivatives else 0
+    u = rng.random(k1 + k2)
+    if k1:
+        w = -e1 + (e1 - -e1) * u[:k1]
+        f = f + w[0]
+        c = c + w[1:]
+    if k2:
+        w = -e2 + (e2 - -e2) * u[k1:]
+        g = g + w[:p.n]
+        J = J + w[p.n:].reshape(p.m, p.n)
+    return oracles.NoisyEval(f=float(f), c=c, g=g, J=J)
 
 
 def uniform_reference_eval(p, x, spec, stream):

@@ -156,3 +156,55 @@ def test_misest_small_grid(tmp_path, capsys):
     doc = json.loads((tmp_path / "misestimation_eps1e-05.json").read_text())
     kinds = {r["est_multiplier"]: r["termination_kind"] for r in doc["runs"]}
     assert kinds[1e-3] == "ls" and kinds[1e3] == "opt"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["solve", "--problem", "HS7", "--beta", "-1"], "beta must be positive"),
+        (["solve", "--problem", "HS7", "--max-iters", "0"], "--max-iters must be positive"),
+        (["solve", "--problem", "HS7", "--seed", "-1"], "--seed must be non-negative"),
+        (["solve", "--problem", "HS7", "--eps1", "-0.001"], "--eps1 must be non-negative"),
+        (["solve", "--problem", "HS7", "--eps1", "1e-3", "--est-multiplier", "nan"],
+         "--est-multiplier must be non-negative"),
+        (["solve", "--problem", "HS7", "--tau", "1.5"], "tau must lie in (0, 1)"),
+        (["trace", "--problem", "HS7", "--iters", "0", "--out", "t.csv"],
+         "--iters must be positive"),
+        (["tables", "--problems", "HS7,FOO"], "unknown problems: FOO"),
+        (["tables", "--seeds", ","], "--seeds needs at least one value"),
+        (["tables", "--seeds", "-1"], "--seeds must be non-negative"),
+        (["misest", "--problems", ","], "--problems needs at least one value"),
+        (["misest", "--kmax", "0"], "--kmax values must be positive"),
+    ],
+)
+def test_bad_input_exits_1_with_one_line_before_any_run(argv, message, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("solve", "run_trace_experiment", "run_relaxation_table",
+                 "run_misestimation_table"):
+        monkeypatch.setattr(f"noisy_sqp.cli.{name}", no_run)
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_solve_max_iters_is_honoured(capsys):
+    assert dispatch(["solve", "--problem", "HS7", "--eps1", "1e-3", "--eps2", "1e-3",
+                     "--max-iters", "3", "--no-termination"]) == 0
+    assert "iterations:     3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,table", [("tables", "relaxation"),
+                                           ("misest", "misestimation")])
+def test_json_format_without_out_prints_one_document(command, table, capsys):
+    argv = [command, "--problems", "HS7", "--eps-levels", "1e-3,1e-1", "--seeds", "2",
+            "--kmax", "20"]
+    assert dispatch(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["table"] == table
+    assert {r["eps1"] for r in doc["runs"]} == {1e-3, 1e-1}
+    assert dispatch(argv) == 0
+    assert not capsys.readouterr().out.lstrip().startswith("{")

@@ -156,6 +156,37 @@ def full_rank_instances(draw):
     return J, rng.normal(size=m), rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3)), beta
 
 
+@st.composite
+def step_instances(draw):
+    """(J, c, g, beta): a random full-rank instance or one of the three
+    problems at a random point near its start."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beta = draw(st.sampled_from((0.7, 1.0, 5.0, 50.0)))
+    name = draw(st.sampled_from((None, "HS7", "BT11", "HS40")))
+    if name is None:
+        return (*random_full_rank(rng), beta)
+    p = get_problem(name)
+    x = p.x_start + rng.uniform(-0.5, 0.5, size=p.n)
+    J = p.eval_J(x)
+    s = np.linalg.svd(J, compute_uv=False)
+    assume(s[-1] > 1e-2 * s[0])
+    return J, p.eval_c(x), p.eval_g(x), beta
+
+
+class TestStepProperties:
+    """The step satisfies the linearized constraints and splits orthogonally."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_instances())
+    def test_linearized_feasibility_and_orthogonal_split(self, instance):
+        J, c, g, beta = instance
+        step = solve_sqp_step(J, c, g, beta)
+        scale = 1.0 + np.max(np.abs(c)) + np.max(np.abs(J)) * np.max(np.abs(step.d))
+        assert np.max(np.abs(J @ step.d + c)) <= 1e-9 * scale
+        uv = abs(np.dot(step.u, step.v))
+        assert uv <= 1e-10 * (np.linalg.norm(step.u) * np.linalg.norm(step.v) + 1.0)
+
+
 class TestBitwiseAgainstScipyWrappers:
     """The direct LAPACK calls give the same bits as cho_factor/cho_solve."""
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import noisy_sqp.oracles as oracles_module
 from helpers import seed_sequence_rng, uniform_reference_eval
 from noisy_sqp import (
     NoiseSpec,
@@ -221,6 +222,49 @@ class TestNoiseStreamMatchesSeedSequence:
                 with pytest.raises(ValueError, match=str(numpy_error.value)):
                     stream.next_rng()
             assert stream.counter == counter
+
+
+class TestSeedWordCache:
+    """The per-process cache of hashed blocks changes no draw."""
+
+    _check_draws = staticmethod(TestNoiseStreamMatchesSeedSequence._check_draws)
+
+    @pytest.mark.parametrize("seed", [0, 31, 2**32 - 1])
+    def test_draws_match_numpy_with_warm_and_cleared_cache(self, seed):
+        oracles_module._seed_words.cache_clear()
+        self._check_draws(NoiseStream(seed), 300)  # cold: hashes blocks 1-32 ... 225-480
+        misses = oracles_module._seed_words.cache_info().misses
+        assert misses == 4
+        self._check_draws(NoiseStream(seed), 300)  # warm: every block comes from the cache
+        info = oracles_module._seed_words.cache_info()
+        assert info.misses == misses and info.hits >= 4
+        oracles_module._seed_words.cache_clear()
+        self._check_draws(NoiseStream(seed), 300)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS, paces=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                                      min_size=1, max_size=12))
+    def test_two_streams_of_one_seed_used_alternately(self, seed, paces):
+        a, b = NoiseStream(seed), NoiseStream(seed)
+        for count_a, count_b in paces:
+            self._check_draws(a, count_a)
+            self._check_draws(b, count_b)
+
+    def test_cached_arrays_are_read_only(self):
+        words = oracles_module._seed_words(5, 1, 32)
+        assert words is oracles_module._seed_words(5, 1, 32)
+        assert words.dtype == np.uint64 and words.shape == (32, 4)
+        assert not words.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            words[0, 0] = 0
+        for c in (1, 17, 32):
+            state = np.random.SeedSequence((5, c)).generate_state(4, np.uint64)
+            assert_array_equal(words[c - 1], state)
+        k1, k2, lo, span = oracles_module._noise_map(1e-3, 1e-2, 2, 4, True)
+        assert (k1, k2) == (3, 12)
+        assert not lo.flags.writeable and not span.flags.writeable
+        assert_array_equal(lo, [-1e-3] * 3 + [-1e-2] * 12)
+        assert_array_equal(span, [1e-3 - -1e-3] * 3 + [1e-2 - -1e-2] * 12)
 
 
 class TestDerivedBounds:

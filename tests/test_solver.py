@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -13,9 +13,12 @@ from numpy.testing import assert_allclose
 import noisy_sqp.solver as solver_module
 from helpers import (
     check_termination_reference,
+    fresh_dict_rng,
     linear_model_reference,
     merit_value_reference,
+    random_full_rank,
     seed_sequence_rng,
+    two_step_eval_noisy,
     update_penalty_reference,
 )
 from noisy_sqp import (
@@ -295,6 +298,134 @@ class TestOracleFastPathsPreserveRuns:
             assert a.status is b.status
             assert a.x.tobytes() == b.x.tobytes()
             assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
+
+
+class TestOnePassOraclePreservesRuns:
+    """Runs are bitwise those of the uncached, fresh-dict, two-step oracle path
+    with x_{k+1} recomputed as x_k + alpha_k * d_k."""
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
+    def test_rows_match_earlier_oracle_path(self, name, eps, monkeypatch):
+        p = get_problem(name)
+        spec = NoiseSpec(eps, eps, seed=41)
+        x_ref = reference_solution(name).x_star
+        relaxed = SolverConfig(max_iters=150, termination_enabled=False).with_estimates(
+            spec.bounds(p.n, p.m))
+        configs = (relaxed, SolverConfig(max_iters=150, relaxation_enabled=False))
+
+        def runs():
+            return [solve(p, spec, cfg, x_ref=x_ref) for cfg in configs]
+
+        fast = runs()
+        steps = []
+        solve_sqp_step = solver_module.solve_sqp_step
+
+        def recorded_step(*args):
+            steps.append(solve_sqp_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(NoiseStream, "next_rng", fresh_dict_rng)
+        monkeypatch.setattr(solver_module, "eval_noisy", two_step_eval_noisy)
+        monkeypatch.setattr(solver_module, "solve_sqp_step", recorded_step)
+        reference = runs()
+
+        assert sum(r.backtracks for run in fast for r in run.trace) > 0
+        assert len(steps) == sum(len(run.trace) for run in reference)
+        run_steps = iter(steps)
+        for a, b in zip(fast, reference):
+            assert a.status is b.status
+            assert a.x.tobytes() == b.x.tobytes()
+            assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
+            ends = [r.x for r in b.trace[1:]] + [b.x]
+            for row, step, x_next in zip(b.trace, run_steps, ends):
+                if math.isfinite(row.alpha):
+                    assert x_next.tobytes() == (row.x + row.alpha * step.d).tobytes()
+
+
+def _random_problem(seed):
+    """Strictly convex separable quadratic objective under full-rank linear constraints."""
+    rng = np.random.default_rng(seed)
+    A, b, h = random_full_rank(rng, n_max=5)
+    m, n = A.shape
+    H = rng.uniform(0.5, 5.0, size=n)
+    return Problem(
+        f"random{seed}", n, m,
+        eval_f=lambda x: 0.5 * (H * x) @ x + h @ x,
+        eval_c=lambda x: A @ x - b,
+        eval_g=lambda x: H * x + h,
+        eval_J=lambda x: A.copy(),
+        x_start=rng.normal(size=n),
+    )
+
+
+PROBLEMS = st.one_of(st.sampled_from(["HS7", "BT11", "HS40"]),
+                     st.integers(0, 2**32 - 1).map(_random_problem))
+EPS = st.sampled_from([1e-5, 1e-3, 1e-1])
+NOISE_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _problem(p):
+    return get_problem(p) if isinstance(p, str) else p
+
+
+def _logged_solve(p, spec, cfg):
+    """solve, plus per evaluation whether it was full and the stream counter after it."""
+    calls = []
+    eval_noisy = solver_module.eval_noisy
+
+    def logged(p, x, spec, stream, derivatives=True):
+        out = eval_noisy(p, x, spec, stream, derivatives)
+        calls.append((derivatives, stream.counter))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "eval_noisy", logged)
+        result = solve(p, spec, cfg)
+    return result, calls
+
+
+class TestIterationProperties:
+    """Invariants of whole runs on the three problems and on random full-rank instances."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=PROBLEMS, eps=EPS, seed=NOISE_SEEDS, relaxed=st.booleans(), stop=st.booleans())
+    @example(p="HS7", eps=1e-1, seed=0, relaxed=False, stop=False)  # a failed search
+    @example(p="BT11", eps=1e-3, seed=0, relaxed=True, stop=True)   # a stop
+    def test_counter_advances_by_one_plus_trials_and_penalty_never_decreases(
+            self, p, eps, seed, relaxed, stop):
+        p = _problem(p)
+        spec = NoiseSpec(eps, eps, seed=seed)
+        cfg = SolverConfig(max_iters=60, relaxation_enabled=relaxed,
+                           termination_enabled=stop).with_estimates(spec.bounds(p.n, p.m))
+        result, calls = _logged_solve(p, spec, cfg)
+        # Every evaluation draws exactly one counter, in call order.
+        assert [counter for _, counter in calls] == list(range(1, len(calls) + 1))
+        starts = [i for i, (full, _) in enumerate(calls) if full]
+        assert len(starts) == len(result.trace) and starts[:1] == [0]
+        trials = [b - a - 1 for a, b in zip(starts, starts[1:] + [len(calls)])]
+        for row, n_trials in zip(result.trace, trials):
+            if row.line_search_failed:
+                assert n_trials == cfg.max_backtracks + 1
+            elif math.isnan(row.alpha):  # stop, singular or non-finite
+                assert n_trials == 0
+            else:
+                assert n_trials == row.backtracks + 1
+        pis = [r.pi for r in result.trace]
+        assert all(b >= a for a, b in zip(pis, pis[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=PROBLEMS, eps=EPS, seed=NOISE_SEEDS, multiplier=st.floats(1.0, 1e3),
+           stop=st.booleans())
+    def test_relaxed_search_never_fails_when_noise_is_within_estimates(
+            self, p, eps, seed, multiplier, stop):
+        p = _problem(p)
+        spec = NoiseSpec(eps, eps, seed=seed)
+        cfg = SolverConfig(max_iters=60, termination_enabled=stop).with_estimates(
+            spec.bounds(p.n, p.m), multiplier)
+        result = solve(p, spec, cfg)
+        assert result.status is not Status.LINE_SEARCH_FAILURE
+        assert not any(r.line_search_failed for r in result.trace)
 
 
 # Entries either finite with magnitude at most 1e6, or any float: hypothesis
