@@ -116,7 +116,6 @@ def _solver_config(args, problem) -> SolverConfig:
             values[key] = val
     if args.no_relaxation:
         values["relaxation_enabled"] = False
-    values.setdefault("max_iters", 1000)
     if getattr(args, "no_termination", False):
         values["termination_enabled"] = False
     # Estimated bounds default to the true derived bounds, optionally rescaled.

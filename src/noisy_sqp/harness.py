@@ -60,7 +60,7 @@ class ExperimentPlan:
         if not (self.problems and self.eps_levels and self.seeds
                 and self.k_max_values and self.relaxation_modes):
             raise ValueError("plan lists must be non-empty")
-        if self.est_multipliers is not None and any(m <= 0 for m in self.est_multipliers):
+        if self.est_multipliers is not None and not all(m > 0 for m in self.est_multipliers):
             raise ValueError("estimate multipliers must be positive")
 
     def multipliers_for(self, eps1: float) -> tuple[float, ...]:
@@ -96,7 +96,7 @@ def _run_one(
     est_multiplier: float,
     max_iters: int,
     termination_enabled: bool,
-) -> tuple[RunSummary, SolveResult]:
+) -> RunSummary:
     p = get_problem(problem_name)
     ref = reference_solution(problem_name)
     spec = NoiseSpec(eps1, eps2, seed=seed)
@@ -110,7 +110,7 @@ def _run_one(
     dists = [r.dist_to_ref for r in result.trace]
     dists.append(float(np.linalg.norm(result.x - ref.x_star)))
     min_iter = int(np.argmin(dists))
-    summary = RunSummary(
+    return RunSummary(
         problem=problem_name,
         eps1=eps1,
         eps2=eps2,
@@ -124,7 +124,6 @@ def _run_one(
         iters_run=result.iters_run,
         termination_kind=_TERMINATION_KIND[result.status],
     )
-    return summary, result
 
 
 def write_trace_csv(result: SolveResult, path: Path) -> None:
@@ -163,21 +162,22 @@ def run_trace_experiment(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(name: str, seed: int) -> Path:
+    paths = []
+    for name in problems:
         p = get_problem(name)
-        spec = NoiseSpec(eps1, eps2, seed=seed)
-        if config is None:
-            cfg = SolverConfig().with_estimates(spec.bounds(p.n, p.m))
-        else:
-            cfg = config
-        cfg = replace(cfg, max_iters=iters, termination_enabled=False)
-        result = solve(p, spec, cfg, x_ref=reference_solution(name).x_star, collect_psi=True)
-        path = out_dir / f"trace_{name}_eps{eps1:g}_seed{seed}.csv"
-        write_trace_csv(result, path)
-        return path
-
-    return [one(name, seed) for name in problems for seed in seeds]
+        for seed in seeds:
+            spec = NoiseSpec(eps1, eps2, seed=seed)
+            if config is None:
+                cfg = SolverConfig().with_estimates(spec.bounds(p.n, p.m))
+            else:
+                cfg = config
+            cfg = replace(cfg, max_iters=iters, termination_enabled=False)
+            result = solve(p, spec, cfg, x_ref=reference_solution(name).x_star,
+                           collect_psi=True)
+            path = out_dir / f"trace_{name}_eps{eps1:g}_seed{seed}.csv"
+            write_trace_csv(result, path)
+            paths.append(path)
+    return paths
 
 
 def run_relaxation_table(plan: ExperimentPlan) -> list[RunSummary]:
@@ -187,24 +187,19 @@ def run_relaxation_table(plan: ExperimentPlan) -> list[RunSummary]:
     k_max); enabled runs are repeated for each k_max with the stop test
     disabled, reporting the best distance seen.
     """
-    longest = max(plan.k_max_values)
-    tasks = []
-    for name in plan.problems:
-        for eps1, eps2 in plan.eps_levels:
-            for seed in plan.seeds:
-                if False in plan.relaxation_modes:
-                    tasks.append((name, eps1, eps2, seed, False, longest))
-                if True in plan.relaxation_modes:
-                    for k_max in plan.k_max_values:
-                        tasks.append((name, eps1, eps2, seed, True, k_max))
-
-    def one(name, eps1, eps2, seed, relaxation, k_max):
-        summary, _ = _run_one(name, eps1, eps2, seed, relaxation=relaxation,
-                              est_multiplier=1.0, max_iters=k_max,
-                              termination_enabled=False)
-        return summary
-
-    return [one(*task) for task in tasks]
+    modes = []
+    if False in plan.relaxation_modes:
+        modes.append((False, max(plan.k_max_values)))
+    if True in plan.relaxation_modes:
+        modes += [(True, k_max) for k_max in plan.k_max_values]
+    return [
+        _run_one(name, eps1, eps2, seed, relaxation=relaxation, est_multiplier=1.0,
+                 max_iters=k_max, termination_enabled=False)
+        for name in plan.problems
+        for eps1, eps2 in plan.eps_levels
+        for seed in plan.seeds
+        for relaxation, k_max in modes
+    ]
 
 
 def run_misestimation_table(plan: ExperimentPlan) -> list[RunSummary]:
@@ -214,20 +209,14 @@ def run_misestimation_table(plan: ExperimentPlan) -> list[RunSummary]:
     terminates on the noisy stationarity test, a line-search failure, or
     the iteration cap, whichever comes first.
     """
-    tasks = []
-    for name in plan.problems:
-        for eps1, eps2 in plan.eps_levels:
-            for seed in plan.seeds:
-                for mult in plan.multipliers_for(eps1):
-                    tasks.append((name, eps1, eps2, seed, mult))
-
-    def one(name, eps1, eps2, seed, mult):
-        summary, _ = _run_one(name, eps1, eps2, seed, relaxation=True,
-                              est_multiplier=mult, max_iters=plan.misest_max_iters,
-                              termination_enabled=True)
-        return summary
-
-    return [one(*task) for task in tasks]
+    return [
+        _run_one(name, eps1, eps2, seed, relaxation=True, est_multiplier=mult,
+                 max_iters=plan.misest_max_iters, termination_enabled=True)
+        for name in plan.problems
+        for eps1, eps2 in plan.eps_levels
+        for seed in plan.seeds
+        for mult in plan.multipliers_for(eps1)
+    ]
 
 
 def summaries_to_json(summaries: Iterable[RunSummary], table: str) -> str:

@@ -69,14 +69,6 @@ class NoiseBounds:
     eps_g: float
     eps_J: float
 
-    def scaled(self, multiplier: float) -> "NoiseBounds":
-        return NoiseBounds(
-            self.eps_f * multiplier,
-            self.eps_c * multiplier,
-            self.eps_g * multiplier,
-            self.eps_J * multiplier,
-        )
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -92,28 +84,20 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps1 < 0 or self.eps2 < 0:
+        if not (self.eps1 >= 0 and self.eps2 >= 0):  # NaN fails too
             raise ValueError("noise half-widths must be nonnegative")
 
-    def bounds(self, n: int, m: int, jacobian_bound: str = "induced") -> NoiseBounds:
+    def bounds(self, n: int, m: int) -> NoiseBounds:
         """Derived norm bounds for a problem of size (n, m).
 
-        ``jacobian_bound`` selects the Jacobian formula: ``"induced"``
-        gives the worst case m*sqrt(n)*eps2 of the (l2 -> l1) induced
-        norm; ``"frobenius"`` gives sqrt(m*n)*eps2, which bounds the
-        Frobenius (and hence spectral) norm of the noise matrix.
+        The Jacobian bound m*sqrt(n)*eps2 is the worst case of the
+        (l2 -> l1) induced norm.
         """
-        if jacobian_bound == "induced":
-            eps_j = m * math.sqrt(n) * self.eps2
-        elif jacobian_bound == "frobenius":
-            eps_j = math.sqrt(m * n) * self.eps2
-        else:
-            raise ValueError(f"unknown jacobian_bound {jacobian_bound!r}")
         return NoiseBounds(
             eps_f=self.eps1,
             eps_c=m * self.eps1,
             eps_g=math.sqrt(n) * self.eps2,
-            eps_J=eps_j,
+            eps_J=m * math.sqrt(n) * self.eps2,
         )
 
     def stream(self) -> "NoiseStream":
@@ -126,7 +110,6 @@ _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_FIRST_BLOCK, _MAX_BLOCK = 32, 256
 
 
 def _hash_constants(value: int, mult: int, count: int) -> list[int]:
@@ -170,19 +153,20 @@ _CROSS = _cross_constants()
 _GEN_X, _GEN_M = _column(_B[0:8]), _column(_B[1:9])
 
 
-@functools.lru_cache(maxsize=128, typed=True)
-def _seed_words(seed: int, start: int, size: int) -> np.ndarray:
-    """``SeedSequence((seed, c)).generate_state(4, np.uint64)`` for c in [start, start + size).
+@functools.lru_cache(maxsize=128)
+def _seed_words(seed: int, block: int) -> np.ndarray:
+    """``SeedSequence((seed, c)).generate_state(4, np.uint64)`` for the 256
+    counters c of aligned block ``block``, from ``256 * block`` on.
 
     numpy's pool mixing and state generation for a two-word entropy, with
     one uint32 lane per counter; seed and every counter must fit in 32 bits.
-    Returns a read-only ``(size, 4)`` uint64 array.  Every stream of one
-    seed hashes the same blocks, so the process keeps the last 128 of them
-    (at most 8 KB each).
+    Returns a read-only ``(256, 4)`` uint64 array.  Every stream of one
+    seed reads the same blocks, so the process keeps the last 128 of them
+    (8 KB each).
     """
-    pool = np.empty((4, size), dtype=np.uint32)
+    pool = np.empty((4, 256), dtype=np.uint32)
     pool[0], pool[2:] = seed, 0
-    pool[1] = np.arange(start, start + size, dtype=np.uint32)
+    pool[1] = np.arange(256 * block, 256 * block + 256, dtype=np.uint32)
     pool ^= _INIT_X
     pool *= _INIT_M
     pool ^= pool >> 16
@@ -217,46 +201,34 @@ class NoiseStream:
     sequence.  Concurrent runs each own a stream and cannot perturb one
     another.
 
-    The first evaluation goes through numpy's own path and the stream
-    keeps that Generator.  Later ones take their seed sequences' hashes
-    from blocks of consecutive counters (32 at first, doubling up to 256),
-    which the process caches per seed, and load each PCG64 state into the
-    kept Generator through one state dict, so the Generator returned by
-    :meth:`next_rng` belongs to the stream and is valid until the next
-    call.  Entropy that is not two 32-bit words (a seed or counter of
-    2**32 or more, or a negative one) always takes numpy's path.
+    The seed sequence's hash is row ``counter % 256`` of the cached block
+    ``counter // 256`` of ``seed`` (see :func:`_seed_words`); its PCG64
+    state is loaded into the stream's one Generator through one state
+    dict, so the Generator returned by :meth:`next_rng` belongs to the
+    stream and is valid until the next call.  Entropy that is not two
+    32-bit words (a seed or counter of 2**32 or more, a negative one, or
+    one that is not an ``int``) takes numpy's path and gets a fresh
+    Generator.
     """
 
     seed: int
     counter: int = 0
 
     def __post_init__(self):
-        self._rng: Optional[np.random.Generator] = None
-        self._words: list[list[int]] = []  # generate_state(4, uint64) per counter
-        self._words_seed: Optional[int] = None
-        self._words_start = 0
-        self._block = _FIRST_BLOCK
+        self._rng = np.random.Generator(np.random.PCG64(0))  # state set before every use
         self._pcg = {"state": 0, "inc": 0}
         self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,
                        "uinteger": 0}
 
     def next_rng(self) -> np.random.Generator:
         """Generator of evaluation ``counter``; advances the counter by one."""
-        counter = self.counter
-        j = counter - self._words_start
-        # Identity, not equality: a reassigned seed is checked again, so an
-        # equal float seed gets numpy's TypeError rather than cached words.
-        if self.seed is not self._words_seed or not 0 <= j < len(self._words):
-            # The first evaluation, and any whose entropy is not two 32-bit
-            # words, take numpy's path; the first one's Generator is kept.
-            if self._rng is None or not self._hash_block():
-                rng = np.random.default_rng(np.random.SeedSequence(entropy=(self.seed, counter)))
-                self.counter = counter + 1
-                if self._rng is None:
-                    self._rng = rng
-                return rng
-            j = 0
-        a, b, c, d = self._words[j]
+        seed, counter = self.seed, self.counter
+        if not (isinstance(seed, int) and 0 <= seed <= _M32
+                and isinstance(counter, int) and 0 <= counter <= _M32):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, counter)))
+            self.counter = counter + 1
+            return rng
+        a, b, c, d = _seed_words(seed, counter >> 8)[counter & 255].tolist()
         inc = ((c << 64 | d) << 1 | 1) & _M128
         pcg = self._pcg
         # pcg64_set_seed: two LCG steps from state 0 with initstate added between
@@ -265,18 +237,6 @@ class NoiseStream:
         self._rng.bit_generator.state = self._state
         self.counter = counter + 1
         return self._rng
-
-    def _hash_block(self) -> bool:
-        """Hash the next block of counters from ``counter`` on, if both words fit 32 bits."""
-        seed, start = self.seed, self.counter
-        if not (isinstance(seed, int) and 0 <= seed <= _M32
-                and isinstance(start, int) and 0 <= start <= _M32):
-            return False
-        size = min(self._block, _M32 + 1 - start)
-        self._words = _seed_words(seed, start, size).tolist()
-        self._words_seed, self._words_start = seed, start
-        self._block = min(2 * self._block, _MAX_BLOCK)
-        return True
 
 
 @dataclass(frozen=True)

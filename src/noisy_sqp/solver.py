@@ -71,14 +71,18 @@ class SolverConfig:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not 0 < self.tau < 1:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.beta <= 0:
+        # Written as `not x > 0` so that NaN fails each check.
+        if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.pi_init <= 0:
+        if not self.pi_init > 0:
             raise ValueError(f"pi_init must be positive, got {self.pi_init}")
-        if self.alpha_init <= 0:
+        if not self.alpha_init > 0:
             raise ValueError(f"alpha_init must be positive, got {self.alpha_init}")
-        if min(self.eps_f_est, self.eps_c_est, self.eps_g_est, self.eps_J_est) < 0:
+        if not all(e >= 0 for e in (self.eps_f_est, self.eps_c_est, self.eps_g_est,
+                                    self.eps_J_est)):
             raise ValueError("estimated noise bounds must be nonnegative")
+        if not self.zero_noise_tol >= 0:
+            raise ValueError(f"zero_noise_tol must be nonnegative, got {self.zero_noise_tol}")
         if self.max_backtracks < 1 or self.max_iters < 1:
             raise ValueError("max_backtracks and max_iters must be positive")
 

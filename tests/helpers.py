@@ -74,12 +74,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def fresh_dict_rng(stream):
-    """The stream's next Generator, with its counter's seed words hashed on
-    their own (no block cache) and loaded through a fresh state dict.
+    """The stream's next Generator, with its counter's block of seed words
+    hashed by the uncached kernel and loaded through a fresh state dict.
 
     For seeds and counters below 2**32; advances the counter by one.
     """
-    a, b, c, d = oracles._seed_words.__wrapped__(stream.seed, stream.counter, 1)[0].tolist()
+    counter = stream.counter
+    words = oracles._seed_words.__wrapped__(stream.seed, counter >> 8)[counter & 255]
+    a, b, c, d = words.tolist()
     inc = ((c << 64 | d) << 1 | 1) & _M128
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = {

@@ -175,6 +175,7 @@ def test_misest_small_grid(tmp_path, capsys):
         (["tables", "--seeds", "-1"], "--seeds must be non-negative"),
         (["misest", "--problems", ","], "--problems needs at least one value"),
         (["misest", "--kmax", "0"], "--kmax values must be positive"),
+        (["solve", "--problem", "HS7", "--beta", "nan"], "beta must be positive"),
     ],
 )
 def test_bad_input_exits_1_with_one_line_before_any_run(argv, message, monkeypatch, capsys):

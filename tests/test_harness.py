@@ -143,6 +143,8 @@ class TestPlanValidation:
     def test_bad_multipliers_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(est_multipliers=(0.0,))
+        with pytest.raises(ValueError):
+            ExperimentPlan(est_multipliers=(1.0, float("nan")))
 
 
 class TestGridProperties:

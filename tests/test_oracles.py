@@ -172,7 +172,7 @@ class TestNoiseStreamMatchesSeedSequence:
     @example(seed=0, counter=0, count=600)
     @example(seed=2**32 - 1, counter=2**32 - 100, count=110)
     def test_consecutive_draws(self, seed, counter, count):
-        # 600 draws cross every block boundary up to the largest block size.
+        # 600 draws cross at least two block boundaries.
         self._check_draws(NoiseStream(seed, counter), count)
 
     @settings(max_examples=40, deadline=None)
@@ -225,21 +225,27 @@ class TestNoiseStreamMatchesSeedSequence:
 
 
 class TestSeedWordCache:
-    """The per-process cache of hashed blocks changes no draw."""
+    """The per-process cache of aligned hashed blocks changes no draw."""
 
     _check_draws = staticmethod(TestNoiseStreamMatchesSeedSequence._check_draws)
 
     @pytest.mark.parametrize("seed", [0, 31, 2**32 - 1])
     def test_draws_match_numpy_with_warm_and_cleared_cache(self, seed):
         oracles_module._seed_words.cache_clear()
-        self._check_draws(NoiseStream(seed), 300)  # cold: hashes blocks 1-32 ... 225-480
-        misses = oracles_module._seed_words.cache_info().misses
-        assert misses == 4
-        self._check_draws(NoiseStream(seed), 300)  # warm: every block comes from the cache
+        self._check_draws(NoiseStream(seed), 300)  # cold: hashes blocks 0 and 1
         info = oracles_module._seed_words.cache_info()
-        assert info.misses == misses and info.hits >= 4
+        assert info.misses == 2 and info.currsize == 2
+        self._check_draws(NoiseStream(seed), 300)  # warm: every block comes from the cache
+        assert oracles_module._seed_words.cache_info().misses == 2
         oracles_module._seed_words.cache_clear()
         self._check_draws(NoiseStream(seed), 300)
+
+    @pytest.mark.parametrize("counter", [2**32 - 1, 2**32])
+    def test_last_hashed_counter_and_first_numpy_counter(self, counter):
+        # 2**32 - 1 is the last row of the last block; 2**32 is three-word entropy.
+        oracles_module._seed_words.cache_clear()
+        self._check_draws(NoiseStream(7, counter), 1)
+        assert oracles_module._seed_words.cache_info().misses == int(counter < 2**32)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS, paces=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
@@ -251,15 +257,15 @@ class TestSeedWordCache:
             self._check_draws(b, count_b)
 
     def test_cached_arrays_are_read_only(self):
-        words = oracles_module._seed_words(5, 1, 32)
-        assert words is oracles_module._seed_words(5, 1, 32)
-        assert words.dtype == np.uint64 and words.shape == (32, 4)
+        words = oracles_module._seed_words(5, 1)
+        assert words is oracles_module._seed_words(5, 1)
+        assert words.dtype == np.uint64 and words.shape == (256, 4)
         assert not words.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             words[0, 0] = 0
-        for c in (1, 17, 32):
+        for c in (256, 257, 300, 511):
             state = np.random.SeedSequence((5, c)).generate_state(4, np.uint64)
-            assert_array_equal(words[c - 1], state)
+            assert_array_equal(words[c - 256], state)
         k1, k2, lo, span = oracles_module._noise_map(1e-3, 1e-2, 2, 4, True)
         assert (k1, k2) == (3, 12)
         assert not lo.flags.writeable and not span.flags.writeable
@@ -292,22 +298,13 @@ class TestDerivedBounds:
         assert b.eps_g == pytest.approx(math.sqrt(6) * 5e-4)
         assert b.eps_J == pytest.approx(4 * math.sqrt(6) * 5e-4)
 
-    def test_frobenius_alternative(self):
-        b = NoiseSpec(1e-3, 1e-3).bounds(n=4, m=3, jacobian_bound="frobenius")
-        assert b.eps_J == pytest.approx(math.sqrt(12) * 1e-3)
-        with pytest.raises(ValueError):
-            NoiseSpec(1e-3, 1e-3).bounds(4, 3, jacobian_bound="spectral")
-
-    def test_scaled(self):
-        b = NoiseSpec(1e-3, 1e-3).bounds(2, 1).scaled(100.0)
-        assert b.eps_f == pytest.approx(0.1)
-        assert b.eps_c == pytest.approx(0.1)
-
 
 class TestValidation:
     def test_negative_half_width_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-1e-3, 0.0)
+        for eps1, eps2 in ((-1e-3, 0.0), (0.0, -1e-3), (math.nan, 0.0), (0.0, math.nan),
+                           (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                NoiseSpec(eps1, eps2)
 
     def test_problem_requires_m_less_than_n(self):
         with pytest.raises(ValueError, match="m < n"):

@@ -576,6 +576,13 @@ class TestSolverConfig:
             {"alpha_init": 0.0},
             {"eps_f_est": -1.0},
             {"max_iters": 0},
+            {"beta": math.nan},
+            {"pi_init": math.nan},
+            {"alpha_init": math.nan},
+            {"eps_f_est": math.nan},
+            {"eps_J_est": math.nan},
+            {"zero_noise_tol": -1.0},
+            {"zero_noise_tol": math.nan},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
