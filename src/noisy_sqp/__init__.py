@@ -1,6 +1,11 @@
-"""Noise-tolerant SQP for equality-constrained problems under bounded noise."""
+"""Noise-tolerant SQP for equality-constrained problems under bounded noise.
 
-from .diagnostics import DiagnosticsRow, evaluate_diagnostics, kkt_residual, stationarity_psi
+The top level exports the solver, the noise model, the problems and the
+experiments.  Kernels, diagnostics and the solver's iteration helpers
+are imported from their own modules (``noisy_sqp.kernels``,
+``noisy_sqp.diagnostics``, ``noisy_sqp.solver``, ...).
+"""
+
 from .harness import (
     ExperimentPlan,
     RunSummary,
@@ -12,85 +17,32 @@ from .harness import (
     summaries_to_json,
     write_trace_csv,
 )
-from .kernels import (
-    SingularJacobianError,
-    StepResult,
-    least_squares_multiplier,
-    min_singular_value,
-    project_tangent,
-    solve_sqp_step,
-)
-from .oracles import (
-    NoiseBounds,
-    NoiseSpec,
-    NoiseStream,
-    NoisyEval,
-    Problem,
-    eval_exact,
-    eval_noisy,
-)
-from .problems import (
-    PROBLEM_NAMES,
-    ReferenceSolution,
-    get_problem,
-    reference_solution,
-    verify_derivatives,
-)
-from .solver import (
-    IterateRecord,
-    SolveResult,
-    SolverConfig,
-    Status,
-    check_termination,
-    linear_model,
-    merit_value,
-    relaxed_line_search,
-    solve,
-    update_penalty,
-)
+from .oracles import NoiseSpec, NoiseStream, Problem
+from .problems import PROBLEM_NAMES, get_problem, reference_solution, verify_derivatives
+from .solver import IterateRecord, SolveResult, SolverConfig, Status, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiagnosticsRow",
     "ExperimentPlan",
     "IterateRecord",
-    "NoiseBounds",
     "NoiseSpec",
     "NoiseStream",
-    "NoisyEval",
     "PROBLEM_NAMES",
     "Problem",
-    "ReferenceSolution",
     "RunSummary",
-    "SingularJacobianError",
     "SolveResult",
     "SolverConfig",
     "Status",
-    "StepResult",
-    "check_termination",
-    "eval_exact",
-    "eval_noisy",
-    "evaluate_diagnostics",
     "get_problem",
-    "kkt_residual",
-    "least_squares_multiplier",
-    "linear_model",
-    "merit_value",
-    "min_singular_value",
-    "project_tangent",
     "reference_solution",
-    "relaxed_line_search",
     "render_misestimation_table",
     "render_relaxation_table",
     "run_misestimation_table",
     "run_relaxation_table",
     "run_trace_experiment",
     "solve",
-    "solve_sqp_step",
-    "stationarity_psi",
     "summaries_to_json",
-    "update_penalty",
     "verify_derivatives",
     "write_trace_csv",
 ]

@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps-levels", type=_float_list, default=[1e-5, 1e-3, 1e-1],
                         help="comma-separated levels, eps1 = eps2 at each")
         sp.add_argument("--seeds", type=_int_list, default=list(range(10)))
-        sp.add_argument("--kmax", type=_int_list, default=[100, 500, 1000])
+        if name == "tables":
+            sp.add_argument("--kmax", type=_int_list, default=[100, 500, 1000])
         sp.add_argument("--out", type=Path, help="directory for JSON documents")
         sp.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -102,28 +103,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_config(args, problem) -> SolverConfig:
-    values: dict = {}
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        unknown = set(loaded) - _CONFIG_FIELDS
-        if unknown:
-            raise SystemExit(f"unknown config fields: {', '.join(sorted(unknown))}")
-        values.update(loaded)
-    for flag, key in (("beta", "beta"), ("nu", "nu"), ("tau", "tau"), ("pi_init", "pi_init"),
-                      ("max_iters", "max_iters"), ("iters", "max_iters")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            values[key] = val
-    if args.no_relaxation:
-        values["relaxation_enabled"] = False
-    if getattr(args, "no_termination", False):
-        values["termination_enabled"] = False
     # Estimated bounds default to the true derived bounds, optionally rescaled.
     spec = NoiseSpec(args.eps1, args.eps2, seed=args.seed)
     try:
+        values = json.loads(args.config.read_text()) if args.config else {}
+        if not isinstance(values, dict):
+            raise ValueError(f"{args.config} does not hold a JSON object")
+        unknown = set(values) - _CONFIG_FIELDS
+        if unknown:
+            raise SystemExit(f"unknown config fields: {', '.join(sorted(unknown))}")
+        for flag, key in (("beta", "beta"), ("nu", "nu"), ("tau", "tau"), ("pi_init", "pi_init"),
+                          ("max_iters", "max_iters"), ("iters", "max_iters")):
+            val = getattr(args, flag, None)
+            if val is not None:
+                values[key] = val
+        if args.no_relaxation:
+            values["relaxation_enabled"] = False
+        if getattr(args, "no_termination", False):
+            values["termination_enabled"] = False
         cfg = SolverConfig(**values)
         return cfg.with_estimates(spec.bounds(problem.n, problem.m), args.est_multiplier)
-    except (TypeError, ValueError) as err:
+    except (OSError, TypeError, ValueError) as err:
         raise SystemExit(f"invalid solver config: {err}") from None
 
 
@@ -147,8 +147,9 @@ def _check_args(args) -> None:
                 f"--{flag.replace('_', '-')} must be non-negative, got {val}")
     if args.subcommand in ("tables", "misest"):
         problems = _problem_names(args.problems)
-        lists = {"--problems": problems, "--eps-levels": args.eps_levels,
-                 "--seeds": args.seeds, "--kmax": args.kmax}
+        lists = {"--problems": problems, "--eps-levels": args.eps_levels, "--seeds": args.seeds}
+        if args.subcommand == "tables":
+            lists["--kmax"] = args.kmax
         for flag, values in lists.items():
             require(bool(values), f"{flag} needs at least one value")
         unknown = [name for name in problems if name not in PROBLEM_NAMES]
@@ -156,7 +157,7 @@ def _check_args(args) -> None:
                              f"(choose from {', '.join(PROBLEM_NAMES)})")
         require(all(e >= 0 for e in args.eps_levels), "--eps-levels must be non-negative")
         require(all(s >= 0 for s in args.seeds), "--seeds must be non-negative")
-        require(all(k > 0 for k in args.kmax), "--kmax values must be positive")
+        require(all(k > 0 for k in lists.get("--kmax", ())), "--kmax values must be positive")
 
 
 def _cmd_solve(args) -> int:
@@ -202,16 +203,23 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _make_plan(args) -> ExperimentPlan:
+def _make_plan(args, **grid) -> ExperimentPlan:
+    """The grid of a tables/misest call, after creating its --out directory."""
     try:
-        return ExperimentPlan(
+        plan = ExperimentPlan(
             problems=tuple(_problem_names(args.problems)),
             eps_levels=tuple((e, e) for e in args.eps_levels),
             seeds=tuple(args.seeds),
-            k_max_values=tuple(args.kmax),
+            **grid,
         )
     except ValueError as err:
         raise SystemExit(f"invalid plan: {err}") from None
+    if args.out:
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise SystemExit(f"cannot create --out directory {args.out}: {err.strerror}") from None
+    return plan
 
 
 def _emit_tables(summaries, render, table_name: str, args) -> int:
@@ -219,11 +227,9 @@ def _emit_tables(summaries, render, table_name: str, args) -> int:
         print(summaries_to_json(summaries, table_name))
         return 0
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         for eps in sorted({s.eps1 for s in summaries}):
             rows = [s for s in summaries if s.eps1 == eps]
-            path = out / f"{table_name}_eps{eps:g}.json"
+            path = args.out / f"{table_name}_eps{eps:g}.json"
             path.write_text(summaries_to_json(rows, f"{table_name} eps={eps:g}"))
             print(f"wrote {path}")
     if args.format == "text":
@@ -232,7 +238,7 @@ def _emit_tables(summaries, render, table_name: str, args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    plan = _make_plan(args)
+    plan = _make_plan(args, k_max_values=tuple(args.kmax))
     summaries = run_relaxation_table(plan)
     return _emit_tables(summaries, render_relaxation_table, "relaxation", args)
 
@@ -245,7 +251,6 @@ def _cmd_misest(args) -> int:
 
 def _cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    worst_overall = 0.0
     failed = False
     for name in PROBLEM_NAMES:
         p = get_problem(name)
@@ -255,7 +260,6 @@ def _cmd_check(args) -> int:
             worst = max(worst, verify_derivatives(p, x))
         status = "ok" if worst <= 1e-5 else "FAIL"
         failed = failed or worst > 1e-5
-        worst_overall = max(worst_overall, worst)
         print(f"{name}: max relative derivative error {worst:.3e}  [{status}]")
     return 1 if failed else 0
 

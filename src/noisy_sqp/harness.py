@@ -52,20 +52,13 @@ class ExperimentPlan:
     eps_levels: tuple[tuple[float, float], ...] = ((1e-5, 1e-5), (1e-3, 1e-3), (1e-1, 1e-1))
     seeds: tuple[int, ...] = tuple(range(10))
     k_max_values: tuple[int, ...] = (100, 500, 1000)
-    relaxation_modes: tuple[bool, ...] = (False, True)
-    est_multipliers: Optional[tuple[float, ...]] = None  # None: per-level defaults
     misest_max_iters: int = 5000
 
     def __post_init__(self):
-        if not (self.problems and self.eps_levels and self.seeds
-                and self.k_max_values and self.relaxation_modes):
+        if not (self.problems and self.eps_levels and self.seeds and self.k_max_values):
             raise ValueError("plan lists must be non-empty")
-        if self.est_multipliers is not None and not all(m > 0 for m in self.est_multipliers):
-            raise ValueError("estimate multipliers must be positive")
 
     def multipliers_for(self, eps1: float) -> tuple[float, ...]:
-        if self.est_multipliers is not None:
-            return self.est_multipliers
         return MISESTIMATION_MULTIPLIERS.get(eps1, (1.0, 1e-1, 1e1))
 
 
@@ -187,11 +180,7 @@ def run_relaxation_table(plan: ExperimentPlan) -> list[RunSummary]:
     k_max); enabled runs are repeated for each k_max with the stop test
     disabled, reporting the best distance seen.
     """
-    modes = []
-    if False in plan.relaxation_modes:
-        modes.append((False, max(plan.k_max_values)))
-    if True in plan.relaxation_modes:
-        modes += [(True, k_max) for k_max in plan.k_max_values]
+    modes = [(False, max(plan.k_max_values))] + [(True, k) for k in plan.k_max_values]
     return [
         _run_one(name, eps1, eps2, seed, relaxation=relaxation, est_multiplier=1.0,
                  max_iters=k_max, termination_enabled=False)

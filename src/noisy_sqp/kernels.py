@@ -50,7 +50,6 @@ class StepResult:
     v: Vector
     u: Vector
     lambda_hat: Vector
-    beta: float
 
 
 def singular_values(J: Matrix) -> Vector:
@@ -69,24 +68,17 @@ def singular_values(J: Matrix) -> Vector:
     raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info={info})")
 
 
-def min_singular_value(J: Matrix) -> float:
-    """Smallest singular value of J (0 for rank-deficient J)."""
-    return float(singular_values(np.asarray(J, dtype=float))[-1])
-
-
-def factor_gram(
-    J: Matrix, rank_tol: float = RANK_TOL
-) -> tuple[Callable[[Vector], Vector], Vector]:
+def factor_gram(J: Matrix) -> tuple[Callable[[Vector], Vector], Vector]:
     """Rank-gate J and factor JJ' once.
 
     Returns a solver for (JJ')y = b and the singular values of J in
     descending order.  Raises SingularJacobianError when
-    sigma_min <= rank_tol * sigma_max, and NonFiniteJacobianError when J
+    sigma_min <= RANK_TOL * sigma_max, and NonFiniteJacobianError when J
     holds a NaN or an infinity.  The LAPACK routines are the ones
     scipy.linalg.cho_factor/cho_solve call, minus their argument checks.
     """
     s = singular_values(J)
-    if not s[-1] > rank_tol * s[0]:
+    if not s[-1] > RANK_TOL * s[0]:
         if math.isfinite(s[0]) and math.isfinite(s[-1]):
             raise SingularJacobianError(s[-1])
         raise NonFiniteJacobianError("Jacobian has an infinite entry")
@@ -103,28 +95,26 @@ def factor_gram(
     return (lambda b: gram_inv @ b), s
 
 
-def least_squares_multiplier(J: Matrix, g: Vector, rank_tol: float = RANK_TOL) -> Vector:
+def least_squares_multiplier(J: Matrix, g: Vector) -> Vector:
     """Least-squares multiplier estimate (JJ')^{-1} J g.
 
     Raises SingularJacobianError when J is numerically rank deficient.
     """
     J = np.asarray(J, dtype=float)
     g = np.asarray(g, dtype=float)
-    solve, _ = factor_gram(J, rank_tol)
+    solve, _ = factor_gram(J)
     return solve(J @ g)
 
 
-def project_tangent(J: Matrix, w: Vector, rank_tol: float = RANK_TOL) -> Vector:
+def project_tangent(J: Matrix, w: Vector) -> Vector:
     """Project w onto the null space of J: w - J'(JJ')^{-1} J w."""
     J = np.asarray(J, dtype=float)
     w = np.asarray(w, dtype=float)
-    solve, _ = factor_gram(J, rank_tol)
+    solve, _ = factor_gram(J)
     return w - J.T @ solve(J @ w)
 
 
-def solve_sqp_step(
-    J: Matrix, c: Vector, g: Vector, beta: float, rank_tol: float = RANK_TOL
-) -> StepResult:
+def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
     """Solve the scaled-identity QP subproblem in closed form.
 
     Parameters
@@ -148,8 +138,8 @@ def solve_sqp_step(
     J = np.asarray(J, dtype=float)
     c = np.asarray(c, dtype=float)
     g = np.asarray(g, dtype=float)
-    solve, _ = factor_gram(J, rank_tol)
+    solve, _ = factor_gram(J)
     lambda_hat = solve(J @ g)
     v = -J.T @ solve(c)
     u = -(g - J.T @ lambda_hat) / beta
-    return StepResult(d=v + u, v=v, u=u, lambda_hat=lambda_hat, beta=float(beta))
+    return StepResult(d=v + u, v=v, u=u, lambda_hat=lambda_hat)

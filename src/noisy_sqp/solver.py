@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -60,9 +60,8 @@ class SolverConfig:
     eps_c_est: float = 0.0
     eps_g_est: float = 0.0
     eps_J_est: float = 0.0
-    alpha_init: float = 1.0
-    max_backtracks: int = 50
     max_iters: int = 1000
+    max_backtracks: ClassVar[int] = 50  # line-search halvings from alpha = 1; not a field
     termination_enabled: bool = True
     zero_noise_tol: float = 1e-8
 
@@ -76,15 +75,13 @@ class SolverConfig:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not self.pi_init > 0:
             raise ValueError(f"pi_init must be positive, got {self.pi_init}")
-        if not self.alpha_init > 0:
-            raise ValueError(f"alpha_init must be positive, got {self.alpha_init}")
         if not all(e >= 0 for e in (self.eps_f_est, self.eps_c_est, self.eps_g_est,
                                     self.eps_J_est)):
             raise ValueError("estimated noise bounds must be nonnegative")
         if not self.zero_noise_tol >= 0:
             raise ValueError(f"zero_noise_tol must be nonnegative, got {self.zero_noise_tol}")
-        if self.max_backtracks < 1 or self.max_iters < 1:
-            raise ValueError("max_backtracks and max_iters must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
 
     def with_estimates(self, bounds, multiplier: float = 1.0) -> "SolverConfig":
         """Copy of this config using `bounds` (times `multiplier`) as estimates."""
@@ -180,12 +177,11 @@ def relaxed_line_search(
     model: float,
     nu: float,
     eps_R: float,
-    alpha_init: float = 1.0,
     max_backtracks: int = 50,
 ) -> Optional[tuple[float, int]]:
     """Backtracking search for the relaxed sufficient-decrease condition.
 
-    Tries alpha = alpha_init * 2**-j for j = 0..max_backtracks and
+    Tries alpha = 2**-j for j = 0..max_backtracks and
     returns (alpha, j) for the first trial with
 
         merit_at(alpha) <= merit_0 + nu * alpha * model + eps_R.
@@ -194,7 +190,7 @@ def relaxed_line_search(
     every trial fails (the classical breakdown when eps_R = 0 and noise
     dominates the predicted decrease).
     """
-    alpha = alpha_init
+    alpha = 1.0
     for j in range(max_backtracks + 1):
         if merit_at(alpha) <= merit_0 + nu * alpha * model + eps_R:
             return alpha, j
@@ -325,9 +321,7 @@ def solve(
             last_trial = merit_value(ev_t.f, ev_t.c, pi)
             return last_trial
 
-        found = relaxed_line_search(
-            merit_at, merit0, model, cfg.nu, eps_r, cfg.alpha_init, cfg.max_backtracks
-        )
+        found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r, cfg.max_backtracks)
         if found is None:
             record(k, math.nan, merit0, model, cfg.max_backtracks, True, math.nan, eps_r)
             # The last trial lies next to x_k, whose merit is finite: a

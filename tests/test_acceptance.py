@@ -18,13 +18,11 @@ from noisy_sqp import (
     SolverConfig,
     Status,
     get_problem,
-    kkt_residual,
-    least_squares_multiplier,
-    project_tangent,
     solve,
-    solve_sqp_step,
     verify_derivatives,
 )
+from noisy_sqp.diagnostics import kkt_residual
+from noisy_sqp.kernels import least_squares_multiplier, project_tangent, solve_sqp_step
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:

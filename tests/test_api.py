@@ -1,0 +1,48 @@
+"""Tests for the package's public surface."""
+
+import json
+
+import pytest
+
+import noisy_sqp
+from noisy_sqp import NoiseSpec, SolverConfig, Status, get_problem, solve
+from noisy_sqp.cli import dispatch
+
+PUBLIC_NAMES = {
+    "ExperimentPlan", "IterateRecord", "NoiseSpec", "NoiseStream", "PROBLEM_NAMES",
+    "Problem", "RunSummary", "SolveResult", "SolverConfig", "Status", "get_problem",
+    "reference_solution", "render_misestimation_table", "render_relaxation_table",
+    "run_misestimation_table", "run_relaxation_table", "run_trace_experiment", "solve",
+    "summaries_to_json", "verify_derivatives", "write_trace_csv",
+}
+
+
+def test_all_lists_exactly_the_public_names():
+    assert len(noisy_sqp.__all__) == len(PUBLIC_NAMES) == 21
+    assert set(noisy_sqp.__all__) == PUBLIC_NAMES
+    for name in noisy_sqp.__all__:
+        assert getattr(noisy_sqp, name) is not None
+
+
+def test_readme_library_example_runs():
+    p = get_problem("BT11")
+    spec = NoiseSpec(eps1=1e-3, eps2=1e-3, seed=0)
+    cfg = SolverConfig().with_estimates(spec.bounds(p.n, p.m))
+    result = solve(p, spec, cfg)
+    assert isinstance(result.status, Status)
+    assert result.x.shape == (p.n,)
+
+
+def test_max_backtracks_is_a_constant_not_a_field():
+    assert SolverConfig.max_backtracks == 50
+    with pytest.raises(TypeError):
+        SolverConfig(max_backtracks=10)
+    with pytest.raises(TypeError):
+        SolverConfig(alpha_init=1.0)
+
+
+def test_config_file_with_a_removed_field_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_init": 1.0}))
+    assert dispatch(["solve", "--problem", "HS7", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.strip() == "unknown config fields: alpha_init"

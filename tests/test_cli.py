@@ -106,6 +106,7 @@ def test_usage_errors_exit_1(capsys):
     assert dispatch(["solve"]) == 1                           # missing --problem
     assert dispatch(["solve", "--problem", "HS99"]) == 1      # unknown choice
     assert dispatch(["frobnicate"]) == 1
+    assert dispatch(["misest", "--kmax", "5"]) == 1           # --kmax belongs to tables
     capsys.readouterr()
 
 
@@ -174,11 +175,15 @@ def test_misest_small_grid(tmp_path, capsys):
         (["tables", "--seeds", ","], "--seeds needs at least one value"),
         (["tables", "--seeds", "-1"], "--seeds must be non-negative"),
         (["misest", "--problems", ","], "--problems needs at least one value"),
-        (["misest", "--kmax", "0"], "--kmax values must be positive"),
+        (["tables", "--kmax", "0"], "--kmax values must be positive"),
         (["solve", "--problem", "HS7", "--beta", "nan"], "beta must be positive"),
     ],
 )
 def test_bad_input_exits_1_with_one_line_before_any_run(argv, message, monkeypatch, capsys):
+    _assert_rejected_before_any_run(argv, message, monkeypatch, capsys)
+
+
+def _assert_rejected_before_any_run(argv, message, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
@@ -192,6 +197,33 @@ def test_bad_input_exits_1_with_one_line_before_any_run(argv, message, monkeypat
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "No such file or directory"),
+        ("{\"beta\": 3.0,", "invalid solver config: Expecting property name"),
+        ("[1, 2]", "does not hold a JSON object"),
+    ],
+    ids=["missing", "malformed", "not-an-object"],
+)
+def test_bad_config_file_exits_1_with_one_line_before_any_run(
+        content, message, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    _assert_rejected_before_any_run(["solve", "--problem", "HS7", "--config", str(cfg)],
+                                    message, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", ["tables", "misest"])
+def test_out_naming_a_file_exits_1_before_any_run(command, tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "results"
+    taken.write_text("not a directory")
+    _assert_rejected_before_any_run([command, "--out", str(taken)],
+                                    "cannot create --out directory", monkeypatch, capsys)
+    assert taken.read_text() == "not a directory"
+
+
 def test_solve_max_iters_is_honoured(capsys):
     assert dispatch(["solve", "--problem", "HS7", "--eps1", "1e-3", "--eps2", "1e-3",
                      "--max-iters", "3", "--no-termination"]) == 0
@@ -201,8 +233,9 @@ def test_solve_max_iters_is_honoured(capsys):
 @pytest.mark.parametrize("command,table", [("tables", "relaxation"),
                                            ("misest", "misestimation")])
 def test_json_format_without_out_prints_one_document(command, table, capsys):
-    argv = [command, "--problems", "HS7", "--eps-levels", "1e-3,1e-1", "--seeds", "2",
-            "--kmax", "20"]
+    argv = [command, "--problems", "HS7", "--eps-levels", "1e-3,1e-1", "--seeds", "2"]
+    if command == "tables":
+        argv += ["--kmax", "20"]
     assert dispatch(argv + ["--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["table"] == table

@@ -8,16 +8,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from helpers import explicit_projector, psi_reference, random_full_rank
-from noisy_sqp.diagnostics import _psi
-from noisy_sqp import (
-    evaluate_diagnostics,
-    get_problem,
-    kkt_residual,
-    least_squares_multiplier,
-    project_tangent,
-    reference_solution,
-    stationarity_psi,
-)
+from noisy_sqp import get_problem, reference_solution
+from noisy_sqp.diagnostics import _psi, evaluate_diagnostics, kkt_residual, stationarity_psi
+from noisy_sqp.kernels import least_squares_multiplier, project_tangent
 
 
 class TestStationarityPsi:

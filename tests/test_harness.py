@@ -140,12 +140,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ExperimentPlan(problems=())
 
-    def test_bad_multipliers_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentPlan(est_multipliers=(0.0,))
-        with pytest.raises(ValueError):
-            ExperimentPlan(est_multipliers=(1.0, float("nan")))
-
 
 class TestGridProperties:
     def test_classical_accuracy_band_at_low_noise(self, experiment_grid):

@@ -15,16 +15,17 @@ from helpers import (
     random_full_rank,
     svd_gate_passes,
 )
-from noisy_sqp import (
+from noisy_sqp import get_problem
+from noisy_sqp.diagnostics import evaluate_diagnostics
+from noisy_sqp.kernels import (
+    NonFiniteJacobianError,
     SingularJacobianError,
-    evaluate_diagnostics,
-    get_problem,
+    factor_gram,
     least_squares_multiplier,
-    min_singular_value,
     project_tangent,
+    singular_values,
     solve_sqp_step,
 )
-from noisy_sqp.kernels import NonFiniteJacobianError, factor_gram
 
 
 class TestLeastSquaresMultiplier:
@@ -133,14 +134,15 @@ class TestSolveStep:
 
 class TestMinSingularValue:
     def test_unit_row(self):
-        assert min_singular_value(np.array([[1.0, 0.0]])) == pytest.approx(1.0)
+        assert singular_values(np.array([[1.0, 0.0]]))[-1] == pytest.approx(1.0)
 
     def test_dependent_rows(self):
-        assert min_singular_value(np.array([[1.0, 0.0], [2.0, 0.0]])) == pytest.approx(0.0, abs=1e-15)
+        J = np.array([[1.0, 0.0], [2.0, 0.0]])
+        assert singular_values(J)[-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_diagonal_rectangle(self):
         J = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
-        assert min_singular_value(J) == pytest.approx(3.0)
+        assert singular_values(J)[-1] == pytest.approx(3.0)
 
 
 @st.composite
@@ -284,6 +286,6 @@ class TestRankGate:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         p = get_problem("BT11")
         J = p.eval_J(p.x_start)
-        assert min_singular_value(J) > 0
+        assert singular_values(J)[-1] > 0
         solve_sqp_step(J, p.eval_c(p.x_start), p.eval_g(p.x_start), 50.0)
         assert evaluate_diagnostics(p, p.x_start, 1.0, 0.9, 50.0).sigma_min > 0

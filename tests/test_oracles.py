@@ -10,14 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import noisy_sqp.oracles as oracles_module
 from helpers import seed_sequence_rng, uniform_reference_eval
-from noisy_sqp import (
-    NoiseSpec,
-    NoiseStream,
-    Problem,
-    eval_exact,
-    eval_noisy,
-    get_problem,
-)
+from noisy_sqp import NoiseSpec, NoiseStream, Problem, get_problem
+from noisy_sqp.oracles import eval_exact, eval_noisy
 
 
 class TestExactEvaluation:

@@ -10,11 +10,10 @@ from noisy_sqp import (
     NoiseSpec,
     SolverConfig,
     get_problem,
-    least_squares_multiplier,
     reference_solution,
-    solve_sqp_step,
     verify_derivatives,
 )
+from noisy_sqp.kernels import least_squares_multiplier, solve_sqp_step
 
 DIMENSIONS = {"HS7": (2, 1), "BT11": (4, 3), "HS40": (5, 3)}
 STARTS = {

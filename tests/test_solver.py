@@ -27,13 +27,15 @@ from noisy_sqp import (
     Problem,
     SolverConfig,
     Status,
-    check_termination,
     get_problem,
+    reference_solution,
+    solve,
+)
+from noisy_sqp.solver import (
+    check_termination,
     linear_model,
     merit_value,
-    reference_solution,
     relaxed_line_search,
-    solve,
     update_penalty,
 )
 
@@ -213,7 +215,7 @@ class TestSolveNoisy:
         for row in accepted:
             rhs = row.merit_noisy + cfg.nu * row.alpha * row.model_value + row.eps_R
             assert row.merit_trial <= rhs + 1e-12
-            assert row.alpha == cfg.alpha_init * 2.0 ** -row.backtracks
+            assert row.alpha == 2.0 ** -row.backtracks
 
     def test_penalty_monotone_and_settles(self):
         p = get_problem("HS40")
@@ -573,12 +575,10 @@ class TestSolverConfig:
             {"tau": 1.2},
             {"beta": -1.0},
             {"pi_init": 0.0},
-            {"alpha_init": 0.0},
             {"eps_f_est": -1.0},
             {"max_iters": 0},
             {"beta": math.nan},
             {"pi_init": math.nan},
-            {"alpha_init": math.nan},
             {"eps_f_est": math.nan},
             {"eps_J_est": math.nan},
             {"zero_noise_tol": -1.0},
