@@ -182,16 +182,27 @@ def _cmd_solve(args) -> int:
     return _STATUS_EXIT[result.status]
 
 
+def _make_out_dir(path: Path) -> None:
+    """Create an --out directory before any run starts, or exit with one line."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise SystemExit(f"cannot create --out directory {path}: {err.strerror}") from None
+
+
 def _cmd_trace(args) -> int:
     out = Path(args.out)
+    out_dir = out.parent if out.suffix else out
+    config = _solver_config(args, get_problem(args.problem))
+    _make_out_dir(out_dir)
     paths = run_trace_experiment(
-        out_dir=out.parent if out.suffix else out,
+        out_dir=out_dir,
         problems=(args.problem,),
         eps1=args.eps1,
         eps2=args.eps2,
         seeds=(args.seed,),
         iters=args.iters,
-        config=_solver_config(args, get_problem(args.problem)),
+        config=config,
     )
     written = paths[0]
     if out.suffix:  # exact file name requested
@@ -215,10 +226,7 @@ def _make_plan(args, **grid) -> ExperimentPlan:
     except ValueError as err:
         raise SystemExit(f"invalid plan: {err}") from None
     if args.out:
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise SystemExit(f"cannot create --out directory {args.out}: {err.strerror}") from None
+        _make_out_dir(args.out)
     return plan
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import factor_gram, project_tangent
+from .kernels import factor_jacobian, project_tangent
 from .oracles import Matrix, Problem, Vector
 
 
@@ -51,16 +51,16 @@ def kkt_residual(g: Vector, J: Matrix, lam: Vector) -> float:
 def evaluate_diagnostics(
     p: Problem, x: Vector, pi: float, tau: float, b_u: float
 ) -> DiagnosticsRow:
-    """All indicators at x from the exact oracles, from one factorization of JJ'."""
+    """All indicators at x from the exact oracles, from one thin SVD of J."""
     g = np.asarray(p.eval_g(x), dtype=float)
     c = np.asarray(p.eval_c(x), dtype=float)
     J = np.asarray(p.eval_J(x), dtype=float)
-    solve, sigma = factor_gram(J)
+    _, s, Vt = factor_jacobian(J)
     # P g = g - J'lam_ls is the KKT residual at the multiplier -lam_ls.
-    pg = g - J.T @ solve(J @ g)
+    pg = g - Vt.T @ (Vt @ g)
     return DiagnosticsRow(
         psi=_psi(pg, c, pi, tau, b_u),
         kkt_residual=float(np.linalg.norm(pg)),
         feasibility=float(np.sum(np.abs(c))),
-        sigma_min=float(sigma[-1]),
+        sigma_min=float(s[-1]),
     )

@@ -77,6 +77,7 @@ class RunSummary:
     min_dist: float
     min_dist_iter: int
     iters_run: int
+    k_max: int  # the run's iteration cap
     termination_kind: str
 
 
@@ -115,6 +116,7 @@ def _run_one(
         min_dist=float(dists[min_iter]),
         min_dist_iter=min_iter,
         iters_run=result.iters_run,
+        k_max=max_iters,
         termination_kind=_TERMINATION_KIND[result.status],
     )
 
@@ -230,7 +232,7 @@ def render_relaxation_table(summaries: Sequence[RunSummary]) -> str:
     """Terminal rendering of the relaxation comparison, medians over seeds."""
     lines = []
     eps_levels = sorted({(s.eps1, s.eps2) for s in summaries})
-    k_values = sorted({s.iters_run for s in summaries if s.relaxation})
+    k_values = sorted({s.k_max for s in summaries if s.relaxation})
     for eps1, eps2 in eps_levels:
         lines.append(f"min_k ||x_k - x*||  at eps1={eps1:g}, eps2={eps2:g}")
         header = (f"{'problem':>8} | {'failure iter':>12} | {'min dist (off)':>14} | "
@@ -246,7 +248,7 @@ def render_relaxation_table(summaries: Sequence[RunSummary]) -> str:
             off = f"{_median([s.min_dist for s in disabled]):.4e}" if disabled else "-"
             cells = []
             for k in k_values:
-                on = [s.min_dist for s in rows if s.relaxation and s.iters_run == k]
+                on = [s.min_dist for s in rows if s.relaxation and s.k_max == k]
                 cells.append(f"{_median(on):.4e}" if on else "-")
             lines.append(f"{name:>8} | {fail:>12} | {off:>14} | " + " | ".join(f"{c:<11}" for c in cells))
         lines.append("")

@@ -7,20 +7,21 @@ With a scaled-identity Hessian model beta*I the quadratic subproblem
 has the closed-form solution d = v + u with a normal component
 v = -J'(JJ')^{-1} c restoring linearized feasibility and a tangential
 component u = -(1/beta) P g, where P = I - J'(JJ')^{-1} J projects onto
-the null space of J.  All solves go through one Cholesky factorization
-of the small Gram matrix JJ' (pseudo-inverse fallback when Cholesky
-breaks down); the n-by-n projector is never formed.  Singular values,
-for the rank gate and for diagnostics, come from one LAPACK dgesdd call.
+the null space of J.  Every quantity comes from one thin SVD
+J = U diag(s) Vt (one LAPACK dgesdd call): s gives the rank gate,
+v = -Vt' (U'c / s), lambda_hat = U (Vt g / s) and P w = w - Vt'(Vt w).
+No Gram matrix JJ' is formed, so the solves keep the conditioning of J
+rather than its square, and no n-by-n projector is formed either.
+The finiteness check comes before dgesdd because dgesdd computing
+singular vectors may never return for a J holding an infinity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd, dpotrf, dpotrs
+from scipy.linalg.lapack import dgesdd
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -52,47 +53,21 @@ class StepResult:
     lambda_hat: Vector
 
 
-def singular_values(J: Matrix) -> Vector:
-    """Singular values of the float matrix J in descending order.
+def factor_jacobian(J: Matrix) -> tuple[Matrix, Vector, Matrix]:
+    """Rank-gate the float matrix J and return its thin SVD (U, s, Vt).
 
-    Calls LAPACK dgesdd without singular vectors, the routine behind
-    np.linalg.svd(J, compute_uv=False), minus numpy's wrapper.  A NaN
-    entry raises NonFiniteJacobianError (dgesdd reports info = -4); an
-    infinite entry passes through as NaN singular values.
+    s holds the singular values in descending order.  Raises
+    NonFiniteJacobianError when J holds a NaN or an infinity, and
+    SingularJacobianError when sigma_min <= RANK_TOL * sigma_max.
     """
-    _, s, _, info = dgesdd(J, compute_uv=0)
-    if info == 0:
-        return s
-    if info == -4:
-        raise NonFiniteJacobianError("Jacobian has a NaN entry")
-    raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info={info})")
-
-
-def factor_gram(J: Matrix) -> tuple[Callable[[Vector], Vector], Vector]:
-    """Rank-gate J and factor JJ' once.
-
-    Returns a solver for (JJ')y = b and the singular values of J in
-    descending order.  Raises SingularJacobianError when
-    sigma_min <= RANK_TOL * sigma_max, and NonFiniteJacobianError when J
-    holds a NaN or an infinity.  The LAPACK routines are the ones
-    scipy.linalg.cho_factor/cho_solve call, minus their argument checks.
-    """
-    s = singular_values(J)
+    if not np.isfinite(J).all():
+        raise NonFiniteJacobianError("Jacobian has a NaN or an infinite entry")
+    U, s, Vt, info = dgesdd(J, compute_uv=1, full_matrices=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info={info})")
     if not s[-1] > RANK_TOL * s[0]:
-        if math.isfinite(s[0]) and math.isfinite(s[-1]):
-            raise SingularJacobianError(s[-1])
-        raise NonFiniteJacobianError("Jacobian has an infinite entry")
-    gram = J @ J.T
-    factor, info = dpotrf(gram, lower=1, clean=0)
-    if info == 0:
-        return (lambda b: dpotrs(factor, b, lower=1)[0]), s
-    if info < 0:
-        raise ValueError(f"dpotrf: illegal value in argument {-info}")
-    # Reachable past the rank gate: forming JJ' squares the condition
-    # number, so with sigma_min/sigma_max between ~1e-10 and ~1e-8 the
-    # Gram matrix can lose definiteness in floating point.
-    gram_inv = np.linalg.pinv(gram)
-    return (lambda b: gram_inv @ b), s
+        raise SingularJacobianError(s[-1])
+    return U, s, Vt
 
 
 def least_squares_multiplier(J: Matrix, g: Vector) -> Vector:
@@ -100,18 +75,15 @@ def least_squares_multiplier(J: Matrix, g: Vector) -> Vector:
 
     Raises SingularJacobianError when J is numerically rank deficient.
     """
-    J = np.asarray(J, dtype=float)
-    g = np.asarray(g, dtype=float)
-    solve, _ = factor_gram(J)
-    return solve(J @ g)
+    U, s, Vt = factor_jacobian(np.asarray(J, dtype=float))
+    return U @ ((Vt @ np.asarray(g, dtype=float)) / s)
 
 
 def project_tangent(J: Matrix, w: Vector) -> Vector:
     """Project w onto the null space of J: w - J'(JJ')^{-1} J w."""
-    J = np.asarray(J, dtype=float)
+    _, _, Vt = factor_jacobian(np.asarray(J, dtype=float))
     w = np.asarray(w, dtype=float)
-    solve, _ = factor_gram(J)
-    return w - J.T @ solve(J @ w)
+    return w - Vt.T @ (Vt @ w)
 
 
 def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
@@ -135,11 +107,11 @@ def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    J = np.asarray(J, dtype=float)
+    U, s, Vt = factor_jacobian(np.asarray(J, dtype=float))
     c = np.asarray(c, dtype=float)
     g = np.asarray(g, dtype=float)
-    solve, _ = factor_gram(J)
-    lambda_hat = solve(J @ g)
-    v = -J.T @ solve(c)
-    u = -(g - J.T @ lambda_hat) / beta
+    vg = Vt @ g
+    lambda_hat = U @ (vg / s)
+    v = -(Vt.T @ ((U.T @ c) / s))
+    u = -(g - Vt.T @ vg) / beta
     return StepResult(d=v + u, v=v, u=u, lambda_hat=lambda_hat)

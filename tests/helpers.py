@@ -2,17 +2,16 @@
 
 These deliberately avoid the library's own code paths: the dense
 stationarity-system solve checks the closed-form step, and the explicit
-projector checks the factored projection.  The scipy-wrapper kernels,
-the per-quantity noise draws, numpy's per-evaluation SeedSequence
-generator, the numpy-wrapper merit helpers and numpy's SVD rank gate are
-the straightforward forms of the library's kernels, noise model, noise
-stream, iteration helpers and rank gate; the library must match them
-bit for bit (the gate: decision for decision).  The fresh-state-dict
-generator and the two-step noise map are the oracle's earlier forms.
+projector checks the factored projection.  The per-quantity noise
+draws, numpy's per-evaluation SeedSequence generator, the numpy-wrapper
+merit helpers and numpy's SVD rank gate are the straightforward forms of
+the library's noise model, noise stream, iteration helpers and rank
+gate; the library must match them bit for bit (the gate: decision for
+decision).  The fresh-state-dict generator and the two-step noise map
+are the oracle's earlier forms.
 """
 
 import numpy as np
-import scipy.linalg
 
 from noisy_sqp import oracles
 
@@ -47,21 +46,6 @@ def random_full_rank(rng, n_max=6, sigma_floor=1e-2):
         if np.linalg.svd(J, compute_uv=False)[-1] > sigma_floor:
             break
     return J, rng.normal(size=m), rng.normal(size=n)
-
-
-def cho_gram_solver(J):
-    """Solver for (JJ')y = b through scipy's cho_factor/cho_solve wrappers."""
-    cho = scipy.linalg.cho_factor(J @ J.T, lower=True, check_finite=False)
-    return lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False)
-
-
-def cho_reference_step(J, c, g, beta):
-    """(d, v, u, lambda_hat) of the closed-form step via the scipy wrappers."""
-    solve = cho_gram_solver(J)
-    lambda_hat = solve(J @ g)
-    v = -J.T @ solve(c)
-    u = -(g - J.T @ lambda_hat) / beta
-    return v + u, v, u, lambda_hat
 
 
 def seed_sequence_rng(seed, counter):

@@ -224,6 +224,16 @@ def test_out_naming_a_file_exits_1_before_any_run(command, tmp_path, monkeypatch
     assert taken.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("out", ["results", "results/t.csv"], ids=["file", "under-file"])
+def test_trace_out_naming_a_file_exits_1_before_any_run(out, tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "results"
+    taken.write_text("not a directory")
+    _assert_rejected_before_any_run(
+        ["trace", "--problem", "HS7", "--iters", "5", "--out", str(tmp_path / out)],
+        "cannot create --out directory", monkeypatch, capsys)
+    assert taken.read_text() == "not a directory"
+
+
 def test_solve_max_iters_is_honoured(capsys):
     assert dispatch(["solve", "--problem", "HS7", "--eps1", "1e-3", "--eps2", "1e-3",
                      "--max-iters", "3", "--no-termination"]) == 0

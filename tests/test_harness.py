@@ -1,6 +1,7 @@
 """Tests for the experiment harness: traces, tables, serialization."""
 
 import csv
+import dataclasses
 import json
 import statistics
 
@@ -80,6 +81,7 @@ class TestRelaxationTable:
     def test_enabled_runs_cover_each_k_max(self, small_table):
         enabled = [s for s in small_table if s.relaxation]
         assert sorted(s.iters_run for s in enabled if s.seed == 0) == [100, 300]
+        assert all(s.k_max == s.iters_run for s in enabled)
         for s in enabled:
             assert s.status == "max_iters"
             assert s.failure_iter is None
@@ -97,7 +99,7 @@ class TestRelaxationTable:
         assert doc["runs"][0]["problem"] == "HS7"
         assert set(doc["runs"][0]) == {
             "problem", "eps1", "eps2", "seed", "relaxation", "est_multiplier",
-            "status", "failure_iter", "min_dist", "min_dist_iter", "iters_run",
+            "status", "failure_iter", "min_dist", "min_dist_iter", "iters_run", "k_max",
             "termination_kind",
         }
 
@@ -106,6 +108,21 @@ class TestRelaxationTable:
         assert "HS7" in text
         assert "k_max=100" in text and "k_max=300" in text
         assert "failure iter" in text
+
+    def test_renderer_groups_on_k_max_not_iters_run(self, small_table):
+        # A relaxed run that ends early (here on a singular Jacobian) stays
+        # in its own k_max column and opens no column of its own.
+        short = dataclasses.replace(
+            next(s for s in small_table if s.relaxation and s.k_max == 100),
+            iters_run=37, status="singular_jacobian", termination_kind="singular",
+            min_dist=0.125)
+        rows = [s for s in small_table if not (s.relaxation and s.k_max == 100)] + [short]
+        text = render_relaxation_table(rows)
+        assert "k_max=37" not in text
+        header = next(line for line in text.splitlines() if "k_max=100" in line)
+        cells = next(line for line in text.splitlines() if line.strip().startswith("HS7"))
+        columns = [c.strip() for c in header.split("|")]
+        assert cells.split("|")[columns.index("k_max=100")].strip() == "1.2500e-01"
 
 
 class TestMisestimationTable:
