@@ -40,12 +40,16 @@ _STATUS_EXIT = {
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _str_tuple(text: str) -> tuple[str, ...]:
+    return tuple(tok for tok in text.split(",") if tok)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in _str_tuple(text))
+
+
+def _eps_pairs(text: str) -> tuple[tuple[float, float], ...]:
+    return tuple((float(tok), float(tok)) for tok in _str_tuple(text))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,13 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("tables", "reproduce the relaxation on/off comparison"),
         ("misest", "reproduce the noise-misestimation study"),
     ):
+        # Grid flags left out take ExperimentPlan's defaults.
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--problems", type=str, default=",".join(PROBLEM_NAMES))
-        sp.add_argument("--eps-levels", type=_float_list, default=[1e-5, 1e-3, 1e-1],
+        sp.add_argument("--problems", type=_str_tuple)
+        sp.add_argument("--eps-levels", type=_eps_pairs,
                         help="comma-separated levels, eps1 = eps2 at each")
-        sp.add_argument("--seeds", type=_int_list, default=list(range(10)))
+        sp.add_argument("--seeds", type=_int_tuple)
         if name == "tables":
-            sp.add_argument("--kmax", type=_int_list, default=[100, 500, 1000])
+            sp.add_argument("--kmax", type=_int_tuple, dest="k_max_values")
         sp.add_argument("--out", type=Path, help="directory for JSON documents")
         sp.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -102,10 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_config(args, problem) -> SolverConfig:
+def _solver_config(args, problem) -> tuple[NoiseSpec, SolverConfig]:
     # Estimated bounds default to the true derived bounds, optionally rescaled.
-    spec = NoiseSpec(args.eps1, args.eps2, seed=args.seed)
     try:
+        spec = NoiseSpec(args.eps1, args.eps2, seed=args.seed)
         values = json.loads(args.config.read_text()) if args.config else {}
         if not isinstance(values, dict):
             raise ValueError(f"{args.config} does not hold a JSON object")
@@ -122,48 +127,14 @@ def _solver_config(args, problem) -> SolverConfig:
         if getattr(args, "no_termination", False):
             values["termination_enabled"] = False
         cfg = SolverConfig(**values)
-        return cfg.with_estimates(spec.bounds(problem.n, problem.m), args.est_multiplier)
+        return spec, cfg.with_estimates(spec.bounds(problem.n, problem.m), args.est_multiplier)
     except (OSError, TypeError, ValueError) as err:
         raise SystemExit(f"invalid solver config: {err}") from None
 
 
-def _problem_names(text: str) -> list[str]:
-    return [tok for tok in text.split(",") if tok]
-
-
-def _check_args(args) -> None:
-    """Reject bad input before any run starts, with a one-line message."""
-
-    def require(ok: bool, message: str) -> None:
-        if not ok:
-            raise SystemExit(message)
-
-    for flag in ("max_iters", "iters"):
-        val = getattr(args, flag, None)
-        require(val is None or val > 0, f"--{flag.replace('_', '-')} must be positive, got {val}")
-    for flag in ("eps1", "eps2", "seed", "est_multiplier"):
-        val = getattr(args, flag, None)
-        require(val is None or val >= 0,
-                f"--{flag.replace('_', '-')} must be non-negative, got {val}")
-    if args.subcommand in ("tables", "misest"):
-        problems = _problem_names(args.problems)
-        lists = {"--problems": problems, "--eps-levels": args.eps_levels, "--seeds": args.seeds}
-        if args.subcommand == "tables":
-            lists["--kmax"] = args.kmax
-        for flag, values in lists.items():
-            require(bool(values), f"{flag} needs at least one value")
-        unknown = [name for name in problems if name not in PROBLEM_NAMES]
-        require(not unknown, f"unknown problems: {', '.join(unknown)} "
-                             f"(choose from {', '.join(PROBLEM_NAMES)})")
-        require(all(e >= 0 for e in args.eps_levels), "--eps-levels must be non-negative")
-        require(all(s >= 0 for s in args.seeds), "--seeds must be non-negative")
-        require(all(k > 0 for k in lists.get("--kmax", ())), "--kmax values must be positive")
-
-
 def _cmd_solve(args) -> int:
     p = get_problem(args.problem)
-    cfg = _solver_config(args, p)
-    spec = NoiseSpec(args.eps1, args.eps2, seed=args.seed)
+    spec, cfg = _solver_config(args, p)
     ref = reference_solution(args.problem)
     result = solve(p, spec, cfg, x_ref=ref.x_star)
 
@@ -193,7 +164,7 @@ def _make_out_dir(path: Path) -> None:
 def _cmd_trace(args) -> int:
     out = Path(args.out)
     out_dir = out.parent if out.suffix else out
-    config = _solver_config(args, get_problem(args.problem))
+    _, config = _solver_config(args, get_problem(args.problem))
     _make_out_dir(out_dir)
     paths = run_trace_experiment(
         out_dir=out_dir,
@@ -214,15 +185,12 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _make_plan(args, **grid) -> ExperimentPlan:
+def _make_plan(args) -> ExperimentPlan:
     """The grid of a tables/misest call, after creating its --out directory."""
+    fields = ("problems", "eps_levels", "seeds", "k_max_values")
+    grid = {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
     try:
-        plan = ExperimentPlan(
-            problems=tuple(_problem_names(args.problems)),
-            eps_levels=tuple((e, e) for e in args.eps_levels),
-            seeds=tuple(args.seeds),
-            **grid,
-        )
+        plan = ExperimentPlan(**grid)
     except ValueError as err:
         raise SystemExit(f"invalid plan: {err}") from None
     if args.out:
@@ -246,7 +214,7 @@ def _emit_tables(summaries, render, table_name: str, args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    plan = _make_plan(args, k_max_values=tuple(args.kmax))
+    plan = _make_plan(args)
     summaries = run_relaxation_table(plan)
     return _emit_tables(summaries, render_relaxation_table, "relaxation", args)
 
@@ -258,7 +226,10 @@ def _cmd_misest(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    try:
+        rng = np.random.default_rng(args.seed)
+    except ValueError as err:
+        raise SystemExit(f"invalid --seed {args.seed}: {err}") from None
     failed = False
     for name in PROBLEM_NAMES:
         p = get_problem(name)
@@ -289,7 +260,6 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        _check_args(args)
         return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:
         print(str(exc), file=sys.stderr)

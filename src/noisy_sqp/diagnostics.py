@@ -39,15 +39,6 @@ def _psi(pg: Vector, c: Vector, pi: float, tau: float, b_u: float) -> float:
     return float(np.dot(pg, pg) / b_u + pi * tau * np.abs(c).sum())
 
 
-def kkt_residual(g: Vector, J: Matrix, lam: Vector) -> float:
-    """First-order optimality defect ||g + J' lam||.
-
-    With lam equal to the negated least-squares multiplier this reduces
-    to the projected-gradient norm ||P g||.
-    """
-    return float(np.linalg.norm(np.asarray(g, float) + np.asarray(J, float).T @ lam))
-
-
 def evaluate_diagnostics(
     p: Problem, x: Vector, pi: float, tau: float, b_u: float
 ) -> DiagnosticsRow:

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .oracles import NoiseSpec
-from .problems import get_problem, reference_solution
+from .problems import PROBLEM_NAMES, get_problem, reference_solution
 from .solver import SolverConfig, SolveResult, Status, solve
 
 TRACE_HEADER = ("k", "dist", "log2_dist", "alpha", "pi", "merit_noisy", "psi", "backtracks")
@@ -46,17 +46,30 @@ _TERMINATION_KIND = {
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Grid of runs for the comparison tables."""
+    """Grid of runs for the comparison tables, checked in full before any run."""
 
-    problems: tuple[str, ...] = ("HS7", "BT11", "HS40")
+    problems: tuple[str, ...] = PROBLEM_NAMES
     eps_levels: tuple[tuple[float, float], ...] = ((1e-5, 1e-5), (1e-3, 1e-3), (1e-1, 1e-1))
     seeds: tuple[int, ...] = tuple(range(10))
     k_max_values: tuple[int, ...] = (100, 500, 1000)
     misest_max_iters: int = 5000
 
     def __post_init__(self):
-        if not (self.problems and self.eps_levels and self.seeds and self.k_max_values):
-            raise ValueError("plan lists must be non-empty")
+        empty = [f for f in ("problems", "eps_levels", "seeds", "k_max_values")
+                 if not getattr(self, f)]
+        if empty:
+            raise ValueError(f"plan lists must be non-empty: {', '.join(empty)}")
+        unknown = [name for name in self.problems if name not in PROBLEM_NAMES]
+        if unknown:
+            raise ValueError(f"unknown problems: {', '.join(unknown)} "
+                             f"(choose from {', '.join(PROBLEM_NAMES)})")
+        # NoiseSpec and SolverConfig own the value rules: build one per value.
+        for eps1, eps2 in self.eps_levels:
+            NoiseSpec(eps1, eps2)
+        for seed in self.seeds:
+            NoiseSpec(0.0, 0.0, seed)
+        for k_max in (*self.k_max_values, self.misest_max_iters):
+            SolverConfig(max_iters=k_max)
 
     def multipliers_for(self, eps1: float) -> tuple[float, ...]:
         return MISESTIMATION_MULTIPLIERS.get(eps1, (1.0, 1e-1, 1e1))
@@ -140,7 +153,7 @@ def write_trace_csv(result: SolveResult, path: Path) -> None:
 
 def run_trace_experiment(
     out_dir: Path,
-    problems: Iterable[str] = ("HS7", "BT11", "HS40"),
+    problems: Iterable[str] = PROBLEM_NAMES,
     eps1: float = 1e-3,
     eps2: float = 1e-3,
     seeds: Iterable[int] = (0,),
@@ -153,14 +166,17 @@ def run_trace_experiment(
     trace shows the noise-floor band rather than an early stop.
     ``config`` supplies the remaining solver settings, estimates
     included; None means the defaults with each problem's true noise
-    bounds as estimates.
+    bounds as estimates.  The whole grid is checked, as an
+    :class:`ExperimentPlan`, before any file is written.
     """
+    plan = ExperimentPlan(problems=tuple(problems), eps_levels=((eps1, eps2),),
+                          seeds=tuple(seeds), k_max_values=(iters,))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name in problems:
+    for name in plan.problems:
         p = get_problem(name)
-        for seed in seeds:
+        for seed in plan.seeds:
             spec = NoiseSpec(eps1, eps2, seed=seed)
             if config is None:
                 cfg = SolverConfig().with_estimates(spec.bounds(p.n, p.m))

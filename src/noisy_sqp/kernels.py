@@ -58,15 +58,17 @@ def factor_jacobian(J: Matrix) -> tuple[Matrix, Vector, Matrix]:
 
     s holds the singular values in descending order.  Raises
     NonFiniteJacobianError when J holds a NaN or an infinity, and
-    SingularJacobianError when sigma_min <= RANK_TOL * sigma_max.
+    SingularJacobianError when sigma_min <= RANK_TOL * sigma_max, where
+    a J with more rows than columns has sigma_min = 0.
     """
     if not np.isfinite(J).all():
         raise NonFiniteJacobianError("Jacobian has a NaN or an infinite entry")
     U, s, Vt, info = dgesdd(J, compute_uv=1, full_matrices=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info={info})")
-    if not s[-1] > RANK_TOL * s[0]:
-        raise SingularJacobianError(s[-1])
+    sigma_min = s[-1] if len(s) == len(J) else 0.0
+    if not sigma_min > RANK_TOL * s[0]:
+        raise SingularJacobianError(sigma_min)
     return U, s, Vt
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -75,8 +76,8 @@ class NoiseSpec:
     """Half-widths of the uniform noise added to oracle evaluations.
 
     ``eps1`` is the half-width for the objective and each constraint
-    value, ``eps2`` for each gradient and Jacobian entry.  ``seed`` keys
-    the deterministic noise stream.
+    value, ``eps2`` for each gradient and Jacobian entry.  ``seed``, an
+    integer >= 0, keys the deterministic noise stream.
     """
 
     eps1: float
@@ -86,6 +87,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.eps1 >= 0 and self.eps2 >= 0):  # NaN fails too
             raise ValueError("noise half-widths must be nonnegative")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def bounds(self, n: int, m: int) -> NoiseBounds:
         """Derived norm bounds for a problem of size (n, m).

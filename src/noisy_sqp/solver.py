@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Optional
 
@@ -80,11 +81,17 @@ class SolverConfig:
             raise ValueError("estimated noise bounds must be nonnegative")
         if not self.zero_noise_tol >= 0:
             raise ValueError(f"zero_noise_tol must be nonnegative, got {self.zero_noise_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        if isinstance(self.max_iters, bool) or not (
+                isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        for name in ("relaxation_enabled", "termination_enabled"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     def with_estimates(self, bounds, multiplier: float = 1.0) -> "SolverConfig":
-        """Copy of this config using `bounds` (times `multiplier`) as estimates."""
+        """Copy of this config using `bounds` (times a nonnegative `multiplier`) as estimates."""
+        if not multiplier >= 0:  # NaN fails too, and -1 * 0 would pass as -0.0
+            raise ValueError(f"estimate multiplier must be nonnegative, got {multiplier}")
         return replace(
             self,
             eps_f_est=bounds.eps_f * multiplier,

@@ -1,8 +1,9 @@
 """Independent oracles shared across the test modules.
 
 These deliberately avoid the library's own code paths: the dense
-stationarity-system solve checks the closed-form step, and the explicit
-projector checks the factored projection.  The per-quantity noise
+stationarity-system solve checks the closed-form step, the explicit
+projector checks the factored projection, and the KKT residual
+||g + J' lam|| checks the least-squares multiplier.  The per-quantity noise
 draws, numpy's per-evaluation SeedSequence generator, the numpy-wrapper
 merit helpers and numpy's SVD rank gate are the straightforward forms of
 the library's noise model, noise stream, iteration helpers and rank
@@ -29,6 +30,11 @@ def dense_kkt_step(J, c, g, beta):
     K[n:, :n] = J
     rhs = np.concatenate([-g, -c])
     return np.linalg.solve(K, rhs)[:n]
+
+
+def kkt_residual(g, J, lam):
+    """First-order optimality defect ||g + J' lam|| of multiplier lam."""
+    return float(np.linalg.norm(np.asarray(g, float) + np.asarray(J, float).T @ lam))
 
 
 def explicit_projector(J):

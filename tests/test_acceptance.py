@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from conftest import EPS_LEVELS, SEEDS
-from helpers import dense_kkt_step, random_full_rank
+from helpers import dense_kkt_step, kkt_residual, random_full_rank
 from noisy_sqp import (
     PROBLEM_NAMES,
     NoiseSpec,
@@ -21,7 +21,6 @@ from noisy_sqp import (
     solve,
     verify_derivatives,
 )
-from noisy_sqp.diagnostics import kkt_residual
 from noisy_sqp.kernels import least_squares_multiplier, project_tangent, solve_sqp_step
 
 

@@ -163,20 +163,22 @@ def test_misest_small_grid(tmp_path, capsys):
     "argv,message",
     [
         (["solve", "--problem", "HS7", "--beta", "-1"], "beta must be positive"),
-        (["solve", "--problem", "HS7", "--max-iters", "0"], "--max-iters must be positive"),
-        (["solve", "--problem", "HS7", "--seed", "-1"], "--seed must be non-negative"),
-        (["solve", "--problem", "HS7", "--eps1", "-0.001"], "--eps1 must be non-negative"),
+        (["solve", "--problem", "HS7", "--max-iters", "0"],
+         "max_iters must be a positive integer"),
+        (["solve", "--problem", "HS7", "--seed", "-1"], "seed must be a nonnegative integer"),
+        (["solve", "--problem", "HS7", "--eps1", "-0.001"], "half-widths must be nonnegative"),
         (["solve", "--problem", "HS7", "--eps1", "1e-3", "--est-multiplier", "nan"],
-         "--est-multiplier must be non-negative"),
+         "estimate multiplier must be nonnegative"),
         (["solve", "--problem", "HS7", "--tau", "1.5"], "tau must lie in (0, 1)"),
         (["trace", "--problem", "HS7", "--iters", "0", "--out", "t.csv"],
-         "--iters must be positive"),
+         "max_iters must be a positive integer"),
         (["tables", "--problems", "HS7,FOO"], "unknown problems: FOO"),
-        (["tables", "--seeds", ","], "--seeds needs at least one value"),
-        (["tables", "--seeds", "-1"], "--seeds must be non-negative"),
-        (["misest", "--problems", ","], "--problems needs at least one value"),
-        (["tables", "--kmax", "0"], "--kmax values must be positive"),
+        (["tables", "--seeds", ","], "plan lists must be non-empty: seeds"),
+        (["tables", "--seeds", "-1"], "seed must be a nonnegative integer"),
+        (["misest", "--problems", ","], "plan lists must be non-empty: problems"),
+        (["tables", "--kmax", "0"], "max_iters must be a positive integer"),
         (["solve", "--problem", "HS7", "--beta", "nan"], "beta must be positive"),
+        (["check", "--seed", "-1"], "invalid --seed -1"),
     ],
 )
 def test_bad_input_exits_1_with_one_line_before_any_run(argv, message, monkeypatch, capsys):
@@ -203,8 +205,10 @@ def _assert_rejected_before_any_run(argv, message, monkeypatch, capsys):
         (None, "No such file or directory"),
         ("{\"beta\": 3.0,", "invalid solver config: Expecting property name"),
         ("[1, 2]", "does not hold a JSON object"),
+        ("{\"max_iters\": 2.5}", "max_iters must be a positive integer, got 2.5"),
+        ("{\"termination_enabled\": \"no\"}", "termination_enabled must be true or false"),
     ],
-    ids=["missing", "malformed", "not-an-object"],
+    ids=["missing", "malformed", "not-an-object", "float-max-iters", "string-flag"],
 )
 def test_bad_config_file_exits_1_with_one_line_before_any_run(
         content, message, tmp_path, monkeypatch, capsys):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from helpers import explicit_projector, psi_reference, random_full_rank
+from helpers import explicit_projector, kkt_residual, psi_reference, random_full_rank
 from noisy_sqp import get_problem, reference_solution
-from noisy_sqp.diagnostics import _psi, evaluate_diagnostics, kkt_residual, stationarity_psi
+from noisy_sqp.diagnostics import _psi, evaluate_diagnostics, stationarity_psi
 from noisy_sqp.kernels import least_squares_multiplier, project_tangent
 
 

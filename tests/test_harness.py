@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import statistics
 
 import numpy as np
@@ -17,6 +18,7 @@ from noisy_sqp import (
     run_trace_experiment,
     summaries_to_json,
 )
+from noisy_sqp import harness
 from noisy_sqp.harness import _TERMINATION_KIND, MISESTIMATION_MULTIPLIERS
 from noisy_sqp.solver import Status
 
@@ -152,10 +154,53 @@ def test_every_status_has_a_termination_kind():
     assert set(_TERMINATION_KIND) == set(Status)
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make any solver run started through the harness fail the test."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "solve", no_run)
+
+
 class TestPlanValidation:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(problems=())
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"problems": ("HS7", "FOO")}, "unknown problems: FOO (choose from HS7, BT11, HS40)"),
+            ({"seeds": (0, 1, -1)}, "seed must be a nonnegative integer, got -1"),
+            ({"seeds": (0, 1.5)}, "seed must be a nonnegative integer, got 1.5"),
+            ({"eps_levels": ((1e-3, 1e-3), (math.nan, math.nan))}, "nonnegative"),
+            ({"eps_levels": ((1e-3, 1e-3), (1e-3, -1e-3))}, "nonnegative"),
+            ({"k_max_values": (20, 0)}, "max_iters must be a positive integer, got 0"),
+            ({"misest_max_iters": 2.5}, "max_iters must be a positive integer, got 2.5"),
+        ],
+        ids=["problem", "negative-seed", "float-seed", "nan-eps", "negative-eps2", "k-max",
+             "misest-max-iters"],
+    )
+    def test_bad_grid_raises_before_any_run(self, grid, message, no_solve):
+        base = {"problems": ("HS7",), "eps_levels": ((1e-3, 1e-3),), "seeds": (0, 1),
+                "k_max_values": (20,), "misest_max_iters": 20}
+        with pytest.raises(ValueError) as err:
+            plan = ExperimentPlan(**{**base, **grid})
+            run_relaxation_table(plan)
+            run_misestimation_table(plan)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"problems": ("HS7", "FOO")}, {"seeds": (0, -1)}, {"eps1": math.nan}, {"iters": 0}],
+        ids=["problem", "seed", "eps", "iters"],
+    )
+    def test_bad_trace_grid_writes_no_file(self, kwargs, tmp_path, no_solve):
+        out = tmp_path / "traces"
+        with pytest.raises(ValueError):
+            run_trace_experiment(out, **{"problems": ("HS7",), "iters": 5, **kwargs})
+        assert not out.exists()
 
 
 class TestGridProperties:

@@ -284,6 +284,18 @@ class TestRankGate:
                     call()
         assert issubclass(NonFiniteJacobianError, np.linalg.LinAlgError)
 
+    def test_tall_jacobian_fails_gate(self):
+        # More rows than columns: m - n singular values are zero, though
+        # dgesdd returns only the n nonzero ones.
+        J = np.random.default_rng(7).normal(size=(3, 2))
+        for call in (lambda: factor_jacobian(J),
+                     lambda: solve_sqp_step(J, np.ones(3), np.ones(2), 1.0),
+                     lambda: least_squares_multiplier(J, np.ones(2)),
+                     lambda: project_tangent(J, np.ones(2))):
+            with pytest.raises(SingularJacobianError) as err:
+                call()
+            assert err.value.sigma_min == 0.0
+
     def test_kernels_and_diagnostics_take_no_numpy_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")

@@ -300,6 +300,15 @@ class TestValidation:
             with pytest.raises(ValueError, match="nonnegative"):
                 NoiseSpec(eps1, eps2)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, math.nan, "0"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            NoiseSpec(1e-3, 1e-3, seed=seed)
+
+    def test_wide_seed_accepted(self):
+        spec = NoiseSpec(1e-3, 1e-3, seed=2**40)
+        assert spec.stream().next_rng().random() == seed_sequence_rng(2**40, 0).random()
+
     def test_problem_requires_m_less_than_n(self):
         with pytest.raises(ValueError, match="m < n"):
             Problem("bad", 2, 2, lambda x: 0.0, lambda x: np.zeros(2),

@@ -583,6 +583,11 @@ class TestSolverConfig:
             {"eps_J_est": math.nan},
             {"zero_noise_tol": -1.0},
             {"zero_noise_tol": math.nan},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"relaxation_enabled": "no"},
+            {"termination_enabled": "no"},
+            {"termination_enabled": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -596,3 +601,12 @@ class TestSolverConfig:
         assert cfg.eps_c_est == pytest.approx(3e-2)
         assert cfg.eps_g_est == pytest.approx(2e-2)
         assert cfg.eps_J_est == pytest.approx(6e-2)
+
+    @pytest.mark.parametrize("multiplier", [-1.0, math.nan])
+    def test_with_estimates_rejects_bad_multiplier_even_with_zero_bounds(self, multiplier):
+        zero = NoiseSpec(0.0, 0.0).bounds(4, 3)
+        with pytest.raises(ValueError, match="multiplier must be nonnegative"):
+            SolverConfig().with_estimates(zero, multiplier)
+
+    def test_integer_max_iters_of_any_integral_type_accepted(self):
+        assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
