@@ -8,8 +8,6 @@ Jacobian; 4 the oracle returned a NaN or an infinity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -22,8 +20,9 @@ from .harness import (
     render_relaxation_table,
     run_misestimation_table,
     run_relaxation_table,
-    run_trace_experiment,
     summaries_to_json,
+    trace_path,
+    write_trace_csv,
 )
 from .oracles import NoiseSpec
 from .problems import PROBLEM_NAMES, get_problem, reference_solution, verify_derivatives
@@ -37,7 +36,8 @@ _STATUS_EXIT = {
     Status.NONFINITE: 4,
 }
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
+# SolverConfig fields with a flag of the same name; a flag left out keeps the default.
+_CONFIG_FLAGS = ("nu", "tau", "beta", "pi_init", "max_iters")
 
 
 def _str_tuple(text: str) -> tuple[str, ...]:
@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps1", type=float, default=0.0, help="value-noise half-width")
         sp.add_argument("--eps2", type=float, default=0.0, help="derivative-noise half-width")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--config", type=Path, help="JSON file with solver config fields")
         sp.add_argument("--beta", type=float, help="Hessian scaling (default 50)")
         sp.add_argument("--nu", type=float, help="Armijo fraction (default 0.1)")
         sp.add_argument("--tau", type=float, help="penalty margin (default 0.9)")
@@ -82,8 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trace", help="write a per-iteration CSV trace")
     add_common(sp)
-    sp.add_argument("--iters", type=int, default=1000)
-    sp.add_argument("--out", type=Path, required=True)
+    sp.add_argument("--iters", type=int, default=1000, dest="max_iters")
+    sp.add_argument("--out", type=Path, required=True,
+                    help="CSV file name, or a directory for the default name")
+    sp.set_defaults(no_termination=True)  # a trace runs all --iters iterations
 
     for name, help_text in (
         ("tables", "reproduce the relaxation on/off comparison"),
@@ -111,24 +112,11 @@ def _solver_config(args, problem) -> tuple[NoiseSpec, SolverConfig]:
     # Estimated bounds default to the true derived bounds, optionally rescaled.
     try:
         spec = NoiseSpec(args.eps1, args.eps2, seed=args.seed)
-        values = json.loads(args.config.read_text()) if args.config else {}
-        if not isinstance(values, dict):
-            raise ValueError(f"{args.config} does not hold a JSON object")
-        unknown = set(values) - _CONFIG_FIELDS
-        if unknown:
-            raise SystemExit(f"unknown config fields: {', '.join(sorted(unknown))}")
-        for flag, key in (("beta", "beta"), ("nu", "nu"), ("tau", "tau"), ("pi_init", "pi_init"),
-                          ("max_iters", "max_iters"), ("iters", "max_iters")):
-            val = getattr(args, flag, None)
-            if val is not None:
-                values[key] = val
-        if args.no_relaxation:
-            values["relaxation_enabled"] = False
-        if getattr(args, "no_termination", False):
-            values["termination_enabled"] = False
-        cfg = SolverConfig(**values)
+        flags = {f: getattr(args, f) for f in _CONFIG_FLAGS if getattr(args, f) is not None}
+        cfg = SolverConfig(relaxation_enabled=not args.no_relaxation,
+                           termination_enabled=not args.no_termination, **flags)
         return spec, cfg.with_estimates(spec.bounds(problem.n, problem.m), args.est_multiplier)
-    except (OSError, TypeError, ValueError) as err:
+    except ValueError as err:
         raise SystemExit(f"invalid solver config: {err}") from None
 
 
@@ -138,8 +126,7 @@ def _cmd_solve(args) -> int:
     ref = reference_solution(args.problem)
     result = solve(p, spec, cfg, x_ref=ref.x_star)
 
-    pi_final = result.trace[-1].pi if result.trace else cfg.pi_init
-    diag = evaluate_diagnostics(p, result.x, pi_final, cfg.tau, cfg.beta)
+    diag = evaluate_diagnostics(p, result.x, result.trace[-1].pi, cfg.tau, cfg.beta)
     print(f"problem:        {args.problem}  (n={p.n}, m={p.m})")
     print(f"status:         {result.status.value}")
     if result.failure_iter is not None:
@@ -162,26 +149,15 @@ def _make_out_dir(path: Path) -> None:
 
 
 def _cmd_trace(args) -> int:
-    out = Path(args.out)
-    out_dir = out.parent if out.suffix else out
-    _, config = _solver_config(args, get_problem(args.problem))
-    _make_out_dir(out_dir)
-    paths = run_trace_experiment(
-        out_dir=out_dir,
-        problems=(args.problem,),
-        eps1=args.eps1,
-        eps2=args.eps2,
-        seeds=(args.seed,),
-        iters=args.iters,
-        config=config,
-    )
-    written = paths[0]
-    if out.suffix:  # exact file name requested
-        written.replace(out)
-        written = out
-    with written.open() as fh:
-        rows = sum(1 for _ in fh) - 1  # minus the header; a run may end before --iters
-    print(f"wrote {rows}-row trace to {written}")
+    p = get_problem(args.problem)
+    spec, cfg = _solver_config(args, p)
+    out = args.out if args.out.suffix else trace_path(args.out, args.problem, spec)
+    _make_out_dir(out.parent)
+    result = solve(p, spec, cfg, x_ref=reference_solution(args.problem).x_star,
+                   collect_psi=True)
+    write_trace_csv(result, out)
+    # A run may end before --iters; the file holds one row per trace record.
+    print(f"wrote {len(result.trace)}-row trace to {out}")
     return 0
 
 
@@ -226,6 +202,8 @@ def _cmd_misest(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.points < 0:
+        raise SystemExit(f"invalid --points {args.points}: must be nonnegative")
     try:
         rng = np.random.default_rng(args.seed)
     except ValueError as err:

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -151,6 +151,11 @@ def write_trace_csv(result: SolveResult, path: Path) -> None:
             )
 
 
+def trace_path(out_dir: Path, problem: str, spec: NoiseSpec) -> Path:
+    """Default trace file name in ``out_dir`` for one problem, noise level and seed."""
+    return Path(out_dir) / f"trace_{problem}_eps{spec.eps1:g}_seed{spec.seed}.csv"
+
+
 def run_trace_experiment(
     out_dir: Path,
     problems: Iterable[str] = PROBLEM_NAMES,
@@ -158,34 +163,28 @@ def run_trace_experiment(
     eps2: float = 1e-3,
     seeds: Iterable[int] = (0,),
     iters: int = 1000,
-    config: Optional[SolverConfig] = None,
 ) -> list[Path]:
     """Write one per-iteration CSV per (problem, seed) and return the paths.
 
-    Runs go the full ``iters`` iterations (stop test disabled) so the
-    trace shows the noise-floor band rather than an early stop.
-    ``config`` supplies the remaining solver settings, estimates
-    included; None means the defaults with each problem's true noise
-    bounds as estimates.  The whole grid is checked, as an
-    :class:`ExperimentPlan`, before any file is written.
+    Runs use the default solver settings with each problem's true noise
+    bounds as estimates, and go the full ``iters`` iterations (stop test
+    disabled) so the trace shows the noise-floor band rather than an
+    early stop.  The whole grid is checked, as an :class:`ExperimentPlan`,
+    before any file is written.
     """
     plan = ExperimentPlan(problems=tuple(problems), eps_levels=((eps1, eps2),),
                           seeds=tuple(seeds), k_max_values=(iters,))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     paths = []
     for name in plan.problems:
         p = get_problem(name)
         for seed in plan.seeds:
             spec = NoiseSpec(eps1, eps2, seed=seed)
-            if config is None:
-                cfg = SolverConfig().with_estimates(spec.bounds(p.n, p.m))
-            else:
-                cfg = config
-            cfg = replace(cfg, max_iters=iters, termination_enabled=False)
+            cfg = SolverConfig(max_iters=iters, termination_enabled=False)
+            cfg = cfg.with_estimates(spec.bounds(p.n, p.m))
             result = solve(p, spec, cfg, x_ref=reference_solution(name).x_star,
                            collect_psi=True)
-            path = out_dir / f"trace_{name}_eps{eps1:g}_seed{seed}.csv"
+            path = trace_path(out_dir, name, spec)
             write_trace_csv(result, path)
             paths.append(path)
     return paths

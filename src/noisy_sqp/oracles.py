@@ -85,8 +85,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.eps1 >= 0 and self.eps2 >= 0):  # NaN fails too
-            raise ValueError("noise half-widths must be nonnegative")
+        if not (0 <= self.eps1 < math.inf and 0 <= self.eps2 < math.inf):  # NaN fails too
+            raise ValueError("noise half-widths must be nonnegative and finite")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

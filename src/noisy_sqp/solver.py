@@ -71,16 +71,17 @@ class SolverConfig:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not 0 < self.tau < 1:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        # Written as `not x > 0` so that NaN fails each check.
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.pi_init > 0:
-            raise ValueError(f"pi_init must be positive, got {self.pi_init}")
-        if not all(e >= 0 for e in (self.eps_f_est, self.eps_c_est, self.eps_g_est,
-                                    self.eps_J_est)):
-            raise ValueError("estimated noise bounds must be nonnegative")
-        if not self.zero_noise_tol >= 0:
-            raise ValueError(f"zero_noise_tol must be nonnegative, got {self.zero_noise_tol}")
+        # Written as chained comparisons so that NaN fails each check too.
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0 < self.pi_init < math.inf:
+            raise ValueError(f"pi_init must be positive and finite, got {self.pi_init}")
+        if not all(0 <= e < math.inf for e in (self.eps_f_est, self.eps_c_est,
+                                                self.eps_g_est, self.eps_J_est)):
+            raise ValueError("estimated noise bounds must be nonnegative and finite")
+        if not 0 <= self.zero_noise_tol < math.inf:
+            raise ValueError(f"zero_noise_tol must be nonnegative and finite, "
+                             f"got {self.zero_noise_tol}")
         if isinstance(self.max_iters, bool) or not (
                 isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
@@ -89,9 +90,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     def with_estimates(self, bounds, multiplier: float = 1.0) -> "SolverConfig":
-        """Copy of this config using `bounds` (times a nonnegative `multiplier`) as estimates."""
-        if not multiplier >= 0:  # NaN fails too, and -1 * 0 would pass as -0.0
-            raise ValueError(f"estimate multiplier must be nonnegative, got {multiplier}")
+        """Copy of this config using `bounds` (times a finite `multiplier` >= 0) as estimates."""
+        if not 0 <= multiplier < math.inf:  # NaN fails too, and -1 * 0 would pass as -0.0
+            raise ValueError(f"estimate multiplier must be nonnegative and finite, "
+                             f"got {multiplier}")
         return replace(
             self,
             eps_f_est=bounds.eps_f * multiplier,

@@ -161,3 +161,23 @@ def svd_gate_passes(J, rank_tol=1e-10):
     """numpy's SVD rank gate: False when sigma_min <= rank_tol * sigma_max."""
     s = np.linalg.svd(J, compute_uv=False)
     return not s[-1] <= rank_tol * s[0]
+
+
+def adversarial_eval_noisy(eval_noisy, frac):
+    """eval_noisy with f and c pushed by e = frac * eps1 against the line search.
+
+    Full evaluations (the iterate x_k) read ``f - e`` and ``c - e*sign(c)``,
+    value-only ones (the line-search trials) read ``f + e`` and
+    ``c + e*sign(c)``, all from the exact values: the worst case of noise
+    bounded by ``eps1`` when ``frac = 1``.  ``eval_noisy``, the function
+    replaced, still runs, so the stream advances as before and g and J keep
+    their uniform noise.  Apply with ``monkeypatch.setattr(solver,
+    "eval_noisy", adversarial_eval_noisy(solver.eval_noisy, frac))``.
+    """
+    def adversary(p, x, spec, stream, derivatives=True):
+        drawn = eval_noisy(p, x, spec, stream, derivatives)
+        exact = oracles.eval_exact(p, x, derivatives=False)
+        e = frac * spec.eps1 if not derivatives else -frac * spec.eps1
+        return oracles.NoisyEval(f=exact.f + e, c=exact.c + e * np.sign(exact.c),
+                                 g=drawn.g, J=drawn.J)
+    return adversary

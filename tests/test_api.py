@@ -1,12 +1,9 @@
 """Tests for the package's public surface."""
 
-import json
-
 import pytest
 
 import noisy_sqp
 from noisy_sqp import NoiseSpec, SolverConfig, Status, get_problem, solve
-from noisy_sqp.cli import dispatch
 
 PUBLIC_NAMES = {
     "ExperimentPlan", "IterateRecord", "NoiseSpec", "NoiseStream", "PROBLEM_NAMES",
@@ -40,9 +37,3 @@ def test_max_backtracks_is_a_constant_not_a_field():
     with pytest.raises(TypeError):
         SolverConfig(alpha_init=1.0)
 
-
-def test_config_file_with_a_removed_field_exits_1(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha_init": 1.0}))
-    assert dispatch(["solve", "--problem", "HS7", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.strip() == "unknown config fields: alpha_init"

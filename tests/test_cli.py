@@ -94,6 +94,27 @@ def test_trace_reports_rows_written_when_run_ends_early(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"wrote {rows}-row trace to {out}"
 
 
+def test_trace_out_file_leaves_the_default_name_untouched(tmp_path, capsys):
+    default = tmp_path / "trace_HS7_eps0.001_seed0.csv"
+    default.write_bytes(b"kept\n")
+    mine = tmp_path / "mine.csv"
+    assert dispatch(["trace", "--problem", "HS7", "--eps1", "1e-3", "--eps2", "1e-3",
+                     "--iters", "20", "--out", str(mine)]) == 0
+    assert capsys.readouterr().out.strip() == f"wrote 20-row trace to {mine}"
+    assert default.read_bytes() == b"kept\n"
+    assert len(mine.read_text().splitlines()) == 21
+
+
+def test_trace_out_directory_gets_the_default_name(tmp_path, capsys):
+    base = ["trace", "--problem", "HS7", "--eps1", "1e-3", "--eps2", "1e-3", "--iters", "20"]
+    out_dir = tmp_path / "d"
+    assert dispatch(base + ["--out", str(out_dir)]) == 0
+    assert dispatch(base + ["--out", str(out_dir / "x.csv")]) == 0
+    written = out_dir / "trace_HS7_eps0.001_seed0.csv"
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote 20-row trace to {written}"
+    assert written.read_bytes() == (out_dir / "x.csv").read_bytes()
+
+
 def test_check_passes_on_shipped_problems(capsys):
     assert dispatch(["check", "--points", "5"]) == 0
     out = capsys.readouterr().out
@@ -107,35 +128,13 @@ def test_usage_errors_exit_1(capsys):
     assert dispatch(["solve", "--problem", "HS99"]) == 1      # unknown choice
     assert dispatch(["frobnicate"]) == 1
     assert dispatch(["misest", "--kmax", "5"]) == 1           # --kmax belongs to tables
+    assert dispatch(["solve", "--problem", "HS7", "--config", "x.json"]) == 1  # flags only
     capsys.readouterr()
 
 
 def test_help_exits_0(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()
-
-
-def test_config_file_applies_and_flags_override(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"beta": 3.0, "max_iters": 150}))
-    code = dispatch(["solve", "--problem", "BT11", "--config", str(cfg)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "converged" in out
-
-    # flag wins over the file
-    cfg.write_text(json.dumps({"beta": 50.0}))
-    code = dispatch(["solve", "--problem", "BT11", "--config", str(cfg),
-                     "--beta", "3", "--max-iters", "150"])
-    assert code == 0
-    assert "converged" in capsys.readouterr().out
-
-
-def test_config_file_rejects_unknown_fields(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    assert dispatch(["solve", "--problem", "HS7", "--config", str(cfg)]) == 1
-    assert "unknown config fields" in capsys.readouterr().err
 
 
 def test_tables_small_grid(tmp_path, capsys):
@@ -179,6 +178,10 @@ def test_misest_small_grid(tmp_path, capsys):
         (["tables", "--kmax", "0"], "max_iters must be a positive integer"),
         (["solve", "--problem", "HS7", "--beta", "nan"], "beta must be positive"),
         (["check", "--seed", "-1"], "invalid --seed -1"),
+        (["tables", "--eps-levels", "inf"], "half-widths must be nonnegative and finite"),
+        (["solve", "--problem", "HS7", "--eps1", "inf"],
+         "half-widths must be nonnegative and finite"),
+        (["check", "--points", "-1"], "invalid --points -1"),
     ],
 )
 def test_bad_input_exits_1_with_one_line_before_any_run(argv, message, monkeypatch, capsys):
@@ -189,34 +192,13 @@ def _assert_rejected_before_any_run(argv, message, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    for name in ("solve", "run_trace_experiment", "run_relaxation_table",
-                 "run_misestimation_table"):
+    for name in ("solve", "run_relaxation_table", "run_misestimation_table"):
         monkeypatch.setattr(f"noisy_sqp.cli.{name}", no_run)
     assert dispatch(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
     assert len(captured.err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize(
-    "content,message",
-    [
-        (None, "No such file or directory"),
-        ("{\"beta\": 3.0,", "invalid solver config: Expecting property name"),
-        ("[1, 2]", "does not hold a JSON object"),
-        ("{\"max_iters\": 2.5}", "max_iters must be a positive integer, got 2.5"),
-        ("{\"termination_enabled\": \"no\"}", "termination_enabled must be true or false"),
-    ],
-    ids=["missing", "malformed", "not-an-object", "float-max-iters", "string-flag"],
-)
-def test_bad_config_file_exits_1_with_one_line_before_any_run(
-        content, message, tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg.json"
-    if content is not None:
-        cfg.write_text(content)
-    _assert_rejected_before_any_run(["solve", "--problem", "HS7", "--config", str(cfg)],
-                                    message, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("command", ["tables", "misest"])

@@ -178,9 +178,10 @@ class TestPlanValidation:
             ({"eps_levels": ((1e-3, 1e-3), (1e-3, -1e-3))}, "nonnegative"),
             ({"k_max_values": (20, 0)}, "max_iters must be a positive integer, got 0"),
             ({"misest_max_iters": 2.5}, "max_iters must be a positive integer, got 2.5"),
+            ({"eps_levels": ((1e-3, 1e-3), (math.inf, math.inf))}, "nonnegative and finite"),
         ],
         ids=["problem", "negative-seed", "float-seed", "nan-eps", "negative-eps2", "k-max",
-             "misest-max-iters"],
+             "misest-max-iters", "inf-eps"],
     )
     def test_bad_grid_raises_before_any_run(self, grid, message, no_solve):
         base = {"problems": ("HS7",), "eps_levels": ((1e-3, 1e-3),), "seeds": (0, 1),
@@ -193,8 +194,9 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"problems": ("HS7", "FOO")}, {"seeds": (0, -1)}, {"eps1": math.nan}, {"iters": 0}],
-        ids=["problem", "seed", "eps", "iters"],
+        [{"problems": ("HS7", "FOO")}, {"seeds": (0, -1)}, {"eps1": math.nan}, {"iters": 0},
+         {"eps2": math.inf}],
+        ids=["problem", "seed", "eps", "iters", "inf-eps"],
     )
     def test_bad_trace_grid_writes_no_file(self, kwargs, tmp_path, no_solve):
         out = tmp_path / "traces"

@@ -588,6 +588,13 @@ class TestSolverConfig:
             {"relaxation_enabled": "no"},
             {"termination_enabled": "no"},
             {"termination_enabled": 0},
+            {"beta": math.inf},
+            {"pi_init": math.inf},
+            {"eps_f_est": math.inf},
+            {"eps_c_est": math.inf},
+            {"eps_g_est": math.inf},
+            {"eps_J_est": math.inf},
+            {"zero_noise_tol": math.inf},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -602,7 +609,7 @@ class TestSolverConfig:
         assert cfg.eps_g_est == pytest.approx(2e-2)
         assert cfg.eps_J_est == pytest.approx(6e-2)
 
-    @pytest.mark.parametrize("multiplier", [-1.0, math.nan])
+    @pytest.mark.parametrize("multiplier", [-1.0, math.nan, math.inf])
     def test_with_estimates_rejects_bad_multiplier_even_with_zero_bounds(self, multiplier):
         zero = NoiseSpec(0.0, 0.0).bounds(4, 3)
         with pytest.raises(ValueError, match="multiplier must be nonnegative"):
