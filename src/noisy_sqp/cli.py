@@ -109,9 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_config(args, problem) -> tuple[NoiseSpec, SolverConfig]:
-    # Estimated bounds default to the true derived bounds, optionally rescaled.
     try:
         spec = NoiseSpec(args.eps1, args.eps2, seed=args.seed)
+    except ValueError as err:
+        raise SystemExit(f"invalid noise: {err}") from None
+    # Estimated bounds default to the true derived bounds, optionally rescaled.
+    try:
         flags = {f: getattr(args, f) for f in _CONFIG_FLAGS if getattr(args, f) is not None}
         cfg = SolverConfig(relaxation_enabled=not args.no_relaxation,
                            termination_enabled=not args.no_termination, **flags)

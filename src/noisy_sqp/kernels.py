@@ -18,7 +18,7 @@ singular vectors may never return for a J holding an infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd
@@ -43,8 +43,7 @@ class NonFiniteJacobianError(np.linalg.LinAlgError):
     """Constraint Jacobian holds a NaN or an infinity."""
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """Step d = v + u, its orthogonal components, and the multiplier estimate."""
 
     d: Vector
@@ -116,4 +115,4 @@ def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
     lambda_hat = U @ (vg / s)
     v = -(Vt.T @ ((U.T @ c) / s))
     u = -(g - Vt.T @ vg) / beta
-    return StepResult(d=v + u, v=v, u=u, lambda_hat=lambda_hat)
+    return StepResult(v + u, v, u, lambda_hat)

@@ -13,7 +13,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -242,17 +242,21 @@ class NoiseStream:
         return self._rng
 
 
-@dataclass(frozen=True)
-class NoisyEval:
+class NoisyEval(NamedTuple):
     """One (possibly perturbed) oracle evaluation: value, constraints, derivatives.
 
-    ``g`` and ``J`` are None for a value-only evaluation.
+    ``g`` and ``J`` are None for a value-only evaluation.  ``exact`` is the
+    unperturbed evaluation at the same point that :func:`eval_noisy` drew
+    its noise onto, so callers can read the exact g, c and J without
+    calling the problem again; it is None on :func:`eval_exact`'s own
+    result.
     """
 
     f: float
     c: Vector
     g: Optional[Vector]
     J: Optional[Matrix]
+    exact: Optional["NoisyEval"] = None
 
 
 def _check_point(p: Problem, x: Vector) -> Vector:
@@ -272,13 +276,9 @@ def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
     f = float(p.eval_f(x))
     c = np.asarray(p.eval_c(x), dtype=float)
     if not derivatives:
-        return NoisyEval(f=f, c=c, g=None, J=None)
-    return NoisyEval(
-        f=f,
-        c=c,
-        g=np.asarray(p.eval_g(x), dtype=float),
-        J=np.asarray(p.eval_J(x), dtype=float),
-    )
+        return NoisyEval(f, c, None, None)
+    return NoisyEval(f, c, np.asarray(p.eval_g(x), dtype=float),
+                     np.asarray(p.eval_J(x), dtype=float))
 
 
 @functools.lru_cache(maxsize=128)
@@ -298,6 +298,11 @@ def eval_noisy(
 ) -> NoisyEval:
     """Evaluate the oracles at x and add one fresh uniform draw per scalar.
 
+    One :func:`eval_exact` call gives the exact values and one
+    :meth:`NoiseStream.next_rng` call the evaluation's block of draws
+    ``u``, mapped in place to ``lo + span * u`` (``lo = -eps``,
+    ``span = eps - -eps``) with the bits of ``Generator.uniform``.
+
     Parameters
     ----------
     p : Problem
@@ -315,21 +320,24 @@ def eval_noisy(
     -------
     NoisyEval with `|f_noisy - f| <= eps1`, entrywise `|c_i| <= eps1`
     off the exact constraint values, and entrywise `eps2` bounds on the
-    gradient and Jacobian perturbations.  With eps1 = eps2 = 0 the
-    result equals :func:`eval_exact` bitwise.
+    gradient and Jacobian perturbations.  Its ``exact`` field is the one
+    :func:`eval_exact` result the noise was added to.  With eps1 = eps2 = 0
+    the result equals :func:`eval_exact` bitwise.
     """
     exact = eval_exact(p, x, derivatives)
     rng = stream.next_rng()
-    f, c, g, J = exact.f, exact.c, exact.g, exact.J
+    f, c, g, J, _ = exact
     k1, k2, lo, span = _noise_map(spec.eps1, spec.eps2, p.m, p.n, derivatives)
-    # One block of draws in the order f, c, g, J (row-major), mapped in one
-    # step by the per-entry lo + span * u of Generator.uniform, so the values
+    # One block of draws in the order f, c, g, J (row-major), mapped in place
+    # to the per-entry lo + span * u of Generator.uniform, so the values
     # equal separate uniform(-eps, eps) calls bit for bit.
-    w = lo + span * rng.random(k1 + k2)
+    w = rng.random(k1 + k2)
+    w *= span
+    w += lo
     if k1:
         f = f + float(w[0])
         c = c + w[1:k1]
     if k2:
         g = g + w[k1:k1 + p.n]
         J = J + w[k1 + p.n:].reshape(p.m, p.n)
-    return NoisyEval(f=f, c=c, g=g, J=J)
+    return NoisyEval(f, c, g, J, exact)

@@ -186,7 +186,7 @@ def relaxed_line_search(
     model: float,
     nu: float,
     eps_R: float,
-    max_backtracks: int = 50,
+    max_backtracks: int = SolverConfig.max_backtracks,
 ) -> Optional[tuple[float, int]]:
     """Backtracking search for the relaxed sufficient-decrease condition.
 
@@ -256,8 +256,10 @@ def solve(
 
     ``x_ref`` (when given) fills the per-iterate distance column of the
     trace; ``collect_psi`` additionally records the exact-oracle
-    stationarity measure, at the cost of one exact evaluation per
-    iteration (nan where the exact Jacobian fails the rank gate).
+    stationarity measure (nan where the exact Jacobian fails the rank
+    gate).  It reads the exact g, c and J that the noisy evaluation at
+    x_k already computed, so it calls no problem callback; its cost is
+    the measure's projection.
     Terminal events (line-search failure, rank-deficient Jacobian, a
     non-finite oracle value) are reported through ``SolveResult.status``
     with the partial trace intact.
@@ -277,9 +279,9 @@ def solve(
             dist = math.nan
         psi = math.nan
         if collect_psi:
+            exact = ev.exact  # unperturbed g, c and J at x, from this iteration's evaluation
             try:
-                psi = stationarity_psi(p.eval_g(x), p.eval_c(x), p.eval_J(x), pi, cfg.tau,
-                                       cfg.beta)
+                psi = stationarity_psi(exact.g, exact.c, exact.J, pi, cfg.tau, cfg.beta)
             except (SingularJacobianError, NonFiniteJacobianError):
                 pass
         trace.append(

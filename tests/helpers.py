@@ -101,7 +101,7 @@ def two_step_eval_noisy(p, x, spec, stream, derivatives=True):
         w = -e2 + (e2 - -e2) * u[k1:]
         g = g + w[:p.n]
         J = J + w[p.n:].reshape(p.m, p.n)
-    return oracles.NoisyEval(f=float(f), c=c, g=g, J=J)
+    return oracles.NoisyEval(f=float(f), c=c, g=g, J=J, exact=exact)
 
 
 def uniform_reference_eval(p, x, spec, stream):
@@ -168,16 +168,17 @@ def adversarial_eval_noisy(eval_noisy, frac):
 
     Full evaluations (the iterate x_k) read ``f - e`` and ``c - e*sign(c)``,
     value-only ones (the line-search trials) read ``f + e`` and
-    ``c + e*sign(c)``, all from the exact values: the worst case of noise
-    bounded by ``eps1`` when ``frac = 1``.  ``eval_noisy``, the function
+    ``c + e*sign(c)``, all from the drawn evaluation's ``exact`` values,
+    which the result keeps: the worst case of noise bounded by ``eps1``
+    when ``frac = 1``.  ``eval_noisy``, the function
     replaced, still runs, so the stream advances as before and g and J keep
     their uniform noise.  Apply with ``monkeypatch.setattr(solver,
     "eval_noisy", adversarial_eval_noisy(solver.eval_noisy, frac))``.
     """
     def adversary(p, x, spec, stream, derivatives=True):
         drawn = eval_noisy(p, x, spec, stream, derivatives)
-        exact = oracles.eval_exact(p, x, derivatives=False)
+        exact = drawn.exact
         e = frac * spec.eps1 if not derivatives else -frac * spec.eps1
         return oracles.NoisyEval(f=exact.f + e, c=exact.c + e * np.sign(exact.c),
-                                 g=drawn.g, J=drawn.J)
+                                 g=drawn.g, J=drawn.J, exact=exact)
     return adversary

@@ -164,8 +164,10 @@ def test_misest_small_grid(tmp_path, capsys):
         (["solve", "--problem", "HS7", "--beta", "-1"], "beta must be positive"),
         (["solve", "--problem", "HS7", "--max-iters", "0"],
          "max_iters must be a positive integer"),
-        (["solve", "--problem", "HS7", "--seed", "-1"], "seed must be a nonnegative integer"),
-        (["solve", "--problem", "HS7", "--eps1", "-0.001"], "half-widths must be nonnegative"),
+        (["solve", "--problem", "HS7", "--seed", "-1"],
+         "invalid noise: seed must be a nonnegative integer"),
+        (["solve", "--problem", "HS7", "--eps1", "-0.001"],
+         "invalid noise: noise half-widths must be nonnegative"),
         (["solve", "--problem", "HS7", "--eps1", "1e-3", "--est-multiplier", "nan"],
          "estimate multiplier must be nonnegative"),
         (["solve", "--problem", "HS7", "--tau", "1.5"], "tau must lie in (0, 1)"),
@@ -180,7 +182,7 @@ def test_misest_small_grid(tmp_path, capsys):
         (["check", "--seed", "-1"], "invalid --seed -1"),
         (["tables", "--eps-levels", "inf"], "half-widths must be nonnegative and finite"),
         (["solve", "--problem", "HS7", "--eps1", "inf"],
-         "half-widths must be nonnegative and finite"),
+         "invalid noise: noise half-widths must be nonnegative and finite"),
         (["check", "--points", "-1"], "invalid --points -1"),
     ],
 )

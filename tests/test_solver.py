@@ -31,6 +31,7 @@ from noisy_sqp import (
     reference_solution,
     solve,
 )
+from noisy_sqp.diagnostics import stationarity_psi
 from noisy_sqp.solver import (
     check_termination,
     linear_model,
@@ -343,6 +344,49 @@ class TestOnePassOraclePreservesRuns:
             for row, step, x_next in zip(b.trace, run_steps, ends):
                 if math.isfinite(row.alpha):
                     assert x_next.tobytes() == (row.x + row.alpha * step.d).tobytes()
+
+
+class TestPsiReadsTheIterateEvaluation:
+    """psi comes from the exact g, c and J of the noisy evaluation at x_k."""
+
+    @staticmethod
+    def _counted(p):
+        calls = dict.fromkeys("fcgJ", 0)
+
+        def counted(quantity):
+            clean = getattr(p, f"eval_{quantity}")
+
+            def callback(x):
+                calls[quantity] += 1
+                return clean(x)
+            return callback
+
+        return replace(p, **{f"eval_{q}": counted(q) for q in calls}), calls
+
+    def test_each_derivative_is_evaluated_once_per_iteration(self):
+        p, calls = self._counted(get_problem("BT11"))
+        spec = NoiseSpec(1e-3, 1e-3, seed=3)
+        cfg = SolverConfig(max_iters=60, termination_enabled=False).with_estimates(
+            spec.bounds(p.n, p.m))
+        result = solve(p, spec, cfg, x_ref=reference_solution("BT11").x_star,
+                       collect_psi=True)
+        assert result.status is Status.MAX_ITERS
+        iters = len(result.trace)
+        trials = sum(r.backtracks + 1 for r in result.trace)
+        assert np.all(np.isfinite([r.psi for r in result.trace]))
+        assert calls == {"f": iters + trials, "c": iters + trials, "g": iters, "J": iters}
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
+    def test_psi_equals_a_fresh_exact_evaluation(self, name, eps):
+        p = get_problem(name)
+        spec = NoiseSpec(eps, eps, seed=17)
+        cfg = SolverConfig(max_iters=150, termination_enabled=False).with_estimates(
+            spec.bounds(p.n, p.m))
+        result = solve(p, spec, cfg, x_ref=reference_solution(name).x_star, collect_psi=True)
+        expected = [stationarity_psi(p.eval_g(r.x), p.eval_c(r.x), p.eval_J(r.x), r.pi,
+                                     cfg.tau, cfg.beta) for r in result.trace]
+        assert np.array([r.psi for r in result.trace]).tobytes() == np.array(expected).tobytes()
 
 
 def _random_problem(seed):
