@@ -184,8 +184,8 @@ def _emit_tables(summaries, render, table_name: str, args) -> int:
     if args.out:
         for eps in sorted({s.eps1 for s in summaries}):
             rows = [s for s in summaries if s.eps1 == eps]
-            path = args.out / f"{table_name}_eps{eps:g}.json"
-            path.write_text(summaries_to_json(rows, f"{table_name} eps={eps:g}"))
+            path = args.out / f"{table_name}_eps{eps!r}.json"
+            path.write_text(summaries_to_json(rows, f"{table_name} eps={eps!r}"))
             print(f"wrote {path}")
     if args.format == "text":
         print(render(summaries))

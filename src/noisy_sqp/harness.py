@@ -63,13 +63,17 @@ class ExperimentPlan:
         if unknown:
             raise ValueError(f"unknown problems: {', '.join(unknown)} "
                              f"(choose from {', '.join(PROBLEM_NAMES)})")
-        # NoiseSpec and SolverConfig own the value rules: build one per value.
-        for eps1, eps2 in self.eps_levels:
-            NoiseSpec(eps1, eps2)
-        for seed in self.seeds:
-            NoiseSpec(0.0, 0.0, seed)
-        for k_max in (*self.k_max_values, self.misest_max_iters):
-            SolverConfig(max_iters=k_max)
+        # NoiseSpec and SolverConfig own the value rules: build one per value
+        # and keep the builtin value it stores.
+        specs = [NoiseSpec(eps1, eps2) for eps1, eps2 in self.eps_levels]
+        builtin = {
+            "eps_levels": tuple((s.eps1, s.eps2) for s in specs),
+            "seeds": tuple(NoiseSpec(0.0, 0.0, seed).seed for seed in self.seeds),
+            "k_max_values": tuple(SolverConfig(max_iters=k).max_iters for k in self.k_max_values),
+            "misest_max_iters": SolverConfig(max_iters=self.misest_max_iters).max_iters,
+        }
+        for name, value in builtin.items():
+            object.__setattr__(self, name, value)
 
     def multipliers_for(self, eps1: float) -> tuple[float, ...]:
         return MISESTIMATION_MULTIPLIERS.get(eps1, (1.0, 1e-1, 1e1))
@@ -152,8 +156,11 @@ def write_trace_csv(result: SolveResult, path: Path) -> None:
 
 
 def trace_path(out_dir: Path, problem: str, spec: NoiseSpec) -> Path:
-    """Default trace file name in ``out_dir`` for one problem, noise level and seed."""
-    return Path(out_dir) / f"trace_{problem}_eps{spec.eps1:g}_seed{spec.seed}.csv"
+    """Default trace file name in ``out_dir`` for one problem, noise level and seed.
+
+    The level is written with repr, so distinct levels get distinct names.
+    """
+    return Path(out_dir) / f"trace_{problem}_eps{spec.eps1!r}_seed{spec.seed}.csv"
 
 
 def run_trace_experiment(

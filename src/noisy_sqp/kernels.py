@@ -8,12 +8,23 @@ has the closed-form solution d = v + u with a normal component
 v = -J'(JJ')^{-1} c restoring linearized feasibility and a tangential
 component u = -(1/beta) P g, where P = I - J'(JJ')^{-1} J projects onto
 the null space of J.  Every quantity comes from one thin SVD
-J = U diag(s) Vt (one LAPACK dgesdd call): s gives the rank gate,
-v = -Vt' (U'c / s), lambda_hat = U (Vt g / s) and P w = w - Vt'(Vt w).
-No Gram matrix JJ' is formed, so the solves keep the conditioning of J
-rather than its square, and no n-by-n projector is formed either.
-The finiteness check comes before dgesdd because dgesdd computing
-singular vectors may never return for a J holding an infinity.
+J = U diag(s) Vt: s gives the rank gate, v = -Vt' (U'c / s),
+lambda_hat = U (Vt g / s) and P w = w - Vt'(Vt w).  No Gram matrix JJ'
+is formed, so the solves keep the conditioning of J rather than its
+square, and no n-by-n projector is formed either.
+
+The SVD is numpy's LAPACK gufunc numpy.linalg._umath_linalg.svd_s (the
+dgesdd call behind np.linalg.svd(J, full_matrices=False), without that
+wrapper's per-call cost).  Three guards go with it:
+
+- the finiteness check comes first, because the SVD computing singular
+  vectors may never return for a J holding an infinity;
+- the gufunc does not raise when LAPACK fails to converge but fills its
+  outputs with NaN, so a NaN s[0] raises LinAlgError;
+- U and Vt are allocated in Fortran order (order="F"), the layout
+  LAPACK writes them in; the default would be C order, and numpy's
+  matmul picks its BLAS call by layout, so only this one gives the step
+  its bits.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
+from numpy.linalg import _umath_linalg
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -58,13 +69,14 @@ def factor_jacobian(J: Matrix) -> tuple[Matrix, Vector, Matrix]:
     s holds the singular values in descending order.  Raises
     NonFiniteJacobianError when J holds a NaN or an infinity, and
     SingularJacobianError when sigma_min <= RANK_TOL * sigma_max, where
-    a J with more rows than columns has sigma_min = 0.
+    a J with more rows than columns has sigma_min = 0, and LinAlgError
+    when the SVD does not converge.
     """
     if not np.isfinite(J).all():
         raise NonFiniteJacobianError("Jacobian has a NaN or an infinite entry")
-    U, s, Vt, info = dgesdd(J, compute_uv=1, full_matrices=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info={info})")
+    U, s, Vt = _umath_linalg.svd_s(J, order="F")
+    if not s[0] == s[0]:
+        raise np.linalg.LinAlgError("SVD did not converge")
     sigma_min = s[-1] if len(s) == len(J) else 0.0
     if not sigma_min > RANK_TOL * s[0]:
         raise SingularJacobianError(sigma_min)

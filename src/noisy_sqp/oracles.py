@@ -77,7 +77,8 @@ class NoiseSpec:
 
     ``eps1`` is the half-width for the objective and each constraint
     value, ``eps2`` for each gradient and Jacobian entry.  ``seed``, an
-    integer >= 0, keys the deterministic noise stream.
+    integer >= 0, keys the deterministic noise stream.  Numpy scalars are
+    stored as the builtin float and int, so specs serialize to JSON.
     """
 
     eps1: float
@@ -87,8 +88,12 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0 <= self.eps1 < math.inf and 0 <= self.eps2 < math.inf):  # NaN fails too
             raise ValueError("noise half-widths must be nonnegative and finite")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (
+                isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "eps1", float(self.eps1))
+        object.__setattr__(self, "eps2", float(self.eps2))
+        object.__setattr__(self, "seed", int(self.seed))
 
     def bounds(self, n: int, m: int) -> NoiseBounds:
         """Derived norm bounds for a problem of size (n, m).

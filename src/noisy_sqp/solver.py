@@ -85,6 +85,7 @@ class SolverConfig:
         if isinstance(self.max_iters, bool) or not (
                 isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         for name in ("relaxation_enabled", "termination_enabled"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")

@@ -1,5 +1,10 @@
 """Tests for the package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import noisy_sqp
@@ -19,6 +24,16 @@ def test_all_lists_exactly_the_public_names():
     assert set(noisy_sqp.__all__) == PUBLIC_NAMES
     for name in noisy_sqp.__all__:
         assert getattr(noisy_sqp, name) is not None
+
+
+def test_package_and_cli_never_import_scipy():
+    code = ("import sys, noisy_sqp, noisy_sqp.cli\n"
+            "for name in noisy_sqp.PROBLEM_NAMES: noisy_sqp.reference_solution(name)\n"
+            "print('scipy' in sys.modules)")
+    src = str(Path(noisy_sqp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_readme_library_example_runs():

@@ -148,6 +148,16 @@ def test_tables_small_grid(tmp_path, capsys):
     assert "wrote" in out
 
 
+def test_close_levels_get_distinct_files(tmp_path, capsys):
+    code = dispatch(["tables", "--problems", "HS7", "--eps-levels", "0.001,0.0010000001",
+                     "--seeds", "0", "--kmax", "20", "--out", str(tmp_path), "--format", "json"])
+    capsys.readouterr()
+    assert code == 0
+    for eps in (0.001, 0.0010000001):
+        doc = json.loads((tmp_path / f"relaxation_eps{eps!r}.json").read_text())
+        assert doc["runs"] and {r["eps1"] for r in doc["runs"]} == {eps}
+
+
 def test_misest_small_grid(tmp_path, capsys):
     code = dispatch(["misest", "--problems", "HS7", "--eps-levels", "1e-5",
                      "--seeds", "1", "--out", str(tmp_path)])

@@ -174,14 +174,15 @@ class TestPlanValidation:
             ({"problems": ("HS7", "FOO")}, "unknown problems: FOO (choose from HS7, BT11, HS40)"),
             ({"seeds": (0, 1, -1)}, "seed must be a nonnegative integer, got -1"),
             ({"seeds": (0, 1.5)}, "seed must be a nonnegative integer, got 1.5"),
+            ({"seeds": (True,)}, "seed must be a nonnegative integer, got True"),
             ({"eps_levels": ((1e-3, 1e-3), (math.nan, math.nan))}, "nonnegative"),
             ({"eps_levels": ((1e-3, 1e-3), (1e-3, -1e-3))}, "nonnegative"),
             ({"k_max_values": (20, 0)}, "max_iters must be a positive integer, got 0"),
             ({"misest_max_iters": 2.5}, "max_iters must be a positive integer, got 2.5"),
             ({"eps_levels": ((1e-3, 1e-3), (math.inf, math.inf))}, "nonnegative and finite"),
         ],
-        ids=["problem", "negative-seed", "float-seed", "nan-eps", "negative-eps2", "k-max",
-             "misest-max-iters", "inf-eps"],
+        ids=["problem", "negative-seed", "float-seed", "bool-seed", "nan-eps", "negative-eps2",
+             "k-max", "misest-max-iters", "inf-eps"],
     )
     def test_bad_grid_raises_before_any_run(self, grid, message, no_solve):
         base = {"problems": ("HS7",), "eps_levels": ((1e-3, 1e-3),), "seeds": (0, 1),
@@ -191,6 +192,18 @@ class TestPlanValidation:
             run_relaxation_table(plan)
             run_misestimation_table(plan)
         assert message in str(err.value)
+
+    def test_numpy_scalars_serialize_as_builtins(self):
+        eps = np.float64(1e-3)
+        plan = ExperimentPlan(problems=("HS7",), eps_levels=((eps, eps),), seeds=(np.int64(1),),
+                              k_max_values=(np.int64(20),), misest_max_iters=np.int64(20))
+        assert plan.seeds == (1,) and type(plan.seeds[0]) is int
+        assert type(plan.k_max_values[0]) is int and type(plan.misest_max_iters) is int
+        assert type(plan.eps_levels[0][0]) is float
+        for rows in (run_relaxation_table(plan), run_misestimation_table(plan)):
+            doc = json.loads(summaries_to_json(rows, "t"))
+            assert {r["seed"] for r in doc["runs"]} == {1}
+            assert {r["k_max"] for r in doc["runs"]} == {20}
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,5 +1,7 @@
 """Tests for the step kernels against independent dense oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,7 @@ from helpers import (
     random_full_rank,
     svd_gate_passes,
 )
-from noisy_sqp import get_problem
+from noisy_sqp import get_problem, kernels
 from noisy_sqp.diagnostics import evaluate_diagnostics
 from noisy_sqp.kernels import (
     NonFiniteJacobianError,
@@ -187,9 +189,10 @@ class TestBatchReadiness:
     """The step formulas stack: one np.linalg.svd over all instances of a
     shape gives every instance's step bit for bit.
 
-    dgesdd returns Fortran-ordered U and Vt, and numpy's matmul picks its
-    BLAS call by layout, so the stacked factors are laid out the same way
-    per matrix (one copy of the whole stack) before the stacked products.
+    factor_jacobian returns Fortran-ordered U and Vt, and numpy's matmul
+    picks its BLAS call by layout, so the stacked factors are laid out the
+    same way per matrix (one copy of the whole stack) before the stacked
+    products.
     """
 
     @pytest.mark.parametrize("shape", [(1, 2), (2, 4), (3, 5), (3, 3)])
@@ -251,7 +254,29 @@ def gate_instances(draw):
 
 
 class TestRankGate:
-    """The dgesdd gate decides as numpy's SVD gate does."""
+    """factor_jacobian's gate decides as numpy's SVD gate does, on the same factors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_instances())
+    def test_factors_equal_numpy_svd_bitwise_in_fortran_order(self, J):
+        assume(svd_gate_passes(J))
+        U, s, Vt = factor_jacobian(J)
+        for got, want in zip((U, s, Vt), np.linalg.svd(J, full_matrices=False)):
+            assert np.array_equal(got, want)
+        assert U.flags.f_contiguous and Vt.flags.f_contiguous
+
+    def test_nan_filled_svd_raises_linalg_error(self, monkeypatch):
+        # The gufunc reports a LAPACK convergence failure only by NaN outputs.
+        def nan_svd(J, **kwargs):
+            m, n = J.shape
+            k = min(m, n)
+            return np.full((m, k), np.nan), np.full(k, np.nan), np.full((k, n), np.nan)
+
+        monkeypatch.setattr(kernels, "_umath_linalg", SimpleNamespace(svd_s=nan_svd))
+        J = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]])
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge") as err:
+            factor_jacobian(J)
+        assert not isinstance(err.value, NonFiniteJacobianError)
 
     @settings(max_examples=300, deadline=None)
     @given(gate_instances())
@@ -270,8 +295,8 @@ class TestRankGate:
     def test_non_finite_entry_raises_linalg_error(self, value):
         small = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]])
         small[1, 2] = value
-        # dgesdd computing singular vectors never returned for this one
-        # with inf at [0, 0]: the finiteness check has to come first.
+        # LAPACK's SVD computing singular vectors never returned for this
+        # one with inf at [0, 0]: the finiteness check has to come first.
         p = get_problem("BT11")
         bt11 = p.eval_J(p.x_start)
         bt11[0, 0] = value
@@ -286,7 +311,7 @@ class TestRankGate:
 
     def test_tall_jacobian_fails_gate(self):
         # More rows than columns: m - n singular values are zero, though
-        # dgesdd returns only the n nonzero ones.
+        # the thin SVD returns only the n nonzero ones.
         J = np.random.default_rng(7).normal(size=(3, 2))
         for call in (lambda: factor_jacobian(J),
                      lambda: solve_sqp_step(J, np.ones(3), np.ones(2), 1.0),
@@ -297,6 +322,7 @@ class TestRankGate:
             assert err.value.sigma_min == 0.0
 
     def test_kernels_and_diagnostics_take_no_numpy_svd(self, monkeypatch):
+        # They call the LAPACK gufunc directly, not np.linalg.svd's wrapper.
         def no_svd(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")
 

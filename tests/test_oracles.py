@@ -300,10 +300,15 @@ class TestValidation:
             with pytest.raises(ValueError, match="nonnegative"):
                 NoiseSpec(eps1, eps2)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, math.nan, "0"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, math.nan, "0", True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             NoiseSpec(1e-3, 1e-3, seed=seed)
+
+    def test_numpy_scalars_stored_as_builtins(self):
+        spec = NoiseSpec(np.float64(1e-3), np.float32(0.5), seed=np.int64(7))
+        assert (type(spec.eps1), type(spec.eps2), type(spec.seed)) == (float, float, int)
+        assert (spec.eps1, spec.eps2, spec.seed) == (1e-3, 0.5, 7)
 
     def test_wide_seed_accepted(self):
         spec = NoiseSpec(1e-3, 1e-3, seed=2**40)
