@@ -71,6 +71,11 @@ class NoiseBounds:
     eps_J: float
 
 
+def _is_real(value) -> bool:
+    """True for a real number other than a bool, which would pass range checks as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Half-widths of the uniform noise added to oracle evaluations.
@@ -86,8 +91,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.eps1 < math.inf and 0 <= self.eps2 < math.inf):  # NaN fails too
-            raise ValueError("noise half-widths must be nonnegative and finite")
+        # NaN fails the range check too.
+        if not all(_is_real(e) and 0 <= e < math.inf for e in (self.eps1, self.eps2)):
+            raise ValueError("noise half-widths must be nonnegative and finite numbers")
         if isinstance(self.seed, bool) or not (
                 isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")

@@ -18,14 +18,14 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .diagnostics import stationarity_psi
 from .kernels import NonFiniteJacobianError, SingularJacobianError, solve_sqp_step
-from .oracles import Matrix, NoiseSpec, Problem, Vector, eval_noisy
+from .oracles import Matrix, NoiseSpec, Problem, Vector, _check_point, _is_real, eval_noisy
 
 __all__ = [
     "SolverConfig",
@@ -67,6 +67,10 @@ class SolverConfig:
     zero_noise_tol: float = 1e-8
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not _is_real(value):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if not 0 < self.nu < 1:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not 0 < self.tau < 1:
@@ -92,7 +96,8 @@ class SolverConfig:
 
     def with_estimates(self, bounds, multiplier: float = 1.0) -> "SolverConfig":
         """Copy of this config using `bounds` (times a finite `multiplier` >= 0) as estimates."""
-        if not 0 <= multiplier < math.inf:  # NaN fails too, and -1 * 0 would pass as -0.0
+        # NaN fails too, and -1 * 0 would pass as -0.0.
+        if not (_is_real(multiplier) and 0 <= multiplier < math.inf):
             raise ValueError(f"estimate multiplier must be nonnegative and finite, "
                              f"got {multiplier}")
         return replace(
@@ -255,7 +260,7 @@ def solve(
     merit evaluation.  The relaxation margin is eps_R = 2*(eps_f_est +
     pi_k*eps_c_est) when enabled, else 0.
 
-    ``x_ref`` (when given) fills the per-iterate distance column of the
+    ``x_ref`` (when given, of shape (n,)) fills the per-iterate distance column of the
     trace; ``collect_psi`` additionally records the exact-oracle
     stationarity measure (nan where the exact Jacobian fails the rank
     gate).  It reads the exact g, c and J that the noisy evaluation at
@@ -265,6 +270,8 @@ def solve(
     non-finite oracle value) are reported through ``SolveResult.status``
     with the partial trace intact.
     """
+    if x_ref is not None:
+        x_ref = _check_point(p, x_ref)
     stream = spec.stream()
     x = np.array(p.x_start, dtype=float)
     pi = cfg.pi_init

@@ -34,6 +34,19 @@ def test_solve_without_relaxation_exits_2(capsys):
     assert "failure at:     iteration" in out
 
 
+def test_solve_reports_a_rank_deficient_end_point_and_exits_3(capsys):
+    # The run ends singular_jacobian; J at the end point fails the rank gate
+    # again, and the report prints n/a for the KKT residual, not a traceback.
+    code = dispatch(["solve", "--problem", "BT11", "--eps1", "1e-3", "--eps2", "1e-3",
+                     "--beta", "0.01", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "status:         singular_jacobian" in captured.out
+    assert "kkt residual:   n/a (Jacobian numerically rank deficient" in captured.out
+    assert "dist to x*:" in captured.out
+    assert captured.err == ""
+
+
 def test_status_exit_mapping_is_total():
     assert _STATUS_EXIT[Status.CONVERGED] == 0
     assert _STATUS_EXIT[Status.MAX_ITERS] == 0

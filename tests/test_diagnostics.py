@@ -1,4 +1,4 @@
-"""Tests for the stationarity measure and KKT residual diagnostics."""
+"""Tests for the stationarity measure psi and the KKT residual ||P g||."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 
 from helpers import explicit_projector, kkt_residual, psi_reference, random_full_rank
 from noisy_sqp import get_problem, reference_solution
-from noisy_sqp.diagnostics import _psi, evaluate_diagnostics, stationarity_psi
-from noisy_sqp.kernels import least_squares_multiplier, project_tangent
+from noisy_sqp.diagnostics import stationarity_psi
+from noisy_sqp.kernels import factor_jacobian, least_squares_multiplier, project_tangent
+from noisy_sqp.oracles import eval_exact
 
 
 class TestStationarityPsi:
@@ -68,21 +69,22 @@ class TestKktResidual:
             assert abs(residual - np.linalg.norm(project_tangent(J, g))) <= 1e-10
 
 
-class TestEvaluateDiagnostics:
+class TestAtProblemPoints:
+    """Feasibility, ||P g|| and psi from the exact oracles at a problem's points."""
+
     def test_clean_at_reference(self):
         p = get_problem("BT11")
-        ref = reference_solution("BT11")
-        row = evaluate_diagnostics(p, ref.x_star, pi=10.0, tau=0.9, b_u=50.0)
-        assert row.feasibility <= 1e-10
-        assert row.kkt_residual <= 1e-10
-        assert row.psi <= 1e-10
-        assert row.sigma_min > 0.1
+        at = eval_exact(p, reference_solution("BT11").x_star)
+        assert np.abs(at.c).sum() <= 1e-10
+        assert np.linalg.norm(project_tangent(at.J, at.g)) <= 1e-10
+        assert stationarity_psi(at.g, at.c, at.J, pi=10.0, tau=0.9, b_u=50.0) <= 1e-10
+        assert factor_jacobian(at.J)[1][-1] > 0.1  # sigma_min
 
     def test_nonzero_away_from_solution(self):
         p = get_problem("HS7")
-        row = evaluate_diagnostics(p, p.x_start, pi=10.0, tau=0.9, b_u=50.0)
-        assert row.feasibility > 1.0
-        assert row.psi > 1.0
+        at = eval_exact(p, p.x_start)
+        assert np.abs(at.c).sum() > 1.0
+        assert stationarity_psi(at.g, at.c, at.J, pi=10.0, tau=0.9, b_u=50.0) > 1.0
 
 
 class TestPsiBitwise:
@@ -93,10 +95,13 @@ class TestPsiBitwise:
             (st.floats(-1e6, 1e6), st.floats(allow_nan=True, allow_infinity=True))))
         n = data.draw(st.integers(1, 5))
         m = data.draw(st.integers(1, min(n, 3)))
-        pg = data.draw(arrays(np.float64, n, elements=elements))
+        # A Gaussian J has full row rank with probability one.
+        J = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(m, n))
+        g = data.draw(arrays(np.float64, n, elements=elements))
         c = data.draw(arrays(np.float64, m, elements=elements))
         pi, b_u = data.draw(st.floats(1e-6, 1e6)), data.draw(st.floats(1e-3, 1e3))
         tau = data.draw(st.floats(1e-3, 0.999))
         with np.errstate(all="ignore"):
-            got, want = _psi(pg, c, pi, tau, b_u), psi_reference(pg, c, pi, tau, b_u)
+            got = stationarity_psi(g, c, J, pi, tau, b_u)
+            want = psi_reference(project_tangent(J, g), c, pi, tau, b_u)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()

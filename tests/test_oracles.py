@@ -296,7 +296,9 @@ class TestDerivedBounds:
 class TestValidation:
     def test_negative_half_width_rejected(self):
         for eps1, eps2 in ((-1e-3, 0.0), (0.0, -1e-3), (math.nan, 0.0), (0.0, math.nan),
-                           (math.nan, math.nan), (math.inf, 0.0), (0.0, math.inf)):
+                           (math.nan, math.nan), (math.inf, 0.0), (0.0, math.inf),
+                           (True, False), (True, 0.0), (0.0, False), (np.True_, 0.0),
+                           ("1e-3", 0.0)):
             with pytest.raises(ValueError, match="nonnegative"):
                 NoiseSpec(eps1, eps2)
 

@@ -250,6 +250,18 @@ class TestSolveNoisy:
         assert result.status is Status.SINGULAR_JACOBIAN
         assert len(result.trace) == 1
 
+    @pytest.mark.parametrize("x_ref", [np.array([0.0]), np.zeros((1, 5)), np.zeros(4)])
+    def test_x_ref_of_wrong_shape_rejected_before_any_evaluation(self, x_ref, monkeypatch):
+        # A (1,) or (1, n) reference would broadcast against x and record
+        # a distance that is not to the reference.
+        def no_eval(*args, **kwargs):
+            raise AssertionError("oracle evaluated before x_ref was checked")
+
+        monkeypatch.setattr(solver_module, "eval_noisy", no_eval)
+        with pytest.raises(ValueError, match=r"shape .* expected \(5,\)"):
+            solve(get_problem("HS40"), NoiseSpec(1e-3, 1e-3), SolverConfig(max_iters=5),
+                  x_ref=x_ref)
+
     def test_collect_psi_populates_diagnostics(self):
         p = get_problem("HS7")
         ref = reference_solution("HS7")
@@ -639,6 +651,13 @@ class TestSolverConfig:
             {"eps_g_est": math.inf},
             {"eps_J_est": math.inf},
             {"zero_noise_tol": math.inf},
+            {"beta": True},
+            {"pi_init": True},
+            {"beta": np.True_},
+            {"eps_f_est": True},
+            {"eps_J_est": False},
+            {"zero_noise_tol": False},
+            {"beta": "50"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -653,7 +672,7 @@ class TestSolverConfig:
         assert cfg.eps_g_est == pytest.approx(2e-2)
         assert cfg.eps_J_est == pytest.approx(6e-2)
 
-    @pytest.mark.parametrize("multiplier", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("multiplier", [-1.0, math.nan, math.inf, True, False, np.True_])
     def test_with_estimates_rejects_bad_multiplier_even_with_zero_bounds(self, multiplier):
         zero = NoiseSpec(0.0, 0.0).bounds(4, 3)
         with pytest.raises(ValueError, match="multiplier must be nonnegative"):
