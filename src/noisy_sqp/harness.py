@@ -1,7 +1,7 @@
 """Experiment harness: convergence traces, relaxation comparison, misestimation study.
 
-All experiments run the solver with the defaults nu=0.1, tau=0.9,
-beta=50 and report distances to the derived reference solutions.
+All experiments run the solver with beta=50, nu=0.1 and tau=0.9 and
+report distances to the derived reference solutions.
 Results are deterministic functions of the plan: each run owns a noise
 stream keyed by its seed.  Runs execute one after another in plan order;
 they are Python-bound, so threads would only queue on the interpreter
@@ -55,8 +55,8 @@ class ExperimentPlan:
     misest_max_iters: int = 5000
 
     def __post_init__(self):
-        empty = [f for f in ("problems", "eps_levels", "seeds", "k_max_values")
-                 if not getattr(self, f)]
+        lists = ("problems", "eps_levels", "seeds", "k_max_values")
+        empty = [f for f in lists if not getattr(self, f)]
         if empty:
             raise ValueError(f"plan lists must be non-empty: {', '.join(empty)}")
         unknown = [name for name in self.problems if name not in PROBLEM_NAMES]
@@ -74,6 +74,10 @@ class ExperimentPlan:
         }
         for name, value in builtin.items():
             object.__setattr__(self, name, value)
+        # A repeated value would run its cells twice and weight them twice in the medians.
+        repeated = [f for f in lists if len(set(getattr(self, f))) < len(getattr(self, f))]
+        if repeated:
+            raise ValueError(f"plan lists must not repeat a value: {', '.join(repeated)}")
 
     def multipliers_for(self, eps1: float) -> tuple[float, ...]:
         return MISESTIMATION_MULTIPLIERS.get(eps1, (1.0, 1e-1, 1e1))
@@ -263,7 +267,7 @@ def render_relaxation_table(summaries: Sequence[RunSummary]) -> str:
         lines.append("-" * len(header))
         problems = sorted({s.problem for s in summaries})
         for name in problems:
-            rows = [s for s in summaries if s.problem == name and s.eps1 == eps1]
+            rows = [s for s in summaries if (s.problem, s.eps1, s.eps2) == (name, eps1, eps2)]
             disabled = [s for s in rows if not s.relaxation]
             fail_iters = [s.failure_iter for s in disabled if s.failure_iter is not None]
             fail = f"{_median(fail_iters):.0f}" if fail_iters else "-"
@@ -283,7 +287,7 @@ def render_misestimation_table(summaries: Sequence[RunSummary]) -> str:
     eps_levels = sorted({(s.eps1, s.eps2) for s in summaries})
     for eps1, eps2 in eps_levels:
         lines.append(f"min_k ||x_k - x*||  at true eps1={eps1:g}, eps2={eps2:g}")
-        rows = [s for s in summaries if s.eps1 == eps1]
+        rows = [s for s in summaries if (s.eps1, s.eps2) == (eps1, eps2)]
         mults = sorted({s.est_multiplier for s in rows})
         header = f"{'problem':>8} | " + " | ".join(f"est x{m:<9g}" for m in mults)
         lines.append(header)

@@ -50,19 +50,22 @@ class SolverConfig:
     deliberately differ from the truth in misestimation studies.  When
     the gradient-side estimates are all zero (exact-oracle mode), the
     stop test falls back to the absolute tolerance ``zero_noise_tol``.
+    The Armijo fraction ``nu``, the penalty margin ``tau``, the initial
+    penalty ``pi_init`` and the backtracking cap ``max_backtracks`` are
+    class constants, not fields.
     """
 
-    nu: float = 0.1              # Armijo fraction
-    tau: float = 0.9             # penalty margin
     beta: float = 50.0           # constant Hessian scaling beta_k
-    pi_init: float = 1.0         # initial penalty parameter
     relaxation_enabled: bool = True
     eps_f_est: float = 0.0
     eps_c_est: float = 0.0
     eps_g_est: float = 0.0
     eps_J_est: float = 0.0
     max_iters: int = 1000
-    max_backtracks: ClassVar[int] = 50  # line-search halvings from alpha = 1; not a field
+    nu: ClassVar[float] = 0.1           # Armijo fraction
+    tau: ClassVar[float] = 0.9          # penalty margin
+    pi_init: ClassVar[float] = 1.0      # initial penalty parameter
+    max_backtracks: ClassVar[int] = 50  # line-search halvings from alpha = 1
     termination_enabled: bool = True
     zero_noise_tol: float = 1e-8
 
@@ -71,15 +74,9 @@ class SolverConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not _is_real(value):
                 raise ValueError(f"{f.name} must be a real number, got {value!r}")
-        if not 0 < self.nu < 1:
-            raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
-        if not 0 < self.tau < 1:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         # Written as chained comparisons so that NaN fails each check too.
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not 0 < self.pi_init < math.inf:
-            raise ValueError(f"pi_init must be positive and finite, got {self.pi_init}")
         if not all(0 <= e < math.inf for e in (self.eps_f_est, self.eps_c_est,
                                                 self.eps_g_est, self.eps_J_est)):
             raise ValueError("estimated noise bounds must be nonnegative and finite")

@@ -46,9 +46,10 @@ def test_readme_library_example_runs():
 
 
 def test_max_backtracks_is_a_constant_not_a_field():
-    assert SolverConfig.max_backtracks == 50
-    with pytest.raises(TypeError):
-        SolverConfig(max_backtracks=10)
+    for name, value in (("max_backtracks", 50), ("nu", 0.1), ("tau", 0.9), ("pi_init", 1.0)):
+        assert getattr(SolverConfig, name) == getattr(SolverConfig(), name) == value
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: value})
     with pytest.raises(TypeError):
         SolverConfig(alpha_init=1.0)
 

@@ -128,8 +128,17 @@ def test_trace_out_directory_gets_the_default_name(tmp_path, capsys):
     assert written.read_bytes() == (out_dir / "x.csv").read_bytes()
 
 
+def test_trace_out_existing_directory_with_a_suffix_gets_the_default_name(tmp_path, capsys):
+    out_dir = tmp_path / "out.d"
+    out_dir.mkdir()
+    assert dispatch(["trace", "--problem", "HS7", "--iters", "5", "--out", str(out_dir)]) == 0
+    written = out_dir / "trace_HS7_eps0.0_seed0.csv"
+    assert capsys.readouterr().out.strip() == f"wrote 5-row trace to {written}"
+    assert len(written.read_text().splitlines()) == 6
+
+
 def test_check_passes_on_shipped_problems(capsys):
-    assert dispatch(["check", "--points", "5"]) == 0
+    assert dispatch(["check"]) == 0
     out = capsys.readouterr().out
     for name in ("HS7", "BT11", "HS40"):
         assert f"{name}:" in out and "[ok]" in out
@@ -142,6 +151,12 @@ def test_usage_errors_exit_1(capsys):
     assert dispatch(["frobnicate"]) == 1
     assert dispatch(["misest", "--kmax", "5"]) == 1           # --kmax belongs to tables
     assert dispatch(["solve", "--problem", "HS7", "--config", "x.json"]) == 1  # flags only
+    # Constants, not settings: SolverConfig.nu, .tau and .pi_init, and check's point set.
+    for command in (["solve", "--problem", "HS7"], ["trace", "--problem", "HS7", "--out", "t.csv"]):
+        for flag in (["--nu", "0.2"], ["--tau", "0.5"], ["--pi-init", "2"]):
+            assert dispatch(command + flag) == 1
+    assert dispatch(["check", "--points", "5"]) == 1
+    assert dispatch(["check", "--seed", "1"]) == 1
     capsys.readouterr()
 
 
@@ -193,7 +208,6 @@ def test_misest_small_grid(tmp_path, capsys):
          "invalid noise: noise half-widths must be nonnegative"),
         (["solve", "--problem", "HS7", "--eps1", "1e-3", "--est-multiplier", "nan"],
          "estimate multiplier must be nonnegative"),
-        (["solve", "--problem", "HS7", "--tau", "1.5"], "tau must lie in (0, 1)"),
         (["trace", "--problem", "HS7", "--iters", "0", "--out", "t.csv"],
          "max_iters must be a positive integer"),
         (["tables", "--problems", "HS7,FOO"], "unknown problems: FOO"),
@@ -202,11 +216,16 @@ def test_misest_small_grid(tmp_path, capsys):
         (["misest", "--problems", ","], "plan lists must be non-empty: problems"),
         (["tables", "--kmax", "0"], "max_iters must be a positive integer"),
         (["solve", "--problem", "HS7", "--beta", "nan"], "beta must be positive"),
-        (["check", "--seed", "-1"], "invalid --seed -1"),
         (["tables", "--eps-levels", "inf"], "half-widths must be nonnegative and finite"),
         (["solve", "--problem", "HS7", "--eps1", "inf"],
          "invalid noise: noise half-widths must be nonnegative and finite"),
-        (["check", "--points", "-1"], "invalid --points -1"),
+        (["tables", "--seeds", "0,0"], "plan lists must not repeat a value: seeds"),
+        (["tables", "--problems", "HS7", "--seeds", "0,0", "--eps-levels", "1e-3",
+          "--kmax", "5,5", "--format", "json"],
+         "plan lists must not repeat a value: seeds, k_max_values"),
+        (["misest", "--problems", "HS7,HS7"], "plan lists must not repeat a value: problems"),
+        (["misest", "--eps-levels", "1e-3,0.001"],
+         "plan lists must not repeat a value: eps_levels"),
     ],
 )
 def test_bad_input_exits_1_with_one_line_before_any_run(argv, message, monkeypatch, capsys):

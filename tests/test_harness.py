@@ -163,6 +163,19 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(harness, "solve", no_run)
 
 
+def test_renderers_keep_levels_that_share_eps1_apart():
+    # Two levels with the same eps1: each table block must summarize its own
+    # (eps1, eps2) rows, exactly as if that level had been run alone.
+    plan = ExperimentPlan(problems=("HS7",), eps_levels=((1e-3, 1e-3), (1e-3, 0.0)),
+                          seeds=(0, 1), k_max_values=(30,), misest_max_iters=200)
+    for run, render in ((run_relaxation_table, render_relaxation_table),
+                        (run_misestimation_table, render_misestimation_table)):
+        summaries = run(plan)
+        alone = [render([s for s in summaries if (s.eps1, s.eps2) == level])
+                 for level in sorted(plan.eps_levels)]
+        assert render(summaries) == "\n".join(alone)
+
+
 class TestPlanValidation:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
@@ -192,6 +205,23 @@ class TestPlanValidation:
             run_relaxation_table(plan)
             run_misestimation_table(plan)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "grid,repeated",
+        [
+            ({"problems": ("HS7", "HS7")}, "problems"),
+            ({"eps_levels": ((1e-3, 1e-3), (1e-3, 1e-3))}, "eps_levels"),
+            ({"seeds": (0, np.int64(0))}, "seeds"),
+            ({"k_max_values": (20, 20)}, "k_max_values"),
+            ({"seeds": (1, 1), "k_max_values": (5, 5)}, "seeds, k_max_values"),
+        ],
+        ids=["problems", "eps-levels", "seeds", "k-max", "two-lists"],
+    )
+    def test_repeated_values_raise_before_any_run(self, grid, repeated, no_solve):
+        base = {"problems": ("HS7",), "eps_levels": ((1e-3, 1e-3),), "seeds": (0, 1),
+                "k_max_values": (20,), "misest_max_iters": 20}
+        with pytest.raises(ValueError, match=f"plan lists must not repeat a value: {repeated}$"):
+            ExperimentPlan(**{**base, **grid})
 
     def test_numpy_scalars_serialize_as_builtins(self):
         eps = np.float64(1e-3)

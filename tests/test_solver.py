@@ -626,15 +626,10 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"nu": 0.0},
-            {"nu": 1.0},
-            {"tau": 1.2},
             {"beta": -1.0},
-            {"pi_init": 0.0},
             {"eps_f_est": -1.0},
             {"max_iters": 0},
             {"beta": math.nan},
-            {"pi_init": math.nan},
             {"eps_f_est": math.nan},
             {"eps_J_est": math.nan},
             {"zero_noise_tol": -1.0},
@@ -645,14 +640,12 @@ class TestSolverConfig:
             {"termination_enabled": "no"},
             {"termination_enabled": 0},
             {"beta": math.inf},
-            {"pi_init": math.inf},
             {"eps_f_est": math.inf},
             {"eps_c_est": math.inf},
             {"eps_g_est": math.inf},
             {"eps_J_est": math.inf},
             {"zero_noise_tol": math.inf},
             {"beta": True},
-            {"pi_init": True},
             {"beta": np.True_},
             {"eps_f_est": True},
             {"eps_J_est": False},
