@@ -167,16 +167,13 @@ _CROSS = _cross_constants()
 _GEN_X, _GEN_M = _column(_B[0:8]), _column(_B[1:9])
 
 
-@functools.lru_cache(maxsize=128)
 def _seed_words(seed: int, block: int) -> np.ndarray:
     """``SeedSequence((seed, c)).generate_state(4, np.uint64)`` for the 256
     counters c of aligned block ``block``, from ``256 * block`` on.
 
     numpy's pool mixing and state generation for a two-word entropy, with
     one uint32 lane per counter; seed and every counter must fit in 32 bits.
-    Returns a read-only ``(256, 4)`` uint64 array.  Every stream of one
-    seed reads the same blocks, so the process keeps the last 128 of them
-    (8 KB each).
+    Returns a ``(256, 4)`` uint64 array.
     """
     pool = np.empty((4, 256), dtype=np.uint32)
     pool[0], pool[2:] = seed, 0
@@ -200,57 +197,116 @@ def _seed_words(seed: int, block: int) -> np.ndarray:
     state ^= state >> 16
     # generate_state(4, np.uint64) pairs the eight uint32 words low word first.
     words = state.astype(np.uint64)
-    out = (words[0::2] | words[1::2] << np.uint64(32)).T
-    out.flags.writeable = False
-    return out
+    return (words[0::2] | words[1::2] << np.uint64(32)).T
+
+
+_MAX_BLOCKS = 64
+_width = 0  # the largest draw count requested so far; new blocks are this wide
+
+
+class _DrawBlock:
+    """The hashed seed words of one ``(seed, block)`` and its draw rows.
+
+    ``table`` is ``(width, draws, shared, filled)``: a ``(256, width)``
+    float64 array, a read-only view of it, and one flag per row, set once
+    row ``r`` holds the first ``width`` uniforms of counter
+    ``256 * block + r``.  Widening replaces ``table`` in one assignment,
+    so a reader always sees a matching tuple.
+    """
+
+    __slots__ = ("words", "table")
+
+    def __init__(self, words: np.ndarray, width: int):
+        self.words = words
+        self.table = _draw_table(width)
+
+
+def _draw_table(width: int):
+    draws = np.empty((256, width))
+    shared = draws.view()
+    shared.flags.writeable = False
+    return width, draws, shared, bytearray(256)
+
+
+@functools.lru_cache(maxsize=_MAX_BLOCKS)
+def _draw_block(seed: int, block: int) -> _DrawBlock:
+    return _DrawBlock(_seed_words(seed, block), _width)
 
 
 @dataclass
 class NoiseStream:
-    """Counter-keyed source of per-evaluation random generators.
+    """Counter-keyed source of per-evaluation uniform draws.
 
-    Evaluation ``counter`` of stream ``seed`` draws from the PCG64 state
-    that ``np.random.default_rng(np.random.SeedSequence((seed, counter)))``
-    starts in, so a run's noise depends only on its seed and call
+    Evaluation ``counter`` of stream ``seed`` reads the uniforms that
+    ``np.random.default_rng(np.random.SeedSequence((seed, counter)))``
+    draws first, so a run's noise depends only on its seed and call
     sequence.  Concurrent runs each own a stream and cannot perturb one
     another.
 
-    The seed sequence's hash is row ``counter % 256`` of the cached block
-    ``counter // 256`` of ``seed`` (see :func:`_seed_words`); its PCG64
-    state is loaded into the stream's one Generator through one state
-    dict, so the Generator returned by :meth:`next_rng` belongs to the
-    stream and is valid until the next call.  Entropy that is not two
-    32-bit words (a seed or counter of 2**32 or more, a negative one, or
-    one that is not an ``int``) takes numpy's path and gets a fresh
-    Generator.
+    The draws are shared by every stream of a seed.  The process keeps an
+    LRU cache of the last 64 ``(seed, counter // 256)`` blocks; each holds
+    the block's 256 seed-sequence hashes (see :func:`_seed_words`) and one
+    float64 row per counter, as wide as the largest draw count requested
+    so far (24 for HS40: at most 64 * 256 * 24 * 8 bytes, 3.1 MB, of
+    draws and 64 * 8 KB of hashes).  A
+    row is filled on its counter's first use: its PCG64 state is loaded
+    into the stream's own Generator through one state dict, both built on
+    the first fill.  A wider request rebuilds the block, and its rows are
+    drawn again.  Two streams filling one row at once write equal values.
+    Entropy that is not two 32-bit words (a seed or counter of 2**32 or
+    more, a negative one, or one that is not an ``int``) takes numpy's
+    path, with a fresh Generator and no cache.
     """
 
     seed: int
     counter: int = 0
+    _rng = None  # the Generator and state dict of fills; see _fill_row
 
-    def __post_init__(self):
-        self._rng = np.random.Generator(np.random.PCG64(0))  # state set before every use
-        self._pcg = {"state": 0, "inc": 0}
-        self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,
-                       "uinteger": 0}
-
-    def next_rng(self) -> np.random.Generator:
-        """Generator of evaluation ``counter``; advances the counter by one."""
+    def next_rng(self, k: int) -> np.ndarray:
+        """The first ``k`` uniforms of evaluation ``counter``, read-only;
+        advances the counter by one."""
         seed, counter = self.seed, self.counter
         if not (isinstance(seed, int) and 0 <= seed <= _M32
                 and isinstance(counter, int) and 0 <= counter <= _M32):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, counter)))
+            u = rng.random(k)
+            u.flags.writeable = False
             self.counter = counter + 1
-            return rng
-        a, b, c, d = _seed_words(seed, counter >> 8)[counter & 255].tolist()
+            return u
+        block = _draw_block(seed, counter >> 8)
+        width, draws, shared, filled = block.table
+        if k > width:
+            width, draws, shared, filled = _widen(block, k)
+        r = counter & 255
+        if not filled[r]:
+            self._fill_row(block.words[r], draws[r])
+            filled[r] = 1  # set only once the row is complete
+        self.counter = counter + 1
+        return shared[r, :k]
+
+    def _fill_row(self, words: np.ndarray, row: np.ndarray) -> None:
+        if self._rng is None:
+            self._pcg = {"state": 0, "inc": 0}
+            self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,
+                           "uinteger": 0}
+            self._rng = np.random.Generator(np.random.PCG64(0))  # state set before every use
+        a, b, c, d = words.tolist()
         inc = ((c << 64 | d) << 1 | 1) & _M128
         pcg = self._pcg
         # pcg64_set_seed: two LCG steps from state 0 with initstate added between
         pcg["state"] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
         pcg["inc"] = inc
         self._rng.bit_generator.state = self._state
-        self.counter = counter + 1
-        return self._rng
+        self._rng.random(out=row)
+
+
+def _widen(block: _DrawBlock, k: int):
+    """Rebuild ``block`` with rows ``k`` wide, and make new blocks at least that wide."""
+    global _width
+    _width = max(_width, k)
+    table = _draw_table(_width)
+    block.table = table
+    return table
 
 
 class NoisyEval(NamedTuple):
@@ -310,9 +366,12 @@ def eval_noisy(
     """Evaluate the oracles at x and add one fresh uniform draw per scalar.
 
     One :func:`eval_exact` call gives the exact values and one
-    :meth:`NoiseStream.next_rng` call the evaluation's block of draws
-    ``u``, mapped in place to ``lo + span * u`` (``lo = -eps``,
-    ``span = eps - -eps``) with the bits of ``Generator.uniform``.
+    :meth:`NoiseStream.next_rng` call the evaluation's read-only row of
+    draws ``u``, mapped to ``w = u * span; w += lo`` (``lo = -eps``,
+    ``span = eps - -eps``) with the bits of ``Generator.uniform``.  The
+    row may be shared with other streams of the seed through the
+    per-process draw cache (see :class:`NoiseStream`), and is never
+    written.
 
     Parameters
     ----------
@@ -336,14 +395,12 @@ def eval_noisy(
     the result equals :func:`eval_exact` bitwise.
     """
     exact = eval_exact(p, x, derivatives)
-    rng = stream.next_rng()
     f, c, g, J, _ = exact
     k1, k2, lo, span = _noise_map(spec.eps1, spec.eps2, p.m, p.n, derivatives)
-    # One block of draws in the order f, c, g, J (row-major), mapped in place
-    # to the per-entry lo + span * u of Generator.uniform, so the values
-    # equal separate uniform(-eps, eps) calls bit for bit.
-    w = rng.random(k1 + k2)
-    w *= span
+    # One row of draws in the order f, c, g, J (row-major), mapped to the
+    # per-entry lo + span * u of Generator.uniform, so the values equal
+    # separate uniform(-eps, eps) calls bit for bit.
+    w = stream.next_rng(k1 + k2) * span
     w += lo
     if k1:
         f = f + float(w[0])

@@ -24,53 +24,78 @@ _SQRT18 = math.sqrt(18.0)
 _SQRT8 = math.sqrt(8.0)
 
 
+def _on_floats(body):
+    """The callback ``x -> body(*x)``, evaluated on Python floats.
+
+    Python floats take the same IEEE operations and the same C ``pow`` as
+    numpy float64 scalars, so the result has the same bits, and they skip
+    numpy's per-scalar overhead.  Where Python's ``**`` raises
+    OverflowError, numpy returns inf, so that point is evaluated again on
+    numpy scalars.
+    """
+    def callback(x):
+        try:
+            return body(*x.tolist())
+        except OverflowError:
+            return body(*x)
+    return callback
+
+
 def _hs7() -> Problem:
     # min ln(1 + x1^2) - x2   s.t.  (1 + x1^2)^2 + x2^2 = 4
-    def f(x):
-        return math.log1p(x[0] ** 2) - x[1]
+    @_on_floats
+    def f(x1, x2):
+        return math.log1p(x1 ** 2) - x2
 
-    def c(x):
-        return np.array([(1.0 + x[0] ** 2) ** 2 + x[1] ** 2 - 4.0])
+    @_on_floats
+    def c(x1, x2):
+        return np.array([(1.0 + x1 ** 2) ** 2 + x2 ** 2 - 4.0])
 
-    def g(x):
-        return np.array([2.0 * x[0] / (1.0 + x[0] ** 2), -1.0])
+    @_on_floats
+    def g(x1, x2):
+        return np.array([2.0 * x1 / (1.0 + x1 ** 2), -1.0])
 
-    def J(x):
-        return np.array([[4.0 * x[0] * (1.0 + x[0] ** 2), 2.0 * x[1]]])
+    @_on_floats
+    def J(x1, x2):
+        return np.array([[4.0 * x1 * (1.0 + x1 ** 2), 2.0 * x2]])
 
     return Problem("HS7", 2, 1, f, c, g, J, np.array([2.0, 2.0]))
 
 
 def _bt11() -> Problem:
     # min -x1 x2 x3 x4   s.t.  x1^3 + x2^2 = 1,  x1^2 x4 = x3,  x4^2 = x2
-    def f(x):
-        return -x[0] * x[1] * x[2] * x[3]
+    @_on_floats
+    def f(x1, x2, x3, x4):
+        return -x1 * x2 * x3 * x4
 
-    def c(x):
+    @_on_floats
+    def c(x1, x2, x3, x4):
         return np.array(
             [
-                x[0] ** 3 + x[1] ** 2 - 1.0,
-                x[0] ** 2 * x[3] - x[2],
-                x[3] ** 2 - x[1],
+                x1 ** 3 + x2 ** 2 - 1.0,
+                x1 ** 2 * x4 - x3,
+                x4 ** 2 - x2,
             ]
         )
 
-    def g(x):
+    @_on_floats
+    def g(x1, x2, x3, x4):
         return np.array(
             [
-                -x[1] * x[2] * x[3],
-                -x[0] * x[2] * x[3],
-                -x[0] * x[1] * x[3],
-                -x[0] * x[1] * x[2],
+                -x2 * x3 * x4,
+                -x1 * x3 * x4,
+                -x1 * x2 * x4,
+                -x1 * x2 * x3,
             ]
         )
 
-    def J(x):
+    @_on_floats
+    def J(x1, x2, x3, x4):
         return np.array(
             [
-                [3.0 * x[0] ** 2, 2.0 * x[1], 0.0, 0.0],
-                [2.0 * x[0] * x[3], 0.0, -1.0, x[0] ** 2],
-                [0.0, -1.0, 0.0, 2.0 * x[3]],
+                [3.0 * x1 ** 2, 2.0 * x2, 0.0, 0.0],
+                [2.0 * x1 * x4, 0.0, -1.0, x1 ** 2],
+                [0.0, -1.0, 0.0, 2.0 * x4],
             ]
         )
 
@@ -82,42 +107,46 @@ def _hs40() -> Problem:
     # s.t. x1 + x2^2 + x3^3 = sqrt(18) - 2
     #      x2 + x4 + x3^2   = sqrt(8) - 2
     #      x1 - x5          = 2
-    def f(x):
+    @_on_floats
+    def f(x1, x2, x3, x4, x5):
         return (
-            (x[0] - 1.0) ** 2
-            + (x[0] - x[1]) ** 2
-            + (x[1] - x[2]) ** 2
-            + (x[2] - x[3]) ** 4
-            + (x[3] - x[4]) ** 4
+            (x1 - 1.0) ** 2
+            + (x1 - x2) ** 2
+            + (x2 - x3) ** 2
+            + (x3 - x4) ** 4
+            + (x4 - x5) ** 4
         )
 
-    def c(x):
+    @_on_floats
+    def c(x1, x2, x3, x4, x5):
         return np.array(
             [
-                x[0] + x[1] ** 2 + x[2] ** 3 + 2.0 - _SQRT18,
-                x[1] + x[3] + x[2] ** 2 + 2.0 - _SQRT8,
-                x[0] - x[4] - 2.0,
+                x1 + x2 ** 2 + x3 ** 3 + 2.0 - _SQRT18,
+                x2 + x4 + x3 ** 2 + 2.0 - _SQRT8,
+                x1 - x5 - 2.0,
             ]
         )
 
-    def g(x):
-        d34 = (x[2] - x[3]) ** 3
-        d45 = (x[3] - x[4]) ** 3
+    @_on_floats
+    def g(x1, x2, x3, x4, x5):
+        d34 = (x3 - x4) ** 3
+        d45 = (x4 - x5) ** 3
         return np.array(
             [
-                2.0 * (x[0] - 1.0) + 2.0 * (x[0] - x[1]),
-                -2.0 * (x[0] - x[1]) + 2.0 * (x[1] - x[2]),
-                -2.0 * (x[1] - x[2]) + 4.0 * d34,
+                2.0 * (x1 - 1.0) + 2.0 * (x1 - x2),
+                -2.0 * (x1 - x2) + 2.0 * (x2 - x3),
+                -2.0 * (x2 - x3) + 4.0 * d34,
                 -4.0 * d34 + 4.0 * d45,
                 -4.0 * d45,
             ]
         )
 
-    def J(x):
+    @_on_floats
+    def J(x1, x2, x3, x4, x5):
         return np.array(
             [
-                [1.0, 2.0 * x[1], 3.0 * x[2] ** 2, 0.0, 0.0],
-                [0.0, 1.0, 2.0 * x[2], 1.0, 0.0],
+                [1.0, 2.0 * x2, 3.0 * x3 ** 2, 0.0, 0.0],
+                [0.0, 1.0, 2.0 * x3, 1.0, 0.0],
                 [1.0, 0.0, 0.0, 0.0, -1.0],
             ]
         )

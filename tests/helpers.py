@@ -8,9 +8,12 @@ draws, numpy's per-evaluation SeedSequence generator, the numpy-wrapper
 merit helpers and numpy's SVD rank gate are the straightforward forms of
 the library's noise model, noise stream, iteration helpers and rank
 gate; the library must match them bit for bit (the gate: decision for
-decision).  The fresh-state-dict generator and the two-step noise map
-are the oracle's earlier forms.
+decision).  The fresh-state-dict draws, the two-step noise map and the
+numpy-scalar problem callbacks are the library's earlier forms.  None of
+them reads the library's shared draw cache.
 """
+
+import math
 
 import numpy as np
 
@@ -63,14 +66,25 @@ _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def fresh_dict_rng(stream):
-    """The stream's next Generator, with its counter's block of seed words
-    hashed by the uncached kernel and loaded through a fresh state dict.
+def per_evaluation_draws(stream, k):
+    """The stream's next k uniforms from numpy's own SeedSequence generator.
+
+    Advances the counter by one, as :meth:`NoiseStream.next_rng` does.
+    """
+    u = seed_sequence_rng(stream.seed, stream.counter).random(k)
+    stream.counter += 1
+    return u
+
+
+def fresh_dict_draws(stream, k):
+    """The stream's next k uniforms, from a counter's seed words hashed by
+    the block kernel and loaded into a fresh Generator through a fresh
+    state dict; the shared draw cache is never read.
 
     For seeds and counters below 2**32; advances the counter by one.
     """
     counter = stream.counter
-    words = oracles._seed_words.__wrapped__(stream.seed, counter >> 8)[counter & 255]
+    words = oracles._seed_words(stream.seed, counter >> 8)[counter & 255]
     a, b, c, d = words.tolist()
     inc = ((c << 64 | d) << 1 | 1) & _M128
     rng = np.random.Generator(np.random.PCG64())
@@ -81,18 +95,17 @@ def fresh_dict_rng(stream):
         "uinteger": 0,
     }
     stream.counter += 1
-    return rng
+    return rng.random(k)
 
 
 def two_step_eval_noisy(p, x, spec, stream, derivatives=True):
     """eval_noisy with each noise group mapped by a scalar -eps + (eps - -eps) * u."""
     exact = oracles.eval_exact(p, x, derivatives)
-    rng = stream.next_rng()
     f, c, g, J = exact.f, exact.c, exact.g, exact.J
     e1, e2 = spec.eps1, spec.eps2
     k1 = 1 + p.m if e1 > 0 else 0
     k2 = p.n * (1 + p.m) if e2 > 0 and derivatives else 0
-    u = rng.random(k1 + k2)
+    u = stream.next_rng(k1 + k2)
     if k1:
         w = -e1 + (e1 - -e1) * u[:k1]
         f = f + w[0]
@@ -182,3 +195,44 @@ def adversarial_eval_noisy(eval_noisy, frac):
         return oracles.NoisyEval(f=exact.f + e, c=exact.c + e * np.sign(exact.c),
                                  g=drawn.g, J=drawn.J, exact=exact)
     return adversary
+
+
+# The problem callbacks as they were written on numpy scalars (x[i]); the
+# library's Python-float callbacks must equal them bit for bit.
+_SQRT18, _SQRT8 = math.sqrt(18.0), math.sqrt(8.0)
+
+NUMPY_SCALAR_CALLBACKS = {
+    "HS7": (
+        lambda x: math.log1p(x[0] ** 2) - x[1],
+        lambda x: np.array([(1.0 + x[0] ** 2) ** 2 + x[1] ** 2 - 4.0]),
+        lambda x: np.array([2.0 * x[0] / (1.0 + x[0] ** 2), -1.0]),
+        lambda x: np.array([[4.0 * x[0] * (1.0 + x[0] ** 2), 2.0 * x[1]]]),
+    ),
+    "BT11": (
+        lambda x: -x[0] * x[1] * x[2] * x[3],
+        lambda x: np.array([x[0] ** 3 + x[1] ** 2 - 1.0, x[0] ** 2 * x[3] - x[2],
+                            x[3] ** 2 - x[1]]),
+        lambda x: np.array([-x[1] * x[2] * x[3], -x[0] * x[2] * x[3],
+                            -x[0] * x[1] * x[3], -x[0] * x[1] * x[2]]),
+        lambda x: np.array([[3.0 * x[0] ** 2, 2.0 * x[1], 0.0, 0.0],
+                            [2.0 * x[0] * x[3], 0.0, -1.0, x[0] ** 2],
+                            [0.0, -1.0, 0.0, 2.0 * x[3]]]),
+    ),
+    "HS40": (
+        lambda x: ((x[0] - 1.0) ** 2 + (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2
+                   + (x[2] - x[3]) ** 4 + (x[3] - x[4]) ** 4),
+        lambda x: np.array([x[0] + x[1] ** 2 + x[2] ** 3 + 2.0 - _SQRT18,
+                            x[1] + x[3] + x[2] ** 2 + 2.0 - _SQRT8,
+                            x[0] - x[4] - 2.0]),
+        lambda x: np.array([
+            2.0 * (x[0] - 1.0) + 2.0 * (x[0] - x[1]),
+            -2.0 * (x[0] - x[1]) + 2.0 * (x[1] - x[2]),
+            -2.0 * (x[1] - x[2]) + 4.0 * (x[2] - x[3]) ** 3,
+            -4.0 * (x[2] - x[3]) ** 3 + 4.0 * (x[3] - x[4]) ** 3,
+            -4.0 * (x[3] - x[4]) ** 3,
+        ]),
+        lambda x: np.array([[1.0, 2.0 * x[1], 3.0 * x[2] ** 2, 0.0, 0.0],
+                            [0.0, 1.0, 2.0 * x[2], 1.0, 0.0],
+                            [1.0, 0.0, 0.0, 0.0, -1.0]]),
+    ),
+}

@@ -1,6 +1,9 @@
 """Tests for the problem abstraction and the bounded-noise oracle."""
 
 import math
+import sys
+import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import noisy_sqp.oracles as oracles_module
 from helpers import seed_sequence_rng, uniform_reference_eval
-from noisy_sqp import NoiseSpec, NoiseStream, Problem, get_problem
+from noisy_sqp import NoiseSpec, NoiseStream, Problem, SolverConfig, get_problem, solve
 from noisy_sqp.oracles import eval_exact, eval_noisy
 
 
@@ -157,7 +160,7 @@ class TestNoiseStreamMatchesSeedSequence:
     def _check_draws(stream, count):
         for _ in range(count):
             seed, counter = stream.seed, stream.counter
-            got = stream.next_rng().random(3)
+            got = stream.next_rng(3)
             assert stream.counter == counter + 1
             assert_array_equal(got, seed_sequence_rng(seed, counter).random(3))
 
@@ -195,14 +198,19 @@ class TestNoiseStreamMatchesSeedSequence:
             expected = seed_sequence_rng(seed, 3).random(3)
         except TypeError as numpy_error:
             with pytest.raises(TypeError, match=str(numpy_error)):
-                stream.next_rng()
+                stream.next_rng(3)
         else:
-            assert_array_equal(stream.next_rng().random(3), expected)
+            assert_array_equal(stream.next_rng(3), expected)
 
-    def test_generator_belongs_to_stream(self):
-        stream = NoiseStream(9)
-        rngs = [stream.next_rng() for _ in range(20)]
-        assert all(rng is rngs[0] for rng in rngs)
+    @pytest.mark.parametrize("seed", [9, 2**40])
+    def test_rows_are_read_only(self, seed):
+        stream = NoiseStream(seed)
+        for k in (1, 6, 24, 0):
+            u = stream.next_rng(k)
+            assert u.shape == (k,) and u.dtype == np.float64
+            assert not u.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                u[:] = 0.0
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed_raises_like_numpy(self, seed):
@@ -214,32 +222,64 @@ class TestNoiseStreamMatchesSeedSequence:
         for stream, counter in ((fresh, 0), (reseeded, 3)):
             for _ in range(2):
                 with pytest.raises(ValueError, match=str(numpy_error.value)):
-                    stream.next_rng()
+                    stream.next_rng(3)
             assert stream.counter == counter
 
 
-class TestSeedWordCache:
-    """The per-process cache of aligned hashed blocks changes no draw."""
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty draw cache whose next block is as narrow as its first request."""
+    oracles_module._draw_block.cache_clear()
+    monkeypatch.setattr(oracles_module, "_width", 0)
+    yield
+    oracles_module._draw_block.cache_clear()
+
+
+def _solve_rows(name, seed):
+    p = get_problem(name)
+    spec = NoiseSpec(1e-3, 1e-3, seed=seed)
+    cfg = SolverConfig(max_iters=150, termination_enabled=False).with_estimates(
+        spec.bounds(p.n, p.m))
+    result = solve(p, spec, cfg, collect_psi=True)
+    return [np.asarray(getattr(r, f.name), dtype=float).tobytes()
+            for r in result.trace for f in fields(r)] + [result.x.tobytes()]
+
+
+class TestDrawCache:
+    """The per-process cache of draw blocks changes no draw."""
 
     _check_draws = staticmethod(TestNoiseStreamMatchesSeedSequence._check_draws)
 
+    @staticmethod
+    def _check_widths(stream, widths):
+        for k in widths:
+            seed, counter = stream.seed, stream.counter
+            assert_array_equal(stream.next_rng(k), seed_sequence_rng(seed, counter).random(k))
+
     @pytest.mark.parametrize("seed", [0, 31, 2**32 - 1])
-    def test_draws_match_numpy_with_warm_and_cleared_cache(self, seed):
-        oracles_module._seed_words.cache_clear()
-        self._check_draws(NoiseStream(seed), 300)  # cold: hashes blocks 0 and 1
-        info = oracles_module._seed_words.cache_info()
-        assert info.misses == 2 and info.currsize == 2
-        self._check_draws(NoiseStream(seed), 300)  # warm: every block comes from the cache
-        assert oracles_module._seed_words.cache_info().misses == 2
-        oracles_module._seed_words.cache_clear()
-        self._check_draws(NoiseStream(seed), 300)
+    def test_cold_warm_and_widened_blocks_match_numpy(self, seed, cold_cache):
+        # Counters 250 to 859 span blocks 0 to 3.  Widths cycle through the
+        # four draw counts, so block 0 is made empty and widened to each.
+        widths = [(1, 4, 20, 24)[i % 4] for i in range(600)]
+        self._check_widths(NoiseStream(seed, 250), [1] * 10 + widths)  # cold
+        info = oracles_module._draw_block.cache_info()
+        assert info.misses == 4 and info.currsize == 4
+        self._check_widths(NoiseStream(seed, 250), widths[::-1])  # warm, full width
+        assert oracles_module._draw_block.cache_info().misses == 4
+        oracles_module._draw_block.cache_clear()
+        self._check_widths(NoiseStream(seed, 250), widths)  # cold, built 24 wide
+
+    @pytest.mark.parametrize("k", [1, 4, 20, 24])
+    def test_each_width_across_a_block_boundary(self, k, cold_cache):
+        for stream in (NoiseStream(3, 250), NoiseStream(3, 250)):
+            self._check_widths(stream, [k] * 12)
+            self._check_widths(stream, [24, k, 1])
 
     @pytest.mark.parametrize("counter", [2**32 - 1, 2**32])
-    def test_last_hashed_counter_and_first_numpy_counter(self, counter):
+    def test_last_hashed_counter_and_first_numpy_counter(self, counter, cold_cache):
         # 2**32 - 1 is the last row of the last block; 2**32 is three-word entropy.
-        oracles_module._seed_words.cache_clear()
         self._check_draws(NoiseStream(7, counter), 1)
-        assert oracles_module._seed_words.cache_info().misses == int(counter < 2**32)
+        assert oracles_module._draw_block.cache_info().misses == int(counter < 2**32)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS, paces=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
@@ -248,15 +288,57 @@ class TestSeedWordCache:
         a, b = NoiseStream(seed), NoiseStream(seed)
         for count_a, count_b in paces:
             self._check_draws(a, count_a)
-            self._check_draws(b, count_b)
+            self._check_widths(b, [24] * count_b)
 
-    def test_cached_arrays_are_read_only(self):
+    def test_cache_holds_at_most_its_block_bound(self, cold_cache):
+        bound = oracles_module._MAX_BLOCKS
+        streams = [NoiseStream(seed) for seed in range(bound + 20)]
+        for stream in streams + streams:
+            self._check_widths(stream, [24, 6])
+            assert oracles_module._draw_block.cache_info().currsize <= bound
+        assert oracles_module._draw_block.cache_info().currsize == bound
+
+    def test_threads_sharing_blocks_draw_numpy_values(self, cold_cache):
+        # Six threads on two cores, with streams of one seed and widths in a
+        # different order each, so fills, widenings and reads interleave.
+        def work(i, errors):
+            try:
+                stream = NoiseStream(11, 200)
+                for j in range(120):
+                    self._check_widths(stream, [(1, 4, 20, 24, 6, 9)[(i + j) % 6]])
+            except AssertionError as e:
+                errors.append(e)
+
+        errors = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i, errors)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+
+    @pytest.mark.parametrize("order", [("HS7", "BT11", "HS40"), ("HS40", "BT11", "HS7")])
+    def test_solves_sharing_a_seed_equal_cold_cache_solves(self, order, cold_cache):
+        # Forward, each problem widens the blocks of the one before; in
+        # reverse, HS7 and BT11 read the leading columns of HS40's rows.
+        cold = {}
+        for name in order:
+            oracles_module._draw_block.cache_clear()
+            cold[name] = _solve_rows(name, seed=17)
+        oracles_module._draw_block.cache_clear()
+        oracles_module._width = 0
+        for name in order:
+            assert _solve_rows(name, seed=17) == cold[name]
+
+    def test_seed_words_and_noise_map(self):
         words = oracles_module._seed_words(5, 1)
-        assert words is oracles_module._seed_words(5, 1)
         assert words.dtype == np.uint64 and words.shape == (256, 4)
-        assert not words.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            words[0, 0] = 0
         for c in (256, 257, 300, 511):
             state = np.random.SeedSequence((5, c)).generate_state(4, np.uint64)
             assert_array_equal(words[c - 256], state)
@@ -314,7 +396,7 @@ class TestValidation:
 
     def test_wide_seed_accepted(self):
         spec = NoiseSpec(1e-3, 1e-3, seed=2**40)
-        assert spec.stream().next_rng().random() == seed_sequence_rng(2**40, 0).random()
+        assert spec.stream().next_rng(1)[0] == seed_sequence_rng(2**40, 0).random()
 
     def test_problem_requires_m_less_than_n(self):
         with pytest.raises(ValueError, match="m < n"):
@@ -328,6 +410,6 @@ class TestValidation:
 
     def test_stream_restarts_from_seed(self):
         s = NoiseStream(10)
-        first = s.next_rng().uniform(-1, 1)
-        again = NoiseStream(10).next_rng().uniform(-1, 1)
+        first = s.next_rng(1)[0]
+        again = NoiseStream(10).next_rng(1)[0]
         assert first == again

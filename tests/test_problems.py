@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import NUMPY_SCALAR_CALLBACKS
 from noisy_sqp import (
     NoiseSpec,
     SolverConfig,
@@ -54,6 +57,24 @@ def test_derivatives_at_random_points(name):
     for _ in range(100):
         x = p.x_start + rng.uniform(-2.0, 2.0, size=p.n)
         assert verify_derivatives(p, x, h=1e-6) <= 1e-6
+
+
+# Any finite double, and points near the start where the solver runs.
+COORDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-10.0, 10.0))
+
+
+@pytest.mark.parametrize("name", list(DIMENSIONS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_callbacks_equal_numpy_scalar_forms_bitwise(name, data):
+    p = get_problem(name)
+    x = np.array(data.draw(st.lists(COORDS, min_size=p.n, max_size=p.n)))
+    with np.errstate(all="ignore"):
+        for got, want in zip((p.eval_f, p.eval_c, p.eval_g, p.eval_J),
+                             NUMPY_SCALAR_CALLBACKS[name]):
+            expected = np.asarray(want(x), dtype=float)
+            assert np.asarray(got(x), dtype=float).tobytes() == expected.tobytes()
 
 
 def test_verify_derivatives_detects_a_wrong_gradient():

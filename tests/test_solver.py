@@ -13,11 +13,11 @@ from numpy.testing import assert_allclose
 import noisy_sqp.solver as solver_module
 from helpers import (
     check_termination_reference,
-    fresh_dict_rng,
+    fresh_dict_draws,
     linear_model_reference,
     merit_value_reference,
+    per_evaluation_draws,
     random_full_rank,
-    seed_sequence_rng,
     two_step_eval_noisy,
     update_penalty_reference,
 )
@@ -294,17 +294,12 @@ class TestOracleFastPathsPreserveRuns:
 
         fast = runs()
 
-        def per_evaluation_rng(stream):
-            rng = seed_sequence_rng(stream.seed, stream.counter)
-            stream.counter += 1
-            return rng
-
         eval_noisy = solver_module.eval_noisy
 
         def full_evaluation(p, x, spec, stream, derivatives=True):
             return eval_noisy(p, x, spec, stream)
 
-        monkeypatch.setattr(NoiseStream, "next_rng", per_evaluation_rng)
+        monkeypatch.setattr(NoiseStream, "next_rng", per_evaluation_draws)
         monkeypatch.setattr(solver_module, "eval_noisy", full_evaluation)
         reference = runs()
 
@@ -340,7 +335,7 @@ class TestOnePassOraclePreservesRuns:
             steps.append(solve_sqp_step(*args))
             return steps[-1]
 
-        monkeypatch.setattr(NoiseStream, "next_rng", fresh_dict_rng)
+        monkeypatch.setattr(NoiseStream, "next_rng", fresh_dict_draws)
         monkeypatch.setattr(solver_module, "eval_noisy", two_step_eval_noisy)
         monkeypatch.setattr(solver_module, "solve_sqp_step", recorded_step)
         reference = runs()
