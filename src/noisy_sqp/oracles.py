@@ -82,8 +82,10 @@ class NoiseSpec:
 
     ``eps1`` is the half-width for the objective and each constraint
     value, ``eps2`` for each gradient and Jacobian entry.  ``seed``, an
-    integer >= 0, keys the deterministic noise stream.  Numpy scalars are
-    stored as the builtin float and int, so specs serialize to JSON.
+    integer in ``[0, 2**32)``, keys the deterministic noise stream (see
+    :class:`NoiseStream`: its draw blocks are built whole and read-only,
+    and a zero-width draw reads none).  Numpy scalars are stored as the
+    builtin float and int, so specs serialize to JSON.
     """
 
     eps1: float
@@ -97,6 +99,8 @@ class NoiseSpec:
         if isinstance(self.seed, bool) or not (
                 isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.seed > _M32:
+            raise ValueError(f"seed must be below 2**32, got {self.seed!r}")
         object.__setattr__(self, "eps1", float(self.eps1))
         object.__setattr__(self, "eps2", float(self.eps2))
         object.__setattr__(self, "seed", int(self.seed))
@@ -202,35 +206,31 @@ def _seed_words(seed: int, block: int) -> np.ndarray:
 
 _MAX_BLOCKS = 64
 _width = 0  # the largest draw count requested so far; new blocks are this wide
-
-
-class _DrawBlock:
-    """The hashed seed words of one ``(seed, block)`` and its draw rows.
-
-    ``table`` is ``(width, draws, shared, filled)``: a ``(256, width)``
-    float64 array, a read-only view of it, and one flag per row, set once
-    row ``r`` holds the first ``width`` uniforms of counter
-    ``256 * block + r``.  Widening replaces ``table`` in one assignment,
-    so a reader always sees a matching tuple.
-    """
-
-    __slots__ = ("words", "table")
-
-    def __init__(self, words: np.ndarray, width: int):
-        self.words = words
-        self.table = _draw_table(width)
-
-
-def _draw_table(width: int):
-    draws = np.empty((256, width))
-    shared = draws.view()
-    shared.flags.writeable = False
-    return width, draws, shared, bytearray(256)
+_NO_DRAWS = np.empty(0)
+_NO_DRAWS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=_MAX_BLOCKS)
-def _draw_block(seed: int, block: int) -> _DrawBlock:
-    return _DrawBlock(_seed_words(seed, block), _width)
+def _draw_block(seed: int, block: int, width: int) -> np.ndarray:
+    """The first ``width`` uniforms of each counter of aligned block
+    ``block``, as a read-only ``(256, width)`` array.
+
+    Row ``r`` is what ``Generator.random`` draws from counter
+    ``256 * block + r``'s PCG64 state, loaded through one state dict.
+    """
+    draws = np.empty((256, width))
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(np.random.PCG64(0))  # state set before every use
+    for row, (a, b, c, d) in zip(draws, _seed_words(seed, block).tolist()):
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        # pcg64_set_seed: two LCG steps from state 0 with initstate added between
+        pcg["state"] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
+        pcg["inc"] = inc
+        rng.bit_generator.state = state
+        rng.random(out=row)
+    draws.flags.writeable = False
+    return draws
 
 
 @dataclass
@@ -241,72 +241,41 @@ class NoiseStream:
     ``np.random.default_rng(np.random.SeedSequence((seed, counter)))``
     draws first, so a run's noise depends only on its seed and call
     sequence.  Concurrent runs each own a stream and cannot perturb one
-    another.
+    another.  Seed and counter are ``int`` values in ``[0, 2**32)``.
 
     The draws are shared by every stream of a seed.  The process keeps an
-    LRU cache of the last 64 ``(seed, counter // 256)`` blocks; each holds
-    the block's 256 seed-sequence hashes (see :func:`_seed_words`) and one
-    float64 row per counter, as wide as the largest draw count requested
-    so far (24 for HS40: at most 64 * 256 * 24 * 8 bytes, 3.1 MB, of
-    draws and 64 * 8 KB of hashes).  A
-    row is filled on its counter's first use: its PCG64 state is loaded
-    into the stream's own Generator through one state dict, both built on
-    the first fill.  A wider request rebuilds the block, and its rows are
-    drawn again.  Two streams filling one row at once write equal values.
-    Entropy that is not two 32-bit words (a seed or counter of 2**32 or
-    more, a negative one, or one that is not an ``int``) takes numpy's
-    path, with a fresh Generator and no cache.
+    LRU cache of the last 64 blocks of 256 counters, keyed on ``(seed,
+    counter // 256, width)``.  A block is built whole on a miss: its 256
+    seed-sequence hashes (see :func:`_seed_words`) give one float64 row
+    per counter, as wide as the largest draw count requested so far (24
+    for HS40: at most 64 * 256 * 24 * 8 bytes, 3.1 MB).  The block is
+    read-only and never changes; a wider request builds a new one.  A
+    zero-width draw reads no block.
     """
 
     seed: int
     counter: int = 0
-    _rng = None  # the Generator and state dict of fills; see _fill_row
 
     def next_rng(self, k: int) -> np.ndarray:
         """The first ``k`` uniforms of evaluation ``counter``, read-only;
-        advances the counter by one."""
+        advances the counter by one.
+
+        Raises ValueError, with the counter unchanged, if the seed or
+        counter is not an ``int`` in ``[0, 2**32)``.
+        """
+        global _width
         seed, counter = self.seed, self.counter
-        if not (isinstance(seed, int) and 0 <= seed <= _M32
-                and isinstance(counter, int) and 0 <= counter <= _M32):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, counter)))
-            u = rng.random(k)
-            u.flags.writeable = False
-            self.counter = counter + 1
-            return u
-        block = _draw_block(seed, counter >> 8)
-        width, draws, shared, filled = block.table
-        if k > width:
-            width, draws, shared, filled = _widen(block, k)
-        r = counter & 255
-        if not filled[r]:
-            self._fill_row(block.words[r], draws[r])
-            filled[r] = 1  # set only once the row is complete
+        if not (type(seed) is int and 0 <= seed <= _M32
+                and type(counter) is int and 0 <= counter <= _M32):
+            raise ValueError("noise seed and counter must be ints in [0, 2**32), "
+                             f"got seed={seed!r}, counter={counter!r}")
         self.counter = counter + 1
-        return shared[r, :k]
-
-    def _fill_row(self, words: np.ndarray, row: np.ndarray) -> None:
-        if self._rng is None:
-            self._pcg = {"state": 0, "inc": 0}
-            self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,
-                           "uinteger": 0}
-            self._rng = np.random.Generator(np.random.PCG64(0))  # state set before every use
-        a, b, c, d = words.tolist()
-        inc = ((c << 64 | d) << 1 | 1) & _M128
-        pcg = self._pcg
-        # pcg64_set_seed: two LCG steps from state 0 with initstate added between
-        pcg["state"] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
-        pcg["inc"] = inc
-        self._rng.bit_generator.state = self._state
-        self._rng.random(out=row)
-
-
-def _widen(block: _DrawBlock, k: int):
-    """Rebuild ``block`` with rows ``k`` wide, and make new blocks at least that wide."""
-    global _width
-    _width = max(_width, k)
-    table = _draw_table(_width)
-    block.table = table
-    return table
+        if not k:
+            return _NO_DRAWS
+        width = _width
+        if k > width:
+            _width = width = max(_width, k)
+        return _draw_block(seed, counter >> 8, width)[counter & 255, :k]
 
 
 class NoisyEval(NamedTuple):

@@ -144,6 +144,22 @@ def test_check_passes_on_shipped_problems(capsys):
         assert f"{name}:" in out and "[ok]" in out
 
 
+def test_check_fails_on_a_nan_gradient(monkeypatch, capsys):
+    import numpy as np
+
+    from noisy_sqp import Problem
+
+    def nan_gradient(name):
+        p = get_problem(name)
+        return Problem(p.name, p.n, p.m, p.eval_f, p.eval_c,
+                       lambda x: np.full(p.n, np.nan), p.eval_J, p.x_start)
+
+    monkeypatch.setattr("noisy_sqp.cli.get_problem", nan_gradient)
+    assert dispatch(["check"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("error nan  [FAIL]") == 3
+
+
 def test_usage_errors_exit_1(capsys):
     assert dispatch([]) == 1
     assert dispatch(["solve"]) == 1                           # missing --problem
@@ -204,6 +220,9 @@ def test_misest_small_grid(tmp_path, capsys):
          "max_iters must be a positive integer"),
         (["solve", "--problem", "HS7", "--seed", "-1"],
          "invalid noise: seed must be a nonnegative integer"),
+        (["solve", "--problem", "HS7", "--seed", "4294967296"],
+         "invalid noise: seed must be below 2**32, got 4294967296"),
+        (["tables", "--seeds", "0,4294967296"], "seed must be below 2**32, got 4294967296"),
         (["solve", "--problem", "HS7", "--eps1", "-0.001"],
          "invalid noise: noise half-widths must be nonnegative"),
         (["solve", "--problem", "HS7", "--eps1", "1e-3", "--est-multiplier", "nan"],

@@ -188,14 +188,15 @@ class TestPlanValidation:
             ({"seeds": (0, 1, -1)}, "seed must be a nonnegative integer, got -1"),
             ({"seeds": (0, 1.5)}, "seed must be a nonnegative integer, got 1.5"),
             ({"seeds": (True,)}, "seed must be a nonnegative integer, got True"),
+            ({"seeds": (0, 2**32)}, "seed must be below 2**32, got 4294967296"),
             ({"eps_levels": ((1e-3, 1e-3), (math.nan, math.nan))}, "nonnegative"),
             ({"eps_levels": ((1e-3, 1e-3), (1e-3, -1e-3))}, "nonnegative"),
             ({"k_max_values": (20, 0)}, "max_iters must be a positive integer, got 0"),
             ({"misest_max_iters": 2.5}, "max_iters must be a positive integer, got 2.5"),
             ({"eps_levels": ((1e-3, 1e-3), (math.inf, math.inf))}, "nonnegative and finite"),
         ],
-        ids=["problem", "negative-seed", "float-seed", "bool-seed", "nan-eps", "negative-eps2",
-             "k-max", "misest-max-iters", "inf-eps"],
+        ids=["problem", "negative-seed", "float-seed", "bool-seed", "wide-seed", "nan-eps",
+             "negative-eps2", "k-max", "misest-max-iters", "inf-eps"],
     )
     def test_bad_grid_raises_before_any_run(self, grid, message, no_solve):
         base = {"problems": ("HS7",), "eps_levels": ((1e-3, 1e-3),), "seeds": (0, 1),

@@ -141,8 +141,9 @@ class TestValueOnlyEvaluation:
 
 
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**31 - 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
-# Counters near 2**32 cross into three-word entropy, which numpy hashes itself.
+# Counters near 2**32 run off the last block, where every draw is rejected.
 COUNTERS = st.one_of(st.integers(0, 1000), st.integers(2**32 - 300, 2**32 + 5))
+OUT_OF_RANGE = r"ints in \[0, 2\*\*32\)"
 STREAM_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("draw"), st.integers(1, 300)),
@@ -153,13 +154,25 @@ STREAM_OPS = st.lists(
 )
 
 
+def _check_rejected(stream, k=3):
+    """next_rng rejects the stream's seed or counter and leaves the counter alone."""
+    seed, counter = stream.seed, stream.counter
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        stream.next_rng(k)
+    assert stream.seed is seed and stream.counter is counter
+
+
 class TestNoiseStreamMatchesSeedSequence:
-    """Draw i of NoiseStream(seed) equals numpy's SeedSequence((seed, i)) path, bit for bit."""
+    """Draw i of NoiseStream(seed) equals numpy's SeedSequence((seed, i)) path,
+    bit for bit, for seeds and counters in [0, 2**32); others are rejected."""
 
     @staticmethod
     def _check_draws(stream, count):
         for _ in range(count):
             seed, counter = stream.seed, stream.counter
+            if not (0 <= seed < 2**32 and 0 <= counter < 2**32):
+                _check_rejected(stream)
+                continue
             got = stream.next_rng(3)
             assert stream.counter == counter + 1
             assert_array_equal(got, seed_sequence_rng(seed, counter).random(3))
@@ -186,23 +199,29 @@ class TestNoiseStreamMatchesSeedSequence:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(2**32, 2**96), counter=st.integers(0, 50))
-    def test_wide_seeds_take_numpy_path(self, seed, counter):
-        self._check_draws(NoiseStream(seed, counter), 12)
+    def test_wide_seeds_are_rejected(self, seed, counter):
+        stream = NoiseStream(seed, counter)
+        for k in (3, 0):
+            _check_rejected(stream, k)
 
-    @pytest.mark.parametrize("seed", [1.0, np.int64(5)])
-    def test_reassigned_seed_of_another_type_behaves_like_numpy(self, seed):
-        stream = NoiseStream(int(seed))
+    @pytest.mark.parametrize("counter", [2**32, 2**40, -1])
+    def test_counters_outside_32_bits_are_rejected(self, counter):
+        stream = NoiseStream(4)
         self._check_draws(stream, 3)
-        stream.seed = seed
-        try:
-            expected = seed_sequence_rng(seed, 3).random(3)
-        except TypeError as numpy_error:
-            with pytest.raises(TypeError, match=str(numpy_error)):
-                stream.next_rng(3)
-        else:
-            assert_array_equal(stream.next_rng(3), expected)
+        stream.counter = counter
+        for k in (3, 0):
+            _check_rejected(stream, k)
 
-    @pytest.mark.parametrize("seed", [9, 2**40])
+    @pytest.mark.parametrize("value", [1.0, np.int64(5), True, "5"])
+    @pytest.mark.parametrize("field", ["seed", "counter"])
+    def test_reassigned_seed_or_counter_of_another_type_is_rejected(self, field, value):
+        stream = NoiseStream(5)
+        self._check_draws(stream, 3)
+        setattr(stream, field, value)
+        for k in (3, 0):
+            _check_rejected(stream, k)
+
+    @pytest.mark.parametrize("seed", [9, 2**32 - 1])
     def test_rows_are_read_only(self, seed):
         stream = NoiseStream(seed)
         for k in (1, 6, 24, 0):
@@ -213,16 +232,13 @@ class TestNoiseStreamMatchesSeedSequence:
                 u[:] = 0.0
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
-    def test_negative_seed_raises_like_numpy(self, seed):
-        with pytest.raises(ValueError) as numpy_error:
-            np.random.SeedSequence(entropy=(seed, 0))
+    def test_negative_seed_is_rejected(self, seed):
         fresh, reseeded = NoiseStream(seed), NoiseStream(4)
         self._check_draws(reseeded, 3)
         reseeded.seed = seed
         for stream, counter in ((fresh, 0), (reseeded, 3)):
             for _ in range(2):
-                with pytest.raises(ValueError, match=str(numpy_error.value)):
-                    stream.next_rng(3)
+                _check_rejected(stream)
             assert stream.counter == counter
 
 
@@ -258,14 +274,16 @@ class TestDrawCache:
 
     @pytest.mark.parametrize("seed", [0, 31, 2**32 - 1])
     def test_cold_warm_and_widened_blocks_match_numpy(self, seed, cold_cache):
-        # Counters 250 to 859 span blocks 0 to 3.  Widths cycle through the
-        # four draw counts, so block 0 is made empty and widened to each.
+        # Counters 250 to 859 span blocks 0 to 3.  Block 0 is built 1 wide;
+        # widths then cycle through the four draw counts from counter 260,
+        # so block 1 is built at each of them and blocks 2 and 3 at 24.
         widths = [(1, 4, 20, 24)[i % 4] for i in range(600)]
         self._check_widths(NoiseStream(seed, 250), [1] * 10 + widths)  # cold
         info = oracles_module._draw_block.cache_info()
-        assert info.misses == 4 and info.currsize == 4
-        self._check_widths(NoiseStream(seed, 250), widths[::-1])  # warm, full width
-        assert oracles_module._draw_block.cache_info().misses == 4
+        assert info.misses == 7 and info.currsize == 7
+        # Warm, full width: only block 0 is built again, 24 wide.
+        self._check_widths(NoiseStream(seed, 250), widths[::-1])
+        assert oracles_module._draw_block.cache_info().misses == 8
         oracles_module._draw_block.cache_clear()
         self._check_widths(NoiseStream(seed, 250), widths)  # cold, built 24 wide
 
@@ -276,10 +294,37 @@ class TestDrawCache:
             self._check_widths(stream, [24, k, 1])
 
     @pytest.mark.parametrize("counter", [2**32 - 1, 2**32])
-    def test_last_hashed_counter_and_first_numpy_counter(self, counter, cold_cache):
-        # 2**32 - 1 is the last row of the last block; 2**32 is three-word entropy.
+    def test_last_hashed_counter_and_first_rejected_counter(self, counter, cold_cache):
+        # 2**32 - 1 is the last row of the last block; 2**32 is rejected
+        # before any block is looked up.
         self._check_draws(NoiseStream(7, counter), 1)
         assert oracles_module._draw_block.cache_info().misses == int(counter < 2**32)
+
+    def test_blocks_are_built_whole_and_read_only(self, cold_cache):
+        NoiseStream(6, 300).next_rng(5)
+        block = oracles_module._draw_block(6, 1, 5)
+        assert oracles_module._draw_block.cache_info().misses == 1
+        assert block.shape == (256, 5) and not block.flags.writeable
+        for r in (0, 44, 255):
+            assert_array_equal(block[r], seed_sequence_rng(6, 256 + r).random(5))
+
+    @pytest.mark.parametrize("name", ["HS7", "HS40"])
+    def test_zero_width_draws_read_no_block(self, name, cold_cache):
+        p = get_problem(name)
+        spec = NoiseSpec(0.0, 0.0, seed=3)
+        stream = spec.stream()
+        before = oracles_module._draw_block.cache_info()
+        for counter in range(300):
+            assert stream.counter == counter
+            u = stream.next_rng(0)
+            assert u.shape == (0,) and not u.flags.writeable
+        for derivatives in (True, False):
+            x = p.x_start + 0.25
+            got, want = eval_noisy(p, x, spec, stream, derivatives), eval_exact(p, x, derivatives)
+            for a, b in zip(got[:4], want[:4]):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert stream.counter == 302
+        assert oracles_module._draw_block.cache_info() == before
 
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS, paces=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
@@ -300,7 +345,7 @@ class TestDrawCache:
 
     def test_threads_sharing_blocks_draw_numpy_values(self, cold_cache):
         # Six threads on two cores, with streams of one seed and widths in a
-        # different order each, so fills, widenings and reads interleave.
+        # different order each, so builds at growing widths and reads interleave.
         def work(i, errors):
             try:
                 stream = NoiseStream(11, 200)
@@ -325,7 +370,7 @@ class TestDrawCache:
 
     @pytest.mark.parametrize("order", [("HS7", "BT11", "HS40"), ("HS40", "BT11", "HS7")])
     def test_solves_sharing_a_seed_equal_cold_cache_solves(self, order, cold_cache):
-        # Forward, each problem widens the blocks of the one before; in
+        # Forward, each problem builds blocks wider than the one before; in
         # reverse, HS7 and BT11 read the leading columns of HS40's rows.
         cold = {}
         for name in order:
@@ -384,6 +429,11 @@ class TestValidation:
             with pytest.raises(ValueError, match="nonnegative"):
                 NoiseSpec(eps1, eps2)
 
+    @pytest.mark.parametrize("seed", [2**32, 2**40, np.uint64(2**32)])
+    def test_seed_must_be_below_2_to_the_32(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*32"):
+            NoiseSpec(1e-3, 1e-3, seed=seed)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, math.nan, "0", True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
@@ -394,9 +444,10 @@ class TestValidation:
         assert (type(spec.eps1), type(spec.eps2), type(spec.seed)) == (float, float, int)
         assert (spec.eps1, spec.eps2, spec.seed) == (1e-3, 0.5, 7)
 
-    def test_wide_seed_accepted(self):
-        spec = NoiseSpec(1e-3, 1e-3, seed=2**40)
-        assert spec.stream().next_rng(1)[0] == seed_sequence_rng(2**40, 0).random()
+    def test_largest_seed_accepted(self):
+        spec = NoiseSpec(1e-3, 1e-3, seed=np.uint32(2**32 - 1))
+        assert spec.seed == 2**32 - 1
+        assert spec.stream().next_rng(1)[0] == seed_sequence_rng(2**32 - 1, 0).random()
 
     def test_problem_requires_m_less_than_n(self):
         with pytest.raises(ValueError, match="m < n"):

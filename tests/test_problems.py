@@ -88,9 +88,29 @@ def test_verify_derivatives_detects_a_wrong_gradient():
     assert verify_derivatives(broken, p.x_start) > 1e-3
 
 
-def test_verify_derivatives_requires_positive_step():
-    with pytest.raises(ValueError):
-        verify_derivatives(get_problem("HS7"), np.array([2.0, 2.0]), h=0.0)
+@pytest.mark.parametrize("h", [0.0, -1e-6, math.nan, math.inf, -math.inf])
+def test_verify_derivatives_requires_finite_positive_step(h):
+    with pytest.raises(ValueError, match="finite and positive"):
+        verify_derivatives(get_problem("HS7"), np.array([2.0, 2.0]), h=h)
+
+
+@pytest.mark.parametrize("entry", ["g", "J"])
+def test_verify_derivatives_reports_nan_disagreement(entry):
+    # The builtin max(worst, nan) keeps worst, which would hide the NaN.
+    from noisy_sqp import Problem
+
+    p = get_problem("HS7")
+    eval_g, eval_J = p.eval_g, p.eval_J
+    if entry == "g":
+        def eval_g(x):
+            return np.array([math.nan, -1.0])
+    else:
+        def eval_J(x):
+            J = np.array(p.eval_J(x), dtype=float)
+            J[0, 1] = math.nan
+            return J
+    broken = Problem("HS7-nan", p.n, p.m, p.eval_f, p.eval_c, eval_g, eval_J, p.x_start)
+    assert math.isnan(verify_derivatives(broken, p.x_start))
 
 
 class TestReferenceSolutions:
