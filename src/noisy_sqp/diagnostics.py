@@ -26,6 +26,6 @@ def stationarity_psi(
     gate of the projection raises before the check on ``b_u``.
     """
     pg = project_tangent(J, g)
-    if b_u <= 0:
+    if not b_u > 0:
         raise ValueError(f"b_u must be positive, got {b_u}")
     return float(np.dot(pg, pg) / b_u + pi * tau * np.abs(c).sum())

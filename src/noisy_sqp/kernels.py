@@ -104,11 +104,11 @@ def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
 
     Parameters
     ----------
-    J : array, shape (m, n)
+    J : float array, shape (m, n)
         Constraint Jacobian, full row rank.
-    c : array, shape (m,)
+    c : float array, shape (m,)
         Constraint values; the step satisfies J d = -c.
-    g : array, shape (n,)
+    g : float array, shape (n,)
         Objective gradient.
     beta : float
         Positive curvature of the Hessian model beta*I.
@@ -118,11 +118,9 @@ def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
     StepResult with d = v + u, <u, v> = 0, and the multiplier estimate
     lambda_hat = (JJ')^{-1} J g.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    U, s, Vt = factor_jacobian(np.asarray(J, dtype=float))
-    c = np.asarray(c, dtype=float)
-    g = np.asarray(g, dtype=float)
+    U, s, Vt = factor_jacobian(J)
     vg = Vt @ g
     lambda_hat = U @ (vg / s)
     v = -(Vt.T @ ((U.T @ c) / s))

@@ -149,33 +149,32 @@ class SolveResult:
         return None
 
 
-def merit_value(f_val: float, c_val: Vector, pi: float) -> float:
-    """l1 merit: f + pi * ||c||_1."""
-    if pi <= 0:
+def merit_value(f_val: float, c_l1: float, pi: float) -> float:
+    """l1 merit f + pi * ||c||_1, given c_l1 = ||c||_1."""
+    if not pi > 0:
         raise ValueError(f"penalty must be positive, got {pi}")
-    return float(f_val + pi * np.abs(c_val).sum())
+    return float(f_val + pi * c_l1)
 
 
-def linear_model(g: Vector, c: Vector, J: Matrix, d: Vector, pi: float) -> float:
-    """First-order model of the merit change along d.
+def linear_model(g: Vector, c: Vector, J: Matrix, d: Vector, pi: float, c_l1: float) -> float:
+    """First-order model of the merit change along d, given c_l1 = ||c||_1.
 
-    g'd + pi*||c + Jd||_1 - pi*||c||_1; for steps satisfying the
-    linearized constraints the middle term vanishes to solver accuracy.
+    g'd + pi*||c + Jd||_1 - pi*||c||_1 for float arrays g, c, J and d;
+    for steps satisfying the linearized constraints the middle term
+    vanishes to solver accuracy.
     """
-    c = np.asarray(c, dtype=float)
-    return float(np.dot(g, d) + pi * np.abs(c + J @ d).sum() - pi * np.abs(c).sum())
+    return float(g.dot(d) + pi * np.abs(c + J @ d).sum() - pi * c_l1)
 
 
-def update_penalty(pi: float, lambda_hat: Vector, tau: float) -> float:
+def update_penalty(pi: float, lam_inf: float, tau: float) -> float:
     """Classical penalty update: grow pi when it no longer dominates the multiplier.
 
-    Keeps pi when pi >= ||lambda_hat||_inf / (1 - tau); otherwise jumps
-    to twice that threshold so increases are substantial and pi settles
-    after finitely many changes.
+    ``lam_inf`` is ||lambda_hat||_inf.  Keeps pi when
+    pi >= lam_inf / (1 - tau); otherwise jumps to twice that threshold so
+    increases are substantial and pi settles after finitely many changes.
     """
     if not 0 < tau < 1:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    lam_inf = float(np.abs(lambda_hat).max()) if len(lambda_hat) else 0.0
     # pi >= lam/(1-tau), rearranged so the boundary case is not lost to
     # the rounding of the division
     if pi >= lam_inf + pi * tau:
@@ -211,10 +210,11 @@ def relaxed_line_search(
 
 
 def check_termination(
-    c: Vector,
+    c_l1: float,
     g: Vector,
     J: Matrix,
-    lam: Vector,
+    lambda_hat: Vector,
+    lam_inf: float,
     eps_c_est: float,
     eps_g_est: float,
     eps_J_est: float,
@@ -222,15 +222,14 @@ def check_termination(
     """Noisy stationarity test: stop once the observed errors sit below the noise.
 
     True iff ||c||_1 <= eps_c_est and
-    ||g + J' lam|| <= eps_g_est + ||lam||_inf * eps_J_est.  `lam` is the
-    multiplier paired with the ``g + J' lam`` residual convention (the
-    solver passes the negated least-squares estimate).
+    ||g - J' lam|| <= eps_g_est + ||lam||_inf * eps_J_est, with ``lam``
+    the least-squares multiplier estimate ``lambda_hat``.  ``c_l1`` is
+    ||c||_1 and ``lam_inf`` is ||lambda_hat||_inf.
     """
-    if float(np.abs(c).sum()) > eps_c_est:
+    if c_l1 > eps_c_est:
         return False
-    r = g + J.T @ lam
+    r = g - J.T @ lambda_hat
     residual = math.sqrt(r.dot(r))  # np.linalg.norm's formula for a 1-D array
-    lam_inf = float(np.abs(lam).max()) if len(lam) else 0.0
     return residual <= eps_g_est + lam_inf * eps_J_est
 
 
@@ -300,27 +299,29 @@ def solve(
 
     for k in range(cfg.max_iters):
         ev = eval_noisy(p, x, spec, stream)
+        c_l1 = float(np.abs(ev.c).sum())
         try:
             step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
         except (SingularJacobianError, NonFiniteJacobianError) as err:
-            record(k, math.nan, merit_value(ev.f, ev.c, pi), math.nan, 0, False,
+            record(k, math.nan, merit_value(ev.f, c_l1, pi), math.nan, 0, False,
                    math.nan, math.nan)
             singular = isinstance(err, SingularJacobianError)
             status = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
             break
 
-        pi = update_penalty(pi, step.lambda_hat, cfg.tau)
-        merit0 = merit_value(ev.f, ev.c, pi)
-        model = linear_model(ev.g, ev.c, ev.J, step.d, pi)
-        # A NaN or infinity in f, c or g (through pi or the step) reaches
-        # one of these two.
+        lam_inf = float(np.abs(step.lambda_hat).max())
+        pi = update_penalty(pi, lam_inf, cfg.tau)
+        # A NaN or infinity in f, c or g (through pi or the step) reaches one
+        # of these two; a NaN pi, which merit_value rejects, is a NaN merit.
+        merit0 = merit_value(ev.f, c_l1, pi) if pi == pi else math.nan
+        model = linear_model(ev.g, ev.c, ev.J, step.d, pi, c_l1)
         if not (math.isfinite(merit0) and math.isfinite(model)):
             record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
             status = Status.NONFINITE
             break
 
         if cfg.termination_enabled and check_termination(
-            ev.c, ev.g, ev.J, -step.lambda_hat, eps_c_stop, eps_g_stop, eps_J_stop
+            c_l1, ev.g, ev.J, step.lambda_hat, lam_inf, eps_c_stop, eps_g_stop, eps_J_stop
         ):
             record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
             status = Status.CONVERGED
@@ -334,7 +335,7 @@ def solve(
             nonlocal last_trial, trial_x
             trial_x = x + alpha * step.d
             ev_t = eval_noisy(p, trial_x, spec, stream, derivatives=False)
-            last_trial = merit_value(ev_t.f, ev_t.c, pi)
+            last_trial = merit_value(ev_t.f, float(np.abs(ev_t.c).sum()), pi)
             return last_trial
 
         found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r, cfg.max_backtracks)

@@ -10,7 +10,10 @@ the library's noise model, noise stream, iteration helpers and rank
 gate; the library must match them bit for bit (the gate: decision for
 decision).  The fresh-state-dict draws, the two-step noise map and the
 numpy-scalar problem callbacks are the library's earlier forms.  None of
-them reads the library's shared draw cache.
+them reads the library's shared draw cache.  ``reference_solve`` is the
+solver's iteration as it was written on the merit helper forms, around
+the library's oracle (draw cache included), step kernel, psi and line
+search.
 """
 
 import math
@@ -18,6 +21,15 @@ import math
 import numpy as np
 
 from noisy_sqp import oracles
+from noisy_sqp.diagnostics import stationarity_psi
+from noisy_sqp.kernels import NonFiniteJacobianError, SingularJacobianError, solve_sqp_step
+from noisy_sqp.solver import (
+    IterateRecord,
+    SolveResult,
+    Status,
+    _effective_stop_bounds,
+    relaxed_line_search,
+)
 
 
 def dense_kkt_step(J, c, g, beta):
@@ -163,6 +175,98 @@ def check_termination_reference(c, g, J, lam, eps_c_est, eps_g_est, eps_J_est):
     residual = float(np.linalg.norm(g + J.T @ lam))
     lam_inf = float(np.max(np.abs(lam))) if len(lam) else 0.0
     return residual <= eps_g_est + lam_inf * eps_J_est
+
+
+def reference_solve(p, spec, cfg, x_ref=None, collect_psi=False):
+    """The iteration of ``solver.solve`` as it was written on the helper forms above.
+
+    Each helper recomputes the norms it needs, the stop test takes the
+    negated multiplier in its ``g + J' lam`` convention, and the merit
+    has no positivity guard.  The oracle, the step kernel, psi and the
+    line search are the library's.
+    """
+    if x_ref is not None:
+        x_ref = oracles._check_point(p, x_ref)
+    stream = spec.stream()
+    x = np.array(p.x_start, dtype=float)
+    pi = cfg.pi_init
+    trace = []
+    status = Status.MAX_ITERS
+    eps_c_stop, eps_g_stop, eps_J_stop = _effective_stop_bounds(cfg)
+
+    def record(k, alpha, merit0, model, backtracks, failed, merit_trial, eps_r):
+        if x_ref is not None:
+            r = x - x_ref
+            dist = math.sqrt(r.dot(r))
+        else:
+            dist = math.nan
+        psi = math.nan
+        if collect_psi:
+            exact = ev.exact
+            try:
+                psi = stationarity_psi(exact.g, exact.c, exact.J, pi, cfg.tau, cfg.beta)
+            except (SingularJacobianError, NonFiniteJacobianError):
+                pass
+        trace.append(
+            IterateRecord(
+                k=k, x=x.copy(), alpha=alpha, pi=pi, merit_noisy=merit0,
+                model_value=model, dist_to_ref=dist, psi=psi,
+                backtracks=backtracks, line_search_failed=failed,
+                merit_trial=merit_trial, eps_R=eps_r,
+            )
+        )
+
+    for k in range(cfg.max_iters):
+        ev = oracles.eval_noisy(p, x, spec, stream)
+        try:
+            step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
+        except (SingularJacobianError, NonFiniteJacobianError) as err:
+            record(k, math.nan, merit_value_reference(ev.f, ev.c, pi), math.nan, 0, False,
+                   math.nan, math.nan)
+            singular = isinstance(err, SingularJacobianError)
+            status = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
+            break
+
+        pi = update_penalty_reference(pi, step.lambda_hat, cfg.tau)
+        merit0 = merit_value_reference(ev.f, ev.c, pi)
+        model = linear_model_reference(ev.g, ev.c, ev.J, step.d, pi)
+        if not (math.isfinite(merit0) and math.isfinite(model)):
+            record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
+            status = Status.NONFINITE
+            break
+
+        if cfg.termination_enabled and check_termination_reference(
+            ev.c, ev.g, ev.J, -step.lambda_hat, eps_c_stop, eps_g_stop, eps_J_stop
+        ):
+            record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
+            status = Status.CONVERGED
+            break
+
+        eps_r = 2.0 * (cfg.eps_f_est + pi * cfg.eps_c_est) if cfg.relaxation_enabled else 0.0
+
+        last_trial, trial_x = math.nan, x
+
+        def merit_at(alpha):
+            nonlocal last_trial, trial_x
+            trial_x = x + alpha * step.d
+            ev_t = oracles.eval_noisy(p, trial_x, spec, stream, derivatives=False)
+            last_trial = merit_value_reference(ev_t.f, ev_t.c, pi)
+            return last_trial
+
+        found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r, cfg.max_backtracks)
+        if found is None:
+            record(k, math.nan, merit0, model, cfg.max_backtracks, True, math.nan, eps_r)
+            if math.isfinite(last_trial):
+                status = Status.LINE_SEARCH_FAILURE
+            else:
+                status = Status.NONFINITE
+            break
+
+        alpha, backtracks = found
+        record(k, alpha, merit0, model, backtracks, False, last_trial, eps_r)
+        x = trial_x
+
+    return SolveResult(x=x, trace=trace, status=status)
 
 
 def psi_reference(pg, c, pi, tau, b_u):

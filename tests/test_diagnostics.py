@@ -1,5 +1,7 @@
 """Tests for the stationarity measure psi and the KKT residual ||P g||."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,9 +45,10 @@ class TestStationarityPsi:
         else:
             assert hi == lo
 
-    def test_requires_positive_scale(self):
+    @pytest.mark.parametrize("b_u", [0.0, -1.0, math.nan])
+    def test_requires_positive_scale(self, b_u):
         with pytest.raises(ValueError):
-            stationarity_psi(np.zeros(2), np.zeros(1), np.array([[1.0, 0.0]]), 1.0, 0.9, 0.0)
+            stationarity_psi(np.zeros(2), np.zeros(1), np.array([[1.0, 0.0]]), 1.0, 0.9, b_u)
 
 
 class TestKktResidual:

@@ -1,5 +1,6 @@
 """Tests for the step kernels against independent dense oracles."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,9 +126,10 @@ class TestSolveStep:
         assert_allclose(hi.v, lo.v, rtol=0, atol=0)  # normal part ignores beta
         assert_allclose(hi.u, lo.u / 2.0, rtol=1e-15, atol=0)
 
-    def test_nonpositive_beta_rejected(self):
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_nonpositive_beta_rejected(self, beta):
         with pytest.raises(ValueError, match="beta"):
-            solve_sqp_step(np.array([[1.0, 0.0]]), np.zeros(1), np.zeros(2), 0.0)
+            solve_sqp_step(np.array([[1.0, 0.0]]), np.zeros(1), np.zeros(2), beta)
 
 
 class TestMinSingularValue:

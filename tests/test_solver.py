@@ -18,6 +18,7 @@ from helpers import (
     merit_value_reference,
     per_evaluation_draws,
     random_full_rank,
+    reference_solve,
     two_step_eval_noisy,
     update_penalty_reference,
 )
@@ -41,48 +42,57 @@ from noisy_sqp.solver import (
 )
 
 
+def _l1(c):
+    """||c||_1 as solve computes it once per evaluation."""
+    return float(np.abs(c).sum())
+
+
 class TestMeritValue:
     def test_feasible_point(self):
-        assert merit_value(1.0, np.array([0.0, 0.0]), 10.0) == 1.0
+        assert merit_value(1.0, _l1(np.array([0.0, 0.0])), 10.0) == 1.0
 
     def test_weighted_violation(self):
-        assert merit_value(0.0, np.array([1.0, -2.0]), 2.0) == 6.0
+        assert merit_value(0.0, _l1(np.array([1.0, -2.0])), 2.0) == 6.0
 
     def test_at_hs7_optimum(self):
-        assert merit_value(-math.sqrt(3.0), np.array([0.0]), 5.0) == -math.sqrt(3.0)
+        assert merit_value(-math.sqrt(3.0), _l1(np.array([0.0])), 5.0) == -math.sqrt(3.0)
 
-    def test_rejects_nonpositive_penalty(self):
+    @pytest.mark.parametrize("pi", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_penalty(self, pi):
         with pytest.raises(ValueError):
-            merit_value(0.0, np.zeros(1), 0.0)
+            merit_value(0.0, _l1(np.zeros(1)), pi)
 
 
 class TestLinearModel:
     def test_zero_step(self):
-        out = linear_model(np.array([1.0, 2.0]), np.array([3.0]),
-                           np.array([[1.0, 1.0]]), np.zeros(2), 2.0)
+        c = np.array([3.0])
+        out = linear_model(np.array([1.0, 2.0]), c,
+                           np.array([[1.0, 1.0]]), np.zeros(2), 2.0, _l1(c))
         assert out == 0.0
 
     def test_direct_arithmetic(self):
-        out = linear_model(np.array([1.0, 0.0]), np.array([1.0]),
-                           np.array([[1.0, 0.0]]), np.array([-1.0, 0.0]), 2.0)
+        c = np.array([1.0])
+        out = linear_model(np.array([1.0, 0.0]), c,
+                           np.array([[1.0, 0.0]]), np.array([-1.0, 0.0]), 2.0, _l1(c))
         assert out == pytest.approx(-3.0)
 
     def test_consistent_with_step_example(self):
-        out = linear_model(np.array([0.0, 1.0]), np.array([2.0]),
-                           np.array([[1.0, 0.0]]), np.array([-2.0, -1.0]), 3.0)
+        c = np.array([2.0])
+        out = linear_model(np.array([0.0, 1.0]), c,
+                           np.array([[1.0, 0.0]]), np.array([-2.0, -1.0]), 3.0, _l1(c))
         assert out == pytest.approx(-7.0)
 
 
 class TestUpdatePenalty:
     def test_keeps_dominating_value(self):
-        assert update_penalty(10.0, np.array([0.5]), 0.9) == 10.0
+        assert update_penalty(10.0, 0.5, 0.9) == 10.0
 
     def test_doubles_past_threshold(self):
-        assert update_penalty(1.0, np.array([0.5]), 0.9) == pytest.approx(10.0)
+        assert update_penalty(1.0, 0.5, 0.9) == pytest.approx(10.0)
 
     def test_boundary_keeps(self):
         # threshold is exactly pi; the comparison is >=
-        assert update_penalty(10.0, np.array([1.0]), 0.9) == 10.0
+        assert update_penalty(10.0, 1.0, 0.9) == 10.0
 
 
 class TestRelaxedLineSearch:
@@ -118,19 +128,26 @@ class TestRelaxedLineSearch:
         assert len(calls) == 11
 
 
+def _stop(c, g, J, lambda_hat, eps_c, eps_g, eps_J):
+    """check_termination fed the two norms the way solve computes them."""
+    lam_inf = float(np.abs(lambda_hat).max())
+    return check_termination(_l1(c), g, J, lambda_hat, lam_inf, eps_c, eps_g, eps_J)
+
+
 class TestCheckTermination:
     def test_exact_zero(self):
-        assert check_termination(np.zeros(1), np.zeros(2), np.array([[1.0, 0.0]]),
-                                 np.zeros(1), 0.0, 0.0, 0.0)
+        assert _stop(np.zeros(1), np.zeros(2), np.array([[1.0, 0.0]]),
+                     np.zeros(1), 0.0, 0.0, 0.0)
 
     def test_feasibility_gate(self):
-        assert not check_termination(np.array([0.02]), np.zeros(2), np.array([[1.0, 0.0]]),
-                                     np.zeros(1), 0.01, 1e9, 1e9)
+        assert not _stop(np.array([0.02]), np.zeros(2), np.array([[1.0, 0.0]]),
+                         np.zeros(1), 0.01, 1e9, 1e9)
 
     def test_exact_kkt_pair(self):
-        assert check_termination(np.array([0.0]), np.array([0.5, 0.0]),
-                                 np.array([[1.0, 0.0]]), np.array([-0.5]),
-                                 1e-3, 1e-3, 1e-3)
+        # g = J' lambda_hat: the least-squares multiplier of g = (0.5, 0)
+        assert _stop(np.array([0.0]), np.array([0.5, 0.0]),
+                     np.array([[1.0, 0.0]]), np.array([0.5]),
+                     1e-3, 1e-3, 1e-3)
 
 
 def _exact_kkt(p, x):
@@ -353,6 +370,36 @@ class TestOnePassOraclePreservesRuns:
                     assert x_next.tobytes() == (row.x + row.alpha * step.d).tobytes()
 
 
+class TestIterationMatchesReference:
+    """solve is bitwise the iteration written on the numpy-wrapper helpers,
+    each recomputing its own norms, with the stop test on the negated
+    multiplier."""
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
+    def test_rows_match_reference_solve(self, name, eps):
+        p = get_problem(name)
+        spec = NoiseSpec(eps, eps, seed=29)
+        x_ref = reference_solution(name).x_star
+        base = SolverConfig(max_iters=150)
+        bounds = spec.bounds(p.n, p.m)
+        runs = [
+            (replace(base, termination_enabled=False).with_estimates(bounds), True),
+            (replace(base, relaxation_enabled=False).with_estimates(bounds), False),
+            *((base.with_estimates(bounds, mult), False) for mult in (1e-3, 1.0, 1e3)),
+        ]
+        statuses = []
+        for cfg, collect_psi in runs:
+            a = solve(p, spec, cfg, x_ref=x_ref, collect_psi=collect_psi)
+            b = reference_solve(p, spec, cfg, x_ref=x_ref, collect_psi=collect_psi)
+            assert a.status is b.status
+            assert a.x.tobytes() == b.x.tobytes()
+            assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
+            statuses.append(a.status)
+        # The stop test fires, at the latest with the overestimated bounds.
+        assert statuses[-1] is Status.CONVERGED
+
+
 class TestPsiReadsTheIterateEvaluation:
     """psi comes from the exact g, c and J of the noisy evaluation at x_k."""
 
@@ -515,21 +562,25 @@ class TestHelpersBitwiseAgainstNumpyWrappers:
     @settings(max_examples=300, deadline=None)
     @given(helper_inputs())
     def test_helpers_match(self, a):
+        # The reference stop test takes the multiplier in its g + J' lam
+        # convention, the library the least-squares estimate itself.
+        lam_hat = -a["lam"]
         stop_args = (a["c"], a["g"], a["J"], a["lam"], *a["eps"])
         with np.errstate(all="ignore"):
+            c_l1, lam_inf = _l1(a["c"]), float(np.abs(lam_hat).max())
             # A loose eps_c takes every finite c on to the residual clause,
             # and a bound equal to the reference residual tests it at the edge.
             edge = float(np.linalg.norm(a["g"] + a["J"].T @ a["lam"]))
             loose_stop_args = (*stop_args[:4], math.inf, edge, 0.0)
-            assert _bits(merit_value(a["f"], a["c"], a["pi"])) == _bits(
+            assert _bits(merit_value(a["f"], c_l1, a["pi"])) == _bits(
                 merit_value_reference(a["f"], a["c"], a["pi"]))
-            assert _bits(linear_model(a["g"], a["c"], a["J"], a["d"], a["pi"])) == _bits(
+            assert _bits(linear_model(a["g"], a["c"], a["J"], a["d"], a["pi"], c_l1)) == _bits(
                 linear_model_reference(a["g"], a["c"], a["J"], a["d"], a["pi"]))
-            assert _bits(update_penalty(a["pi"], a["lam"], a["tau"])) == _bits(
-                update_penalty_reference(a["pi"], a["lam"], a["tau"]))
-            assert check_termination(*stop_args) == check_termination_reference(*stop_args)
-            assert check_termination(*loose_stop_args) == check_termination_reference(
-                *loose_stop_args)
+            assert _bits(update_penalty(a["pi"], lam_inf, a["tau"])) == _bits(
+                update_penalty_reference(a["pi"], lam_hat, a["tau"]))
+            for args in (stop_args, loose_stop_args):
+                assert check_termination(c_l1, a["g"], a["J"], lam_hat, lam_inf,
+                                         *args[4:]) == check_termination_reference(*args)
 
 
 def _poisoned(name, quantity, value, after):
