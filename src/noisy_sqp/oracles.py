@@ -260,22 +260,21 @@ class NoiseStream:
         """The first ``k`` uniforms of evaluation ``counter``, read-only;
         advances the counter by one.
 
-        Raises ValueError, with the counter unchanged, if the seed or
-        counter is not an ``int`` in ``[0, 2**32)``.
+        Raises ValueError if the seed or counter is not an ``int`` in
+        ``[0, 2**32)`` or ``k`` is not an ``int`` >= 0, a bool counting
+        as no ``int``.  On any error the counter and the width are unchanged.
         """
         global _width
         seed, counter = self.seed, self.counter
         if not (type(seed) is int and 0 <= seed <= _M32
-                and type(counter) is int and 0 <= counter <= _M32):
-            raise ValueError("noise seed and counter must be ints in [0, 2**32), "
-                             f"got seed={seed!r}, counter={counter!r}")
+                and type(counter) is int and 0 <= counter <= _M32
+                and type(k) is int and k >= 0):
+            raise ValueError("noise seed and counter must be ints in [0, 2**32) and k an "
+                             f"int >= 0, got seed={seed!r}, counter={counter!r}, k={k!r}")
+        u = _draw_block(seed, counter >> 8, max(_width, k))[counter & 255, :k] if k else _NO_DRAWS
+        _width = max(_width, k)  # only once the block exists
         self.counter = counter + 1
-        if not k:
-            return _NO_DRAWS
-        width = _width
-        if k > width:
-            _width = width = max(_width, k)
-        return _draw_block(seed, counter >> 8, width)[counter & 255, :k]
+        return u
 
 
 class NoisyEval(NamedTuple):
@@ -321,6 +320,7 @@ def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
 def _noise_map(eps1: float, eps2: float, m: int, n: int, derivatives: bool):
     """Draw counts (k1 for f and c, k2 for g and J) and the read-only
     per-draw ``lo`` (-eps) and ``span`` (eps - -eps) of one evaluation."""
+    m, n = int(m), int(n)  # next_rng takes an int count, also for numpy-integer dimensions
     k1 = 1 + m if eps1 > 0 else 0
     k2 = n * (1 + m) if eps2 > 0 and derivatives else 0
     lo = np.repeat(np.array([-eps1, -eps2], dtype=float), (k1, k2))

@@ -31,13 +31,14 @@ def _on_floats(body):
     numpy float64 scalars, so the result has the same bits, and they skip
     numpy's per-scalar overhead.  Where Python's ``**`` raises
     OverflowError, numpy returns inf, so that point is evaluated again on
-    numpy scalars.
+    numpy scalars with floating-point warnings off.
     """
     def callback(x):
         try:
             return body(*x.tolist())
         except OverflowError:
-            return body(*x)
+            with np.errstate(all="ignore"):
+                return body(*x)
     return callback
 
 

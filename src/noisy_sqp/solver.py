@@ -262,20 +262,71 @@ def solve(
     gate).  It reads the exact g, c and J that the noisy evaluation at
     x_k already computed, so it calls no problem callback; its cost is
     the measure's projection.
-    Terminal events (line-search failure, rank-deficient Jacobian, a
-    non-finite oracle value) are reported through ``SolveResult.status``
-    with the partial trace intact.
+
+    Each iteration writes one trace row.  The step (a rank-deficient or
+    non-finite Jacobian), the finiteness check on the merit and model,
+    the stop test and the line search may each end the run: the first
+    that does sets ``SolveResult.status``, and its row, with a NaN
+    ``alpha``, ends the partial trace.  Otherwise the run stops at
+    ``max_iters``.
     """
     if x_ref is not None:
         x_ref = _check_point(p, x_ref)
     stream = spec.stream()
-    x = np.array(p.x_start, dtype=float)
+    x = trial_x = np.array(p.x_start, dtype=float)
     pi = cfg.pi_init
     trace: list[IterateRecord] = []
-    status = Status.MAX_ITERS
+    end: Optional[Status] = None
     eps_c_stop, eps_g_stop, eps_J_stop = _effective_stop_bounds(cfg)
+    last_trial = math.nan
 
-    def record(k, alpha, merit0, model, backtracks, failed, merit_trial, eps_r):
+    def merit_at(alpha: float) -> float:
+        """Noisy merit at x_k + alpha*d_k; keeps the point and the merit."""
+        nonlocal trial_x, last_trial
+        trial_x = x + alpha * step.d
+        ev_t = eval_noisy(p, trial_x, spec, stream, derivatives=False)
+        last_trial = merit_value(ev_t.f, float(np.abs(ev_t.c).sum()), pi)
+        return last_trial
+
+    for k in range(cfg.max_iters):
+        ev = eval_noisy(p, x, spec, stream)
+        c_l1 = float(np.abs(ev.c).sum())
+        alpha = model = merit_trial = eps_r = math.nan
+        backtracks, failed = 0, False
+        try:
+            step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
+        except (SingularJacobianError, NonFiniteJacobianError) as err:
+            merit0 = merit_value(ev.f, c_l1, pi)
+            singular = isinstance(err, SingularJacobianError)
+            end = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
+        else:
+            lam_inf = float(np.abs(step.lambda_hat).max())
+            pi = update_penalty(pi, lam_inf, cfg.tau)
+            # A NaN or infinity in f, c or g (through pi or the step) reaches one
+            # of these two; a NaN pi, which merit_value rejects, is a NaN merit.
+            merit0 = merit_value(ev.f, c_l1, pi) if pi == pi else math.nan
+            model = linear_model(ev.g, ev.c, ev.J, step.d, pi, c_l1)
+            if not (math.isfinite(merit0) and math.isfinite(model)):
+                end = Status.NONFINITE
+            elif cfg.termination_enabled and check_termination(
+                c_l1, ev.g, ev.J, step.lambda_hat, lam_inf, eps_c_stop, eps_g_stop, eps_J_stop
+            ):
+                end = Status.CONVERGED
+            else:
+                eps_r = (2.0 * (cfg.eps_f_est + pi * cfg.eps_c_est)
+                         if cfg.relaxation_enabled else 0.0)
+                found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r,
+                                            cfg.max_backtracks)
+                if found is not None:
+                    alpha, backtracks = found
+                    merit_trial = last_trial
+                else:
+                    backtracks, failed = cfg.max_backtracks, True
+                    # The last trial lies next to x_k, whose merit is finite: a
+                    # non-finite value there means the oracle broke, not the search.
+                    finite = math.isfinite(last_trial)
+                    end = Status.LINE_SEARCH_FAILURE if finite else Status.NONFINITE
+
         if x_ref is not None:
             r = x - x_ref
             dist = math.sqrt(r.dot(r))
@@ -296,61 +347,8 @@ def solve(
                 merit_trial=merit_trial, eps_R=eps_r,
             )
         )
-
-    for k in range(cfg.max_iters):
-        ev = eval_noisy(p, x, spec, stream)
-        c_l1 = float(np.abs(ev.c).sum())
-        try:
-            step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
-        except (SingularJacobianError, NonFiniteJacobianError) as err:
-            record(k, math.nan, merit_value(ev.f, c_l1, pi), math.nan, 0, False,
-                   math.nan, math.nan)
-            singular = isinstance(err, SingularJacobianError)
-            status = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
+        if end is not None:
             break
-
-        lam_inf = float(np.abs(step.lambda_hat).max())
-        pi = update_penalty(pi, lam_inf, cfg.tau)
-        # A NaN or infinity in f, c or g (through pi or the step) reaches one
-        # of these two; a NaN pi, which merit_value rejects, is a NaN merit.
-        merit0 = merit_value(ev.f, c_l1, pi) if pi == pi else math.nan
-        model = linear_model(ev.g, ev.c, ev.J, step.d, pi, c_l1)
-        if not (math.isfinite(merit0) and math.isfinite(model)):
-            record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
-            status = Status.NONFINITE
-            break
-
-        if cfg.termination_enabled and check_termination(
-            c_l1, ev.g, ev.J, step.lambda_hat, lam_inf, eps_c_stop, eps_g_stop, eps_J_stop
-        ):
-            record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
-            status = Status.CONVERGED
-            break
-
-        eps_r = 2.0 * (cfg.eps_f_est + pi * cfg.eps_c_est) if cfg.relaxation_enabled else 0.0
-
-        last_trial, trial_x = math.nan, x
-
-        def merit_at(alpha: float) -> float:
-            nonlocal last_trial, trial_x
-            trial_x = x + alpha * step.d
-            ev_t = eval_noisy(p, trial_x, spec, stream, derivatives=False)
-            last_trial = merit_value(ev_t.f, float(np.abs(ev_t.c).sum()), pi)
-            return last_trial
-
-        found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r, cfg.max_backtracks)
-        if found is None:
-            record(k, math.nan, merit0, model, cfg.max_backtracks, True, math.nan, eps_r)
-            # The last trial lies next to x_k, whose merit is finite: a
-            # non-finite value there means the oracle broke, not the search.
-            if math.isfinite(last_trial):
-                status = Status.LINE_SEARCH_FAILURE
-            else:
-                status = Status.NONFINITE
-            break
-
-        alpha, backtracks = found
-        record(k, alpha, merit0, model, backtracks, False, last_trial, eps_r)
         x = trial_x  # the accepted trial is the last one evaluated
 
-    return SolveResult(x=x, trace=trace, status=status)
+    return SolveResult(x=x, trace=trace, status=end or Status.MAX_ITERS)

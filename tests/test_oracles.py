@@ -3,7 +3,7 @@
 import math
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -69,6 +69,17 @@ class TestNoisyEvaluation:
             assert_array_equal(a.c, b.c)
             assert_array_equal(a.g, b.g)
             assert_array_equal(a.J, b.J)
+
+    @pytest.mark.parametrize("derivatives", [True, False])
+    def test_numpy_integer_dimensions_draw_as_int_ones(self, derivatives):
+        # next_rng takes only an int draw count.
+        p = get_problem("BT11")
+        q = replace(p, n=np.int64(p.n), m=np.int64(p.m))
+        spec = NoiseSpec(1e-2, 1e-2, seed=8)
+        a = eval_noisy(p, p.x_start, spec, spec.stream(), derivatives)
+        b = eval_noisy(q, p.x_start, spec, spec.stream(), derivatives)
+        for u, v in zip(a[:4], b[:4]):
+            assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
 
     def test_distinct_counters_give_distinct_draws(self):
         p = get_problem("HS7")
@@ -155,7 +166,7 @@ STREAM_OPS = st.lists(
 
 
 def _check_rejected(stream, k=3):
-    """next_rng rejects the stream's seed or counter and leaves the counter alone."""
+    """next_rng rejects the stream's seed or counter, or k, and leaves the counter alone."""
     seed, counter = stream.seed, stream.counter
     with pytest.raises(ValueError, match=OUT_OF_RANGE):
         stream.next_rng(k)
@@ -241,6 +252,14 @@ class TestNoiseStreamMatchesSeedSequence:
                 _check_rejected(stream)
             assert stream.counter == counter
 
+    @pytest.mark.parametrize("k", [-3, -1, 2.0, True, False, np.int64(3), None, "3"], ids=repr)
+    def test_draw_counts_other_than_nonnegative_ints_are_rejected(self, k):
+        # After a 24-wide draw, k = -3 would otherwise slice 21 draws.
+        stream = NoiseStream(5)
+        stream.next_rng(24)
+        _check_rejected(stream, k)
+        self._check_draws(stream, 3)
+
 
 @pytest.fixture
 def cold_cache(monkeypatch):
@@ -286,6 +305,15 @@ class TestDrawCache:
         assert oracles_module._draw_block.cache_info().misses == 8
         oracles_module._draw_block.cache_clear()
         self._check_widths(NoiseStream(seed, 250), widths)  # cold, built 24 wide
+
+    def test_failed_block_allocation_changes_neither_width_nor_counter(self, cold_cache):
+        stream = NoiseStream(5)
+        self._check_widths(stream, [6])
+        with pytest.raises(MemoryError):
+            stream.next_rng(10**12)  # a (256, 10**12) block cannot be allocated
+        assert oracles_module._width == 6 and stream.counter == 1
+        self._check_widths(stream, [3])
+        self._check_widths(NoiseStream(7), [3])
 
     @pytest.mark.parametrize("k", [1, 4, 20, 24])
     def test_each_width_across_a_block_boundary(self, k, cold_cache):

@@ -399,6 +399,32 @@ class TestIterationMatchesReference:
         # The stop test fires, at the latest with the overestimated bounds.
         assert statuses[-1] is Status.CONVERGED
 
+    # A rank-deficient J after the iterates blow up, and steps so long that
+    # the problem callbacks overflow at every trial of the first search.
+    @pytest.mark.parametrize("name, beta, seed, status", [
+        ("BT11", 0.01, 2, Status.SINGULAR_JACOBIAN),
+        ("HS7", 1e-100, 0, Status.NONFINITE),
+        ("HS40", 1e-100, 0, Status.NONFINITE),
+        ("BT11", 1e-300, 0, Status.NONFINITE),
+    ])
+    @pytest.mark.parametrize("relaxation", [True, False])
+    def test_terminal_exits_match_reference_solve(self, name, beta, seed, status, relaxation):
+        p = get_problem(name)
+        spec = NoiseSpec(1e-3, 1e-3, seed=seed)
+        cfg = SolverConfig(beta=beta, relaxation_enabled=relaxation).with_estimates(
+            spec.bounds(p.n, p.m))
+        x_ref = reference_solution(name).x_star
+        a = solve(p, spec, cfg, x_ref=x_ref, collect_psi=True)  # RuntimeWarning is an error here
+        # The reference's numpy-scalar merit warns where inf - inf gives NaN.
+        with np.errstate(invalid="ignore"):
+            b = reference_solve(p, spec, cfg, x_ref=x_ref, collect_psi=True)
+        assert a.status is b.status is status
+        assert a.x.tobytes() == b.x.tobytes()
+        assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
+        last = a.trace[-1]
+        assert math.isnan(last.alpha) and math.isnan(last.merit_trial)
+        assert last.line_search_failed is (status is Status.NONFINITE)
+
 
 class TestPsiReadsTheIterateEvaluation:
     """psi comes from the exact g, c and J of the noisy evaluation at x_k."""
