@@ -83,9 +83,8 @@ class NoiseSpec:
     ``eps1`` is the half-width for the objective and each constraint
     value, ``eps2`` for each gradient and Jacobian entry.  ``seed``, an
     integer in ``[0, 2**32)``, keys the deterministic noise stream (see
-    :class:`NoiseStream`: its draw blocks are built whole and read-only,
-    and a zero-width draw reads none).  Numpy scalars are stored as the
-    builtin float and int, so specs serialize to JSON.
+    :class:`NoiseStream`).  Numpy scalars are stored as the builtin float
+    and int, so specs serialize to JSON.
     """
 
     eps1: float
@@ -122,90 +121,60 @@ class NoiseSpec:
         return NoiseStream(self.seed)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# LCG multiplier (pcg64.h), for hashing many entropy pairs at once.
+# numpy's SeedSequence mix constants (numpy/random/bit_generator.pyx) and the
+# PCG64 LCG multiplier (pcg64.h).
 _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _hash_constants(value: int, mult: int, count: int) -> list[int]:
-    out = []
-    for _ in range(count):
-        out.append(value)
-        value = value * mult & _M32
-    return out
-
-
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=np.uint32)[:, None]
-
-
-# hashmix call k xors with A[k] and multiplies by A[k+1]; generate_state
-# word k likewise uses B[k] and B[k+1].
-_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
-_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
-_INIT_X, _INIT_M = _column(_A[0:4]), _column(_A[1:5])
-
-
-def _cross_constants() -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per source word, the hashmix constants of each destination word.
-
-    numpy mixes source s into every other destination d in (s, d) loop
-    order; the source's own row gets placeholders, and its result is
-    discarded.
-    """
-    out, k = [], 4
-    for s in range(4):
-        xor, mult = [0] * 4, [0] * 4
-        for d in range(4):
-            if d != s:
-                xor[d], mult[d] = _A[k], _A[k + 1]
-                k += 1
-        out.append((_column(xor), _column(mult)))
-    return out
-
-
-_CROSS = _cross_constants()
-_GEN_X, _GEN_M = _column(_B[0:8]), _column(_B[1:9])
+def _hashmix(const: int, mult: int):
+    """numpy's ``hashmix`` with its running hash constant, from ``const`` on:
+    ``hashmix(values, rows)`` hashes uint32 lanes ``values``, broadcast to
+    ``rows`` rows, row i as numpy's i-th next call would
+    (``h = value ^ const; const *= mult; h *= const; h ^= h >> 16``)."""
+    def hashmix(values: np.ndarray, rows: int) -> np.ndarray:
+        nonlocal const
+        consts = [const]
+        for _ in range(rows):
+            consts.append(consts[-1] * mult & _M32)
+        const = consts[-1]
+        k = np.array(consts, dtype=np.uint32)[:, None]
+        h = values ^ k[:-1]
+        h *= k[1:]
+        h ^= h >> 16
+        return h
+    return hashmix
 
 
 def _seed_words(seed: int, block: int) -> np.ndarray:
     """``SeedSequence((seed, c)).generate_state(4, np.uint64)`` for the 256
     counters c of aligned block ``block``, from ``256 * block`` on.
 
-    numpy's pool mixing and state generation for a two-word entropy, with
-    one uint32 lane per counter; seed and every counter must fit in 32 bits.
-    Returns a ``(256, 4)`` uint64 array.
+    numpy's ``mix_entropy`` and ``generate_state`` for a two-word entropy,
+    with one uint32 lane per counter; seed and every counter must fit in
+    32 bits.  Returns a ``(256, 4)`` uint64 array.
     """
-    pool = np.empty((4, 256), dtype=np.uint32)
-    pool[0], pool[2:] = seed, 0
-    pool[1] = np.arange(256 * block, 256 * block + 256, dtype=np.uint32)
-    pool ^= _INIT_X
-    pool *= _INIT_M
-    pool ^= pool >> 16
-    for s, (xor, mult) in enumerate(_CROSS):
-        h = pool[s] ^ xor
-        h *= mult
-        h ^= h >> 16
-        h *= _MIX_R
-        mixed = pool * _MIX_L
-        mixed -= h
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+    entropy = np.zeros((4, 256), dtype=np.uint32)
+    entropy[0], entropy[1] = seed, np.arange(256 * block, 256 * block + 256, dtype=np.uint32)
+    pool = hashmix(entropy, 4)
+    for s in range(4):
+        # mix(pool[d], hashmix(pool[s])) into every other word d, in d order
+        d = [i for i in range(4) if i != s]
+        mixed = pool[d] * _MIX_L
+        mixed -= hashmix(pool[s], 3) * _MIX_R
         mixed ^= mixed >> 16
-        mixed[s] = pool[s]
-        pool = mixed
-    state = np.concatenate((pool, pool))
-    state ^= _GEN_X
-    state *= _GEN_M
-    state ^= state >> 16
-    # generate_state(4, np.uint64) pairs the eight uint32 words low word first.
-    words = state.astype(np.uint64)
+        pool[d] = mixed
+    # generate_state(4, np.uint64): eight words from the pool cycled twice,
+    # hashed from INIT_B with MULT_B, paired low word first.
+    words = _hashmix(0x8B51F9DD, 0x58F38DED)(np.concatenate((pool, pool)), 8).astype(np.uint64)
     return (words[0::2] | words[1::2] << np.uint64(32)).T
 
 
 _MAX_BLOCKS = 64
-_width = 0  # the largest draw count requested so far; new blocks are this wide
+_BLOCK_WIDTH = 24  # the widest draw of the shipped problems: HS40's full evaluation
 _NO_DRAWS = np.empty(0)
 _NO_DRAWS.flags.writeable = False
 
@@ -217,6 +186,7 @@ def _draw_block(seed: int, block: int, width: int) -> np.ndarray:
 
     Row ``r`` is what ``Generator.random`` draws from counter
     ``256 * block + r``'s PCG64 state, loaded through one state dict.
+    ``width`` is 24 or a wider request's own count (see :class:`NoiseStream`).
     """
     draws = np.empty((256, width))
     pcg = {"state": 0, "inc": 0}
@@ -245,12 +215,14 @@ class NoiseStream:
 
     The draws are shared by every stream of a seed.  The process keeps an
     LRU cache of the last 64 blocks of 256 counters, keyed on ``(seed,
-    counter // 256, width)``.  A block is built whole on a miss: its 256
-    seed-sequence hashes (see :func:`_seed_words`) give one float64 row
-    per counter, as wide as the largest draw count requested so far (24
-    for HS40: at most 64 * 256 * 24 * 8 bytes, 3.1 MB).  The block is
-    read-only and never changes; a wider request builds a new one.  A
-    zero-width draw reads no block.
+    counter // 256, width)``; ``k`` draws read a block 24 wide (HS40's full
+    evaluation, the widest of the shipped problems), or ``k`` wide when
+    ``k`` is larger, so a key depends only on the request, never on what
+    ran before.  A block is built whole on a miss, one float64 row per
+    counter from numpy's ``SeedSequence`` hash (:func:`_seed_words`).  At
+    most 64 * 256 * 24 * 8 bytes (3.1 MB) for draws of at most 24; a wider
+    request's blocks take ``k / 24`` times that.  A block is read-only and
+    never changes.  A zero-width draw reads no block.
     """
 
     seed: int
@@ -262,17 +234,16 @@ class NoiseStream:
 
         Raises ValueError if the seed or counter is not an ``int`` in
         ``[0, 2**32)`` or ``k`` is not an ``int`` >= 0, a bool counting
-        as no ``int``.  On any error the counter and the width are unchanged.
+        as no ``int``.  On any error the counter is unchanged.
         """
-        global _width
         seed, counter = self.seed, self.counter
         if not (type(seed) is int and 0 <= seed <= _M32
                 and type(counter) is int and 0 <= counter <= _M32
                 and type(k) is int and k >= 0):
             raise ValueError("noise seed and counter must be ints in [0, 2**32) and k an "
                              f"int >= 0, got seed={seed!r}, counter={counter!r}, k={k!r}")
-        u = _draw_block(seed, counter >> 8, max(_width, k))[counter & 255, :k] if k else _NO_DRAWS
-        _width = max(_width, k)  # only once the block exists
+        u = (_draw_block(seed, counter >> 8, max(_BLOCK_WIDTH, k))[counter & 255, :k]
+             if k else _NO_DRAWS)
         self.counter = counter + 1
         return u
 
@@ -338,9 +309,8 @@ def eval_noisy(
     :meth:`NoiseStream.next_rng` call the evaluation's read-only row of
     draws ``u``, mapped to ``w = u * span; w += lo`` (``lo = -eps``,
     ``span = eps - -eps``) with the bits of ``Generator.uniform``.  The
-    row may be shared with other streams of the seed through the
-    per-process draw cache (see :class:`NoiseStream`), and is never
-    written.
+    row may be shared with other streams of the seed through the draw
+    cache (see :class:`NoiseStream`) and is never written.
 
     Parameters
     ----------

@@ -288,67 +288,70 @@ def solve(
         last_trial = merit_value(ev_t.f, float(np.abs(ev_t.c).sum()), pi)
         return last_trial
 
-    for k in range(cfg.max_iters):
-        ev = eval_noisy(p, x, spec, stream)
-        c_l1 = float(np.abs(ev.c).sum())
-        alpha = model = merit_trial = eps_r = math.nan
-        backtracks, failed = 0, False
-        try:
-            step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
-        except (SingularJacobianError, NonFiniteJacobianError) as err:
-            merit0 = merit_value(ev.f, c_l1, pi)
-            singular = isinstance(err, SingularJacobianError)
-            end = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
-        else:
-            lam_inf = float(np.abs(step.lambda_hat).max())
-            pi = update_penalty(pi, lam_inf, cfg.tau)
-            # A NaN or infinity in f, c or g (through pi or the step) reaches one
-            # of these two; a NaN pi, which merit_value rejects, is a NaN merit.
-            merit0 = merit_value(ev.f, c_l1, pi) if pi == pi else math.nan
-            model = linear_model(ev.g, ev.c, ev.J, step.d, pi, c_l1)
-            if not (math.isfinite(merit0) and math.isfinite(model)):
-                end = Status.NONFINITE
-            elif cfg.termination_enabled and check_termination(
-                c_l1, ev.g, ev.J, step.lambda_hat, lam_inf, eps_c_stop, eps_g_stop, eps_J_stop
-            ):
-                end = Status.CONVERGED
-            else:
-                eps_r = (2.0 * (cfg.eps_f_est + pi * cfg.eps_c_est)
-                         if cfg.relaxation_enabled else 0.0)
-                found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r,
-                                            cfg.max_backtracks)
-                if found is not None:
-                    alpha, backtracks = found
-                    merit_trial = last_trial
-                else:
-                    backtracks, failed = cfg.max_backtracks, True
-                    # The last trial lies next to x_k, whose merit is finite: a
-                    # non-finite value there means the oracle broke, not the search.
-                    finite = math.isfinite(last_trial)
-                    end = Status.LINE_SEARCH_FAILURE if finite else Status.NONFINITE
-
-        if x_ref is not None:
-            r = x - x_ref
-            dist = math.sqrt(r.dot(r))
-        else:
-            dist = math.nan
-        psi = math.nan
-        if collect_psi:
-            exact = ev.exact  # unperturbed g, c and J at x, from this iteration's evaluation
+    # A NaN or infinity from the oracle makes numpy warn in the step kernel and
+    # the merit; the run reports it through its status instead.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for k in range(cfg.max_iters):
+            ev = eval_noisy(p, x, spec, stream)
+            c_l1 = float(np.abs(ev.c).sum())
+            alpha = model = merit_trial = eps_r = math.nan
+            backtracks, failed = 0, False
             try:
-                psi = stationarity_psi(exact.g, exact.c, exact.J, pi, cfg.tau, cfg.beta)
-            except (SingularJacobianError, NonFiniteJacobianError):
-                pass
-        trace.append(
-            IterateRecord(
-                k=k, x=x.copy(), alpha=alpha, pi=pi, merit_noisy=merit0,
-                model_value=model, dist_to_ref=dist, psi=psi,
-                backtracks=backtracks, line_search_failed=failed,
-                merit_trial=merit_trial, eps_R=eps_r,
+                step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
+            except (SingularJacobianError, NonFiniteJacobianError) as err:
+                merit0 = merit_value(ev.f, c_l1, pi)
+                singular = isinstance(err, SingularJacobianError)
+                end = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
+            else:
+                lam_inf = float(np.abs(step.lambda_hat).max())
+                pi = update_penalty(pi, lam_inf, cfg.tau)
+                # A NaN or infinity in f, c or g (through pi or the step) reaches one
+                # of these two; a NaN pi, which merit_value rejects, is a NaN merit.
+                merit0 = merit_value(ev.f, c_l1, pi) if pi == pi else math.nan
+                model = linear_model(ev.g, ev.c, ev.J, step.d, pi, c_l1)
+                if not (math.isfinite(merit0) and math.isfinite(model)):
+                    end = Status.NONFINITE
+                elif cfg.termination_enabled and check_termination(
+                    c_l1, ev.g, ev.J, step.lambda_hat, lam_inf, eps_c_stop, eps_g_stop, eps_J_stop
+                ):
+                    end = Status.CONVERGED
+                else:
+                    eps_r = (2.0 * (cfg.eps_f_est + pi * cfg.eps_c_est)
+                             if cfg.relaxation_enabled else 0.0)
+                    found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r,
+                                                cfg.max_backtracks)
+                    if found is not None:
+                        alpha, backtracks = found
+                        merit_trial = last_trial
+                    else:
+                        backtracks, failed = cfg.max_backtracks, True
+                        # The last trial lies next to x_k, whose merit is finite: a
+                        # non-finite value there means the oracle broke, not the search.
+                        finite = math.isfinite(last_trial)
+                        end = Status.LINE_SEARCH_FAILURE if finite else Status.NONFINITE
+
+            if x_ref is not None:
+                r = x - x_ref
+                dist = math.sqrt(r.dot(r))
+            else:
+                dist = math.nan
+            psi = math.nan
+            if collect_psi:
+                exact = ev.exact  # unperturbed g, c and J at x, from this iteration's evaluation
+                try:
+                    psi = stationarity_psi(exact.g, exact.c, exact.J, pi, cfg.tau, cfg.beta)
+                except (SingularJacobianError, NonFiniteJacobianError):
+                    pass
+            trace.append(
+                IterateRecord(
+                    k=k, x=x.copy(), alpha=alpha, pi=pi, merit_noisy=merit0,
+                    model_value=model, dist_to_ref=dist, psi=psi,
+                    backtracks=backtracks, line_search_failed=failed,
+                    merit_trial=merit_trial, eps_R=eps_r,
+                )
             )
-        )
-        if end is not None:
-            break
-        x = trial_x  # the accepted trial is the last one evaluated
+            if end is not None:
+                break
+            x = trial_x  # the accepted trial is the last one evaluated
 
     return SolveResult(x=x, trace=trace, status=end or Status.MAX_ITERS)

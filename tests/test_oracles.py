@@ -1,9 +1,12 @@
 """Tests for the problem abstraction and the bounded-noise oracle."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,10 +265,9 @@ class TestNoiseStreamMatchesSeedSequence:
 
 
 @pytest.fixture
-def cold_cache(monkeypatch):
-    """An empty draw cache whose next block is as narrow as its first request."""
+def cold_cache():
+    """An empty draw cache."""
     oracles_module._draw_block.cache_clear()
-    monkeypatch.setattr(oracles_module, "_width", 0)
     yield
     oracles_module._draw_block.cache_clear()
 
@@ -293,29 +295,36 @@ class TestDrawCache:
 
     @pytest.mark.parametrize("seed", [0, 31, 2**32 - 1])
     def test_cold_warm_and_widened_blocks_match_numpy(self, seed, cold_cache):
-        # Counters 250 to 859 span blocks 0 to 3.  Block 0 is built 1 wide;
-        # widths then cycle through the four draw counts from counter 260,
-        # so block 1 is built at each of them and blocks 2 and 3 at 24.
+        # Counters 250 to 859 span blocks 0 to 3, each built once 24 wide
+        # whatever the draw counts up to 24.
         widths = [(1, 4, 20, 24)[i % 4] for i in range(600)]
         self._check_widths(NoiseStream(seed, 250), [1] * 10 + widths)  # cold
         info = oracles_module._draw_block.cache_info()
+        assert info.misses == 4 and info.currsize == 4
+        self._check_widths(NoiseStream(seed, 250), [1] * 10 + widths[::-1])  # warm
+        assert oracles_module._draw_block.cache_info().misses == 4
+        # Wider requests build blocks of their own width: blocks 0 and 1 at
+        # 30, then block 1 at 25; the 24-wide blocks still serve the rest.
+        self._check_widths(NoiseStream(seed, 250), [30] * 10 + [25] * 2 + [24] * 2)
+        info = oracles_module._draw_block.cache_info()
         assert info.misses == 7 and info.currsize == 7
-        # Warm, full width: only block 0 is built again, 24 wide.
-        self._check_widths(NoiseStream(seed, 250), widths[::-1])
-        assert oracles_module._draw_block.cache_info().misses == 8
-        oracles_module._draw_block.cache_clear()
-        self._check_widths(NoiseStream(seed, 250), widths)  # cold, built 24 wide
 
     def test_failed_block_allocation_changes_neither_width_nor_counter(self, cold_cache):
         stream = NoiseStream(5)
         self._check_widths(stream, [6])
         with pytest.raises(MemoryError):
             stream.next_rng(10**12)  # a (256, 10**12) block cannot be allocated
-        assert oracles_module._width == 6 and stream.counter == 1
+        assert stream.counter == 1
         self._check_widths(stream, [3])
         self._check_widths(NoiseStream(7), [3])
+        # The failed request is the only other miss: seed 5's 24-wide block
+        # still serves its next draw, and seed 7's is built 24 wide.
+        info = oracles_module._draw_block.cache_info()
+        assert info.misses == 3 and info.currsize == 2
+        assert oracles_module._draw_block(7, 0, 24).shape == (256, 24)
+        assert oracles_module._draw_block.cache_info().misses == 3
 
-    @pytest.mark.parametrize("k", [1, 4, 20, 24])
+    @pytest.mark.parametrize("k", [1, 4, 20, 24, 30])
     def test_each_width_across_a_block_boundary(self, k, cold_cache):
         for stream in (NoiseStream(3, 250), NoiseStream(3, 250)):
             self._check_widths(stream, [k] * 12)
@@ -329,12 +338,12 @@ class TestDrawCache:
         assert oracles_module._draw_block.cache_info().misses == int(counter < 2**32)
 
     def test_blocks_are_built_whole_and_read_only(self, cold_cache):
-        NoiseStream(6, 300).next_rng(5)
-        block = oracles_module._draw_block(6, 1, 5)
+        NoiseStream(6, 300).next_rng(5)  # a 5-wide draw reads a 24-wide block
+        block = oracles_module._draw_block(6, 1, 24)
         assert oracles_module._draw_block.cache_info().misses == 1
-        assert block.shape == (256, 5) and not block.flags.writeable
+        assert block.shape == (256, 24) and not block.flags.writeable
         for r in (0, 44, 255):
-            assert_array_equal(block[r], seed_sequence_rng(6, 256 + r).random(5))
+            assert_array_equal(block[r], seed_sequence_rng(6, 256 + r).random(24))
 
     @pytest.mark.parametrize("name", ["HS7", "HS40"])
     def test_zero_width_draws_read_no_block(self, name, cold_cache):
@@ -373,12 +382,12 @@ class TestDrawCache:
 
     def test_threads_sharing_blocks_draw_numpy_values(self, cold_cache):
         # Six threads on two cores, with streams of one seed and widths in a
-        # different order each, so builds at growing widths and reads interleave.
+        # different order each, so builds at widths 24 and 30 and reads interleave.
         def work(i, errors):
             try:
                 stream = NoiseStream(11, 200)
                 for j in range(120):
-                    self._check_widths(stream, [(1, 4, 20, 24, 6, 9)[(i + j) % 6]])
+                    self._check_widths(stream, [(1, 4, 20, 24, 6, 9, 30)[(i + j) % 7]])
             except AssertionError as e:
                 errors.append(e)
 
@@ -398,23 +407,48 @@ class TestDrawCache:
 
     @pytest.mark.parametrize("order", [("HS7", "BT11", "HS40"), ("HS40", "BT11", "HS7")])
     def test_solves_sharing_a_seed_equal_cold_cache_solves(self, order, cold_cache):
-        # Forward, each problem builds blocks wider than the one before; in
-        # reverse, HS7 and BT11 read the leading columns of HS40's rows.
+        # HS7 and BT11 read the leading columns of the 24-wide rows that
+        # HS40's full evaluations read whole, whichever solve builds them.
         cold = {}
         for name in order:
             oracles_module._draw_block.cache_clear()
             cold[name] = _solve_rows(name, seed=17)
         oracles_module._draw_block.cache_clear()
-        oracles_module._width = 0
         for name in order:
             assert _solve_rows(name, seed=17) == cold[name]
 
-    def test_seed_words_and_noise_map(self):
-        words = oracles_module._seed_words(5, 1)
+    def test_block_count_does_not_depend_on_solve_order(self):
+        # A fresh interpreter, so nothing that ran before in this process can
+        # shape the first order's blocks; the cache is emptied between orders.
+        code = (
+            "from noisy_sqp import NoiseSpec, SolverConfig, get_problem, solve\n"
+            "from noisy_sqp.oracles import _draw_block\n"
+            "for order in (('HS7', 'BT11', 'HS40'), ('HS40', 'BT11', 'HS7')):\n"
+            "    _draw_block.cache_clear()\n"
+            "    for name in order:\n"
+            "        p, spec = get_problem(name), NoiseSpec(1e-3, 1e-3, seed=17)\n"
+            "        solve(p, spec, SolverConfig(max_iters=150, termination_enabled=False)\n"
+            "              .with_estimates(spec.bounds(p.n, p.m)))\n"
+            "    print(_draw_block.cache_info().misses)\n")
+        src = str(Path(oracles_module.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        forward, reverse = map(int, out.stdout.split())
+        assert forward == reverse > 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), block=st.integers(0, 2**24 - 1),
+           row=st.integers(0, 255))
+    @example(seed=5, block=1, row=44)
+    @example(seed=0, block=0, row=0)
+    @example(seed=2**32 - 1, block=2**24 - 1, row=255)
+    def test_seed_words_and_noise_map(self, seed, block, row):
+        words = oracles_module._seed_words(seed, block)
         assert words.dtype == np.uint64 and words.shape == (256, 4)
-        for c in (256, 257, 300, 511):
-            state = np.random.SeedSequence((5, c)).generate_state(4, np.uint64)
-            assert_array_equal(words[c - 256], state)
+        for r in (0, 1, row, 255):
+            c = 256 * block + r
+            state = np.random.SeedSequence((seed, c)).generate_state(4, np.uint64)
+            assert_array_equal(words[r], state)
         k1, k2, lo, span = oracles_module._noise_map(1e-3, 1e-2, 2, 4, True)
         assert (k1, k2) == (3, 12)
         assert not lo.flags.writeable and not span.flags.writeable

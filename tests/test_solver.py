@@ -631,7 +631,6 @@ def _poisoned(name, quantity, value, after):
     return replace(p, **{f"eval_{quantity}": poisoned})
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestNonFiniteOracleValues:
     """A NaN or an infinity from any oracle output ends the run as NONFINITE."""
 
