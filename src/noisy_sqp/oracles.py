@@ -121,11 +121,8 @@ class NoiseSpec:
         return NoiseStream(self.seed)
 
 
-# numpy's SeedSequence mix constants (numpy/random/bit_generator.pyx) and the
-# PCG64 LCG multiplier (pcg64.h).
+# numpy's SeedSequence mix constants (numpy/random/bit_generator.pyx).
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
@@ -154,7 +151,8 @@ def _seed_words(seed: int, block: int) -> np.ndarray:
 
     numpy's ``mix_entropy`` and ``generate_state`` for a two-word entropy,
     with one uint32 lane per counter; seed and every counter must fit in
-    32 bits.  Returns a ``(256, 4)`` uint64 array.
+    32 bits.  Returns a C-contiguous ``(256, 4)`` uint64 array, so each row
+    is one counter's four words in memory, as PCG64 reads them.
     """
     hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
     entropy = np.zeros((4, 256), dtype=np.uint32)
@@ -170,13 +168,24 @@ def _seed_words(seed: int, block: int) -> np.ndarray:
     # generate_state(4, np.uint64): eight words from the pool cycled twice,
     # hashed from INIT_B with MULT_B, paired low word first.
     words = _hashmix(0x8B51F9DD, 0x58F38DED)(np.concatenate((pool, pool)), 8).astype(np.uint64)
-    return (words[0::2] | words[1::2] << np.uint64(32)).T
+    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
 
 
-_MAX_BLOCKS = 64
+_MAX_BLOCKS = 128
 _BLOCK_WIDTH = 24  # the widest draw of the shipped problems: HS40's full evaluation
 _NO_DRAWS = np.empty(0)
 _NO_DRAWS.flags.writeable = False
+
+
+class _RowSeed:
+    """numpy's seed-sequence interface over one counter's row of
+    :func:`_seed_words`, which PCG64 reads as ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 @functools.lru_cache(maxsize=_MAX_BLOCKS)
@@ -184,21 +193,17 @@ def _draw_block(seed: int, block: int, width: int) -> np.ndarray:
     """The first ``width`` uniforms of each counter of aligned block
     ``block``, as a read-only ``(256, width)`` array.
 
-    Row ``r`` is what ``Generator.random`` draws from counter
-    ``256 * block + r``'s PCG64 state, loaded through one state dict.
-    ``width`` is 24 or a wider request's own count (see :class:`NoiseStream`).
+    Row ``r`` is what ``Generator.random`` draws from a PCG64 that numpy
+    seeds with counter ``256 * block + r``'s words, passed through
+    :class:`_RowSeed`.  ``width`` is 24 or a wider request's own count
+    (see :class:`NoiseStream`).
     """
+    # Registered here, not on import, so that importing the package does
+    # not import numpy.random; registering again is a no-op.
+    np.random.bit_generator.ISeedSequence.register(_RowSeed)
     draws = np.empty((256, width))
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    rng = np.random.Generator(np.random.PCG64(0))  # state set before every use
-    for row, (a, b, c, d) in zip(draws, _seed_words(seed, block).tolist()):
-        inc = ((c << 64 | d) << 1 | 1) & _M128
-        # pcg64_set_seed: two LCG steps from state 0 with initstate added between
-        pcg["state"] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
-        pcg["inc"] = inc
-        rng.bit_generator.state = state
-        rng.random(out=row)
+    for row, words in zip(draws, _seed_words(seed, block)):
+        np.random.Generator(np.random.PCG64(_RowSeed(words))).random(out=row)
     draws.flags.writeable = False
     return draws
 
@@ -214,13 +219,14 @@ class NoiseStream:
     another.  Seed and counter are ``int`` values in ``[0, 2**32)``.
 
     The draws are shared by every stream of a seed.  The process keeps an
-    LRU cache of the last 64 blocks of 256 counters, keyed on ``(seed,
+    LRU cache of the last 128 blocks of 256 counters, keyed on ``(seed,
     counter // 256, width)``; ``k`` draws read a block 24 wide (HS40's full
     evaluation, the widest of the shipped problems), or ``k`` wide when
     ``k`` is larger, so a key depends only on the request, never on what
     ran before.  A block is built whole on a miss, one float64 row per
-    counter from numpy's ``SeedSequence`` hash (:func:`_seed_words`).  At
-    most 64 * 256 * 24 * 8 bytes (3.1 MB) for draws of at most 24; a wider
+    counter from a numpy PCG64 seeded with the counter's words of numpy's
+    ``SeedSequence`` hash (:func:`_seed_words`).  At most
+    128 * 256 * 24 * 8 bytes (6.3 MB) for draws of at most 24; a wider
     request's blocks take ``k / 24`` times that.  A block is read-only and
     never changes.  A zero-width draw reads no block.
     """

@@ -251,7 +251,7 @@ def reference_solution(name: str) -> ReferenceSolution:
 
     p = get_problem(name)
     cfg = SolverConfig(beta=5.0, max_iters=5000, relaxation_enabled=False,
-                       zero_noise_tol=1e-6)
+                       eps_c_est=1e-6, eps_g_est=1e-6)
     result = solve(p, NoiseSpec(0.0, 0.0, seed=0), cfg)
     x_star = _newton_polish(p, result.x)
 

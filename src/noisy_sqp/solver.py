@@ -51,8 +51,8 @@ class SolverConfig:
     the gradient-side estimates are all zero (exact-oracle mode), the
     stop test falls back to the absolute tolerance ``zero_noise_tol``.
     The Armijo fraction ``nu``, the penalty margin ``tau``, the initial
-    penalty ``pi_init`` and the backtracking cap ``max_backtracks`` are
-    class constants, not fields.
+    penalty ``pi_init``, the backtracking cap ``max_backtracks`` and
+    ``zero_noise_tol`` are class constants, not fields.
     """
 
     beta: float = 50.0           # constant Hessian scaling beta_k
@@ -66,8 +66,8 @@ class SolverConfig:
     tau: ClassVar[float] = 0.9          # penalty margin
     pi_init: ClassVar[float] = 1.0      # initial penalty parameter
     max_backtracks: ClassVar[int] = 50  # line-search halvings from alpha = 1
+    zero_noise_tol: ClassVar[float] = 1e-8  # stop-test tolerance in exact-oracle mode
     termination_enabled: bool = True
-    zero_noise_tol: float = 1e-8
 
     def __post_init__(self):
         for f in fields(self):
@@ -80,9 +80,6 @@ class SolverConfig:
         if not all(0 <= e < math.inf for e in (self.eps_f_est, self.eps_c_est,
                                                 self.eps_g_est, self.eps_J_est)):
             raise ValueError("estimated noise bounds must be nonnegative and finite")
-        if not 0 <= self.zero_noise_tol < math.inf:
-            raise ValueError(f"zero_noise_tol must be nonnegative and finite, "
-                             f"got {self.zero_noise_tol}")
         if isinstance(self.max_iters, bool) or not (
                 isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")

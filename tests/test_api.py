@@ -27,13 +27,14 @@ def test_all_lists_exactly_the_public_names():
 
 
 def test_package_and_cli_never_import_scipy():
+    # Nor numpy.random: the package imports it on its first noise draw only.
     code = ("import sys, noisy_sqp, noisy_sqp.cli\n"
             "for name in noisy_sqp.PROBLEM_NAMES: noisy_sqp.reference_solution(name)\n"
-            "print('scipy' in sys.modules)")
+            "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
     src = str(Path(noisy_sqp.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
 
 
 def test_readme_library_example_runs():
@@ -46,7 +47,8 @@ def test_readme_library_example_runs():
 
 
 def test_max_backtracks_is_a_constant_not_a_field():
-    for name, value in (("max_backtracks", 50), ("nu", 0.1), ("tau", 0.9), ("pi_init", 1.0)):
+    for name, value in (("max_backtracks", 50), ("nu", 0.1), ("tau", 0.9), ("pi_init", 1.0),
+                        ("zero_noise_tol", 1e-8)):
         assert getattr(SolverConfig, name) == getattr(SolverConfig(), name) == value
         with pytest.raises(TypeError):
             SolverConfig(**{name: value})

@@ -445,6 +445,7 @@ class TestDrawCache:
     def test_seed_words_and_noise_map(self, seed, block, row):
         words = oracles_module._seed_words(seed, block)
         assert words.dtype == np.uint64 and words.shape == (256, 4)
+        assert words.flags.c_contiguous  # PCG64 reads each row's raw buffer
         for r in (0, 1, row, 255):
             c = 256 * block + r
             state = np.random.SeedSequence((seed, c)).generate_state(4, np.uint64)
@@ -454,6 +455,18 @@ class TestDrawCache:
         assert not lo.flags.writeable and not span.flags.writeable
         assert_array_equal(lo, [-1e-3] * 3 + [-1e-2] * 12)
         assert_array_equal(span, [1e-3 - -1e-3] * 3 + [1e-2 - -1e-2] * 12)
+
+    @pytest.mark.parametrize("seed,counter", [(0, 0), (7, 3 * 256 + 5),
+                                              (31, 256 * (2**24 - 1)), (2**32 - 1, 2**32 - 1)])
+    def test_row_seed_gives_numpy_pcg64_state(self, seed, counter):
+        block, r = divmod(counter, 256)
+        oracles_module._draw_block(seed, block, 1)  # registers the adapter
+        row_seed = oracles_module._RowSeed(oracles_module._seed_words(seed, block)[r])
+        assert isinstance(row_seed, np.random.bit_generator.ISeedSequence)
+        numpy_seed = np.random.SeedSequence((seed, counter))
+        assert np.random.PCG64(row_seed).state == np.random.PCG64(numpy_seed).state
+        assert_array_equal(np.random.Generator(np.random.PCG64(row_seed)).random(30),
+                           seed_sequence_rng(seed, counter).random(30))
 
 
 class TestDerivedBounds:

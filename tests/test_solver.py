@@ -582,11 +582,29 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
+def _nan(payload):
+    """A quiet NaN carrying ``payload`` in its low mantissa bits."""
+    return float(np.array(0x7FF8000000000000 | payload, dtype=np.uint64).view(np.float64))
+
+
+def _same(x, y):
+    """Equal bits, or both NaN.
+
+    Which operand's payload a NaN sum carries is not stable: CPython 3.11
+    takes y's for ``x + y`` until it specializes the add, then x's.  No
+    output carries a payload, so two NaNs match; a NaN never matches a number.
+    """
+    return (math.isnan(x) and math.isnan(y)) or _bits(x) == _bits(y)
+
+
 class TestHelpersBitwiseAgainstNumpyWrappers:
     """The helpers give the bits of their np.sum / np.max / np.linalg.norm forms."""
 
     @settings(max_examples=300, deadline=None)
     @given(helper_inputs())
+    @example({"f": _nan(1), "c": np.array([_nan(2)]), "g": np.array([1.0, 2.0]),
+              "d": np.array([0.5, -0.5]), "lam": np.array([1.0]),
+              "J": np.array([[1.0, 3.0]]), "pi": 1.0, "tau": 0.5, "eps": [0.0, 1.0, 1.0]})
     def test_helpers_match(self, a):
         # The reference stop test takes the multiplier in its g + J' lam
         # convention, the library the least-squares estimate itself.
@@ -598,12 +616,12 @@ class TestHelpersBitwiseAgainstNumpyWrappers:
             # and a bound equal to the reference residual tests it at the edge.
             edge = float(np.linalg.norm(a["g"] + a["J"].T @ a["lam"]))
             loose_stop_args = (*stop_args[:4], math.inf, edge, 0.0)
-            assert _bits(merit_value(a["f"], c_l1, a["pi"])) == _bits(
-                merit_value_reference(a["f"], a["c"], a["pi"]))
-            assert _bits(linear_model(a["g"], a["c"], a["J"], a["d"], a["pi"], c_l1)) == _bits(
-                linear_model_reference(a["g"], a["c"], a["J"], a["d"], a["pi"]))
-            assert _bits(update_penalty(a["pi"], lam_inf, a["tau"])) == _bits(
-                update_penalty_reference(a["pi"], lam_hat, a["tau"]))
+            assert _same(merit_value(a["f"], c_l1, a["pi"]),
+                         merit_value_reference(a["f"], a["c"], a["pi"]))
+            assert _same(linear_model(a["g"], a["c"], a["J"], a["d"], a["pi"], c_l1),
+                         linear_model_reference(a["g"], a["c"], a["J"], a["d"], a["pi"]))
+            assert _same(update_penalty(a["pi"], lam_inf, a["tau"]),
+                         update_penalty_reference(a["pi"], lam_hat, a["tau"]))
             for args in (stop_args, loose_stop_args):
                 assert check_termination(c_l1, a["g"], a["J"], lam_hat, lam_inf,
                                          *args[4:]) == check_termination_reference(*args)
@@ -703,8 +721,6 @@ class TestSolverConfig:
             {"beta": math.nan},
             {"eps_f_est": math.nan},
             {"eps_J_est": math.nan},
-            {"zero_noise_tol": -1.0},
-            {"zero_noise_tol": math.nan},
             {"max_iters": 2.5},
             {"max_iters": True},
             {"relaxation_enabled": "no"},
@@ -715,12 +731,10 @@ class TestSolverConfig:
             {"eps_c_est": math.inf},
             {"eps_g_est": math.inf},
             {"eps_J_est": math.inf},
-            {"zero_noise_tol": math.inf},
             {"beta": True},
             {"beta": np.True_},
             {"eps_f_est": True},
             {"eps_J_est": False},
-            {"zero_noise_tol": False},
             {"beta": "50"},
         ],
     )
