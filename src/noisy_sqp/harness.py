@@ -3,9 +3,9 @@
 All experiments run the solver with beta=50, nu=0.1 and tau=0.9 and
 report distances to the derived reference solutions.
 Results are deterministic functions of the plan: each run owns a noise
-stream keyed by its seed.  Runs execute one after another in plan order;
-they are Python-bound, so threads would only queue on the interpreter
-lock.
+stream keyed by its seed.  All three experiments solve their runs in one
+loop, one after another in plan order; they are Python-bound, so threads
+would only queue on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -102,44 +102,59 @@ class RunSummary:
     termination_kind: str
 
 
-def _run_one(
-    problem_name: str,
-    eps1: float,
-    eps2: float,
-    seed: int,
-    relaxation: bool,
-    est_multiplier: float,
-    max_iters: int,
-    termination_enabled: bool,
-) -> RunSummary:
-    p = get_problem(problem_name)
-    ref = reference_solution(problem_name)
-    spec = NoiseSpec(eps1, eps2, seed=seed)
-    cfg = SolverConfig(
-        relaxation_enabled=relaxation,
-        max_iters=max_iters,
-        termination_enabled=termination_enabled,
-    ).with_estimates(spec.bounds(p.n, p.m), est_multiplier)
-    result = solve(p, spec, cfg, x_ref=ref.x_star)
+def _grid_runs(plan: ExperimentPlan, modes, collect_psi: bool = False):
+    """Solve the plan's (problem, level, seed, mode) cells in plan order.
 
-    dists = [r.dist_to_ref for r in result.trace]
-    dists.append(float(np.linalg.norm(result.x - ref.x_star)))
-    min_iter = int(np.argmin(dists))
-    return RunSummary(
-        problem=problem_name,
-        eps1=eps1,
-        eps2=eps2,
-        seed=seed,
-        relaxation=relaxation,
-        est_multiplier=est_multiplier,
-        status=result.status.value,
-        failure_iter=result.failure_iter,
-        min_dist=float(dists[min_iter]),
-        min_dist_iter=min_iter,
-        iters_run=result.iters_run,
-        k_max=max_iters,
-        termination_kind=_TERMINATION_KIND[result.status],
-    )
+    ``modes(plan, eps1)`` lists a level's runs per seed as (config, multiplier)
+    pairs; the estimates are the true noise bounds times the multiplier.  Yields
+    name, spec, multiplier, config, result and the distances to the reference
+    solution, per iterate and then for the final point.
+    """
+    for name in plan.problems:
+        p, x_star = get_problem(name), reference_solution(name).x_star
+        for eps1, eps2 in plan.eps_levels:
+            level_modes = modes(plan, eps1)
+            for seed in plan.seeds:
+                spec = NoiseSpec(eps1, eps2, seed=seed)
+                for base, multiplier in level_modes:
+                    cfg = base.with_estimates(spec.bounds(p.n, p.m), multiplier)
+                    result = solve(p, spec, cfg, x_ref=x_star, collect_psi=collect_psi)
+                    dists = [r.dist_to_ref for r in result.trace]
+                    dists.append(float(np.linalg.norm(result.x - x_star)))
+                    yield name, spec, multiplier, cfg, result, np.array(dists)
+
+
+def _relaxed_modes(plan: ExperimentPlan, eps1: float) -> list:
+    """One relaxed run per k_max with the stop test disabled."""
+    return [(SolverConfig(max_iters=k, termination_enabled=False), 1.0)
+            for k in plan.k_max_values]
+
+
+def _relaxation_modes(plan: ExperimentPlan, eps1: float) -> list:
+    """A classical run to the largest k_max, then the relaxed runs."""
+    classical = SolverConfig(relaxation_enabled=False, max_iters=max(plan.k_max_values),
+                             termination_enabled=False)
+    return [(classical, 1.0)] + _relaxed_modes(plan, eps1)
+
+
+def _misestimation_modes(plan: ExperimentPlan, eps1: float) -> list:
+    """Relaxed runs with the stop test enabled, one per estimate multiplier."""
+    cfg = SolverConfig(max_iters=plan.misest_max_iters)
+    return [(cfg, multiplier) for multiplier in plan.multipliers_for(eps1)]
+
+
+def _summaries(plan: ExperimentPlan, modes) -> list[RunSummary]:
+    summaries = []
+    for name, spec, multiplier, cfg, result, dists in _grid_runs(plan, modes):
+        min_iter = int(np.argmin(dists))
+        summaries.append(RunSummary(
+            problem=name, eps1=spec.eps1, eps2=spec.eps2, seed=spec.seed,
+            relaxation=cfg.relaxation_enabled, est_multiplier=multiplier,
+            status=result.status.value, failure_iter=result.failure_iter,
+            min_dist=float(dists[min_iter]), min_dist_iter=min_iter,
+            iters_run=result.iters_run, k_max=cfg.max_iters,
+            termination_kind=_TERMINATION_KIND[result.status]))
+    return summaries
 
 
 def write_trace_csv(result: SolveResult, path: Path) -> None:
@@ -187,17 +202,9 @@ def run_trace_experiment(
                           seeds=tuple(seeds), k_max_values=(iters,))
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     paths = []
-    for name in plan.problems:
-        p = get_problem(name)
-        for seed in plan.seeds:
-            spec = NoiseSpec(eps1, eps2, seed=seed)
-            cfg = SolverConfig(max_iters=iters, termination_enabled=False)
-            cfg = cfg.with_estimates(spec.bounds(p.n, p.m))
-            result = solve(p, spec, cfg, x_ref=reference_solution(name).x_star,
-                           collect_psi=True)
-            path = trace_path(out_dir, name, spec)
-            write_trace_csv(result, path)
-            paths.append(path)
+    for name, spec, _, _, result, _ in _grid_runs(plan, _relaxed_modes, collect_psi=True):
+        paths.append(trace_path(out_dir, name, spec))
+        write_trace_csv(result, paths[-1])
     return paths
 
 
@@ -208,15 +215,7 @@ def run_relaxation_table(plan: ExperimentPlan) -> list[RunSummary]:
     k_max); enabled runs are repeated for each k_max with the stop test
     disabled, reporting the best distance seen.
     """
-    modes = [(False, max(plan.k_max_values))] + [(True, k) for k in plan.k_max_values]
-    return [
-        _run_one(name, eps1, eps2, seed, relaxation=relaxation, est_multiplier=1.0,
-                 max_iters=k_max, termination_enabled=False)
-        for name in plan.problems
-        for eps1, eps2 in plan.eps_levels
-        for seed in plan.seeds
-        for relaxation, k_max in modes
-    ]
+    return _summaries(plan, _relaxation_modes)
 
 
 def run_misestimation_table(plan: ExperimentPlan) -> list[RunSummary]:
@@ -226,14 +225,7 @@ def run_misestimation_table(plan: ExperimentPlan) -> list[RunSummary]:
     terminates on the noisy stationarity test, a line-search failure, or
     the iteration cap, whichever comes first.
     """
-    return [
-        _run_one(name, eps1, eps2, seed, relaxation=True, est_multiplier=mult,
-                 max_iters=plan.misest_max_iters, termination_enabled=True)
-        for name in plan.problems
-        for eps1, eps2 in plan.eps_levels
-        for seed in plan.seeds
-        for mult in plan.multipliers_for(eps1)
-    ]
+    return _summaries(plan, _misestimation_modes)
 
 
 def summaries_to_json(summaries: Iterable[RunSummary], table: str) -> str:
@@ -254,6 +246,14 @@ def _stop_iteration(s: RunSummary) -> int:
     return max(s.iters_run - 1, 0)
 
 
+def _block(table: list[tuple[str, list[str]]]) -> list[str]:
+    """Header, rule and rows of one table from (lead, cells) pairs, the header's first:
+    every cell column is as wide as the widest entry, and no line ends in a blank."""
+    width = max((len(c) for _, cells in table for c in cells), default=0)
+    text = [lead + " | ".join(f"{c:<{width}}" for c in cells) for lead, cells in table]
+    return [text[0].rstrip(), "-" * len(text[0])] + [t.rstrip() for t in text[1:]]
+
+
 def render_relaxation_table(summaries: Sequence[RunSummary]) -> str:
     """Terminal rendering of the relaxation comparison, medians over seeds."""
     lines = []
@@ -261,23 +261,18 @@ def render_relaxation_table(summaries: Sequence[RunSummary]) -> str:
     k_values = sorted({s.k_max for s in summaries if s.relaxation})
     for eps1, eps2 in eps_levels:
         lines.append(f"min_k ||x_k - x*||  at eps1={eps1:g}, eps2={eps2:g}")
-        header = (f"{'problem':>8} | {'failure iter':>12} | {'min dist (off)':>14} | "
-                  + " | ".join(f"k_max={k:<5}" for k in k_values))
-        lines.append(header)
-        lines.append("-" * len(header))
-        problems = sorted({s.problem for s in summaries})
-        for name in problems:
+        table = [(f"{'problem':>8} | {'failure iter':>12} | {'min dist (off)':>14} | ",
+                  [f"k_max={k:<5}" for k in k_values])]
+        for name in sorted({s.problem for s in summaries}):
             rows = [s for s in summaries if (s.problem, s.eps1, s.eps2) == (name, eps1, eps2)]
             disabled = [s for s in rows if not s.relaxation]
             fail_iters = [s.failure_iter for s in disabled if s.failure_iter is not None]
             fail = f"{_median(fail_iters):.0f}" if fail_iters else "-"
             off = f"{_median([s.min_dist for s in disabled]):.4e}" if disabled else "-"
-            cells = []
-            for k in k_values:
-                on = [s.min_dist for s in rows if s.relaxation and s.k_max == k]
-                cells.append(f"{_median(on):.4e}" if on else "-")
-            lines.append(f"{name:>8} | {fail:>12} | {off:>14} | " + " | ".join(f"{c:<11}" for c in cells))
-        lines.append("")
+            on = [[s.min_dist for s in rows if s.relaxation and s.k_max == k] for k in k_values]
+            cells = [f"{_median(d):.4e}" if d else "-" for d in on]
+            table.append((f"{name:>8} | {fail:>12} | {off:>14} | ", cells))
+        lines += _block(table) + [""]
     return "\n".join(lines)
 
 
@@ -289,9 +284,7 @@ def render_misestimation_table(summaries: Sequence[RunSummary]) -> str:
         lines.append(f"min_k ||x_k - x*||  at true eps1={eps1:g}, eps2={eps2:g}")
         rows = [s for s in summaries if (s.eps1, s.eps2) == (eps1, eps2)]
         mults = sorted({s.est_multiplier for s in rows})
-        header = f"{'problem':>8} | " + " | ".join(f"est x{m:<9g}" for m in mults)
-        lines.append(header)
-        lines.append("-" * len(header))
+        table = [(f"{'problem':>8} | ", [f"est x{m:g}" for m in mults])]
         for name in sorted({s.problem for s in rows}):
             cells = []
             for mult in mults:
@@ -304,6 +297,6 @@ def render_misestimation_table(summaries: Sequence[RunSummary]) -> str:
                 kinds = {s.termination_kind for s in cell_rows}
                 kind = kinds.pop() if len(kinds) == 1 else "mixed"
                 cells.append(f"{iters:.0f} ({kind}) {med:.3e}")
-            lines.append(f"{name:>8} | " + " | ".join(f"{c:<22}" for c in cells))
-        lines.append("")
+            table.append((f"{name:>8} | ", cells))
+        lines += _block(table) + [""]
     return "\n".join(lines)

@@ -46,8 +46,12 @@ class Problem:
     x_start: Vector
 
     def __post_init__(self):
-        if self.n <= 0 or self.m <= 0:
-            raise ValueError(f"dimensions must be positive, got n={self.n}, m={self.m}")
+        # A bool would pass as 0 or 1; a float would fail later, as a draw count or slice index.
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0
+                   for d in (self.n, self.m)):
+            raise ValueError(f"dimensions must be positive integers, got n={self.n}, m={self.m}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", int(self.m))
         if self.m >= self.n:
             raise ValueError(f"need m < n, got m={self.m}, n={self.n}")
         x0 = np.asarray(self.x_start, dtype=float)
@@ -297,7 +301,6 @@ def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
 def _noise_map(eps1: float, eps2: float, m: int, n: int, derivatives: bool):
     """Draw counts (k1 for f and c, k2 for g and J) and the read-only
     per-draw ``lo`` (-eps) and ``span`` (eps - -eps) of one evaluation."""
-    m, n = int(m), int(n)  # next_rng takes an int count, also for numpy-integer dimensions
     k1 = 1 + m if eps1 > 0 else 0
     k2 = n * (1 + m) if eps2 > 0 and derivatives else 0
     lo = np.repeat(np.array([-eps1, -eps2], dtype=float), (k1, k2))

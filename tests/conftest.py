@@ -1,29 +1,23 @@
 """Session-scoped experiment grids shared by the harness and acceptance tests.
 
-Building the comparison grids is the dominant cost of the suite, so the
-runs are computed once per session.  Every run is deterministic in its
-seed, which keeps the assertions stable across machines.
+The grids are the harness's own experiment runs on ExperimentPlan's default
+problems, levels and seeds.  Building them is the dominant cost of the
+suite, so the runs are computed once per session.  Every run is
+deterministic in its seed, which keeps the assertions stable across machines.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from noisy_sqp import (
-    PROBLEM_NAMES,
-    NoiseSpec,
-    SolveResult,
-    SolverConfig,
-    get_problem,
-    reference_solution,
-    solve,
-)
+from noisy_sqp import ExperimentPlan, SolveResult
+from noisy_sqp.harness import _grid_runs, _misestimation_modes, _relaxation_modes
 
-EPS_LEVELS = (1e-5, 1e-3, 1e-1)
-SEEDS = tuple(range(10))
-MISEST_MULTIPLIERS = (1.0, 1e-3, 1e3)
+PLAN = ExperimentPlan()
+EPS_LEVELS = tuple(eps1 for eps1, _ in PLAN.eps_levels)
+SEEDS = PLAN.seeds
 
 
 @dataclass
@@ -34,56 +28,24 @@ class GridEntry:
     disabled_dists: np.ndarray
 
 
-def _dists(result: SolveResult, x_star) -> np.ndarray:
-    tail = float(np.linalg.norm(result.x - x_star))
-    return np.array([r.dist_to_ref for r in result.trace] + [tail])
-
-
 @pytest.fixture(scope="session")
 def experiment_grid():
-    """Relaxation on/off runs: 3 problems x 3 noise levels x 10 seeds, 1000 iterations."""
-    runs = {}
-    timings = {}
-    for eps in EPS_LEVELS:
+    """The relaxation table's runs at k_max = 1000, keyed (problem, eps, seed) and timed per level."""
+    runs, timings = {}, {}
+    for level in PLAN.eps_levels:
         t0 = time.perf_counter()
-        for name in PROBLEM_NAMES:
-            p = get_problem(name)
-            ref = reference_solution(name)
-            for seed in SEEDS:
-                spec = NoiseSpec(eps, eps, seed=seed)
-                est = spec.bounds(p.n, p.m)
-                enabled = solve(
-                    p, spec,
-                    SolverConfig(max_iters=1000, termination_enabled=False).with_estimates(est),
-                    x_ref=ref.x_star,
-                )
-                disabled = solve(
-                    p, spec,
-                    SolverConfig(max_iters=1000, termination_enabled=False,
-                                 relaxation_enabled=False).with_estimates(est),
-                    x_ref=ref.x_star,
-                )
-                runs[(name, eps, seed)] = GridEntry(
-                    enabled=enabled,
-                    disabled=disabled,
-                    enabled_dists=_dists(enabled, ref.x_star),
-                    disabled_dists=_dists(disabled, ref.x_star),
-                )
-        timings[eps] = time.perf_counter() - t0
+        cells = iter(_grid_runs(replace(PLAN, eps_levels=(level,), k_max_values=(1000,)),
+                                _relaxation_modes))
+        # Each seed's classical run comes just before its relaxed one.
+        for (name, spec, _, _, disabled, d_off), (*_, enabled, d_on) in zip(cells, cells):
+            runs[(name, spec.eps1, spec.seed)] = GridEntry(enabled, disabled, d_on, d_off)
+        timings[level[0]] = time.perf_counter() - t0
     return {"runs": runs, "timings": timings}
 
 
 @pytest.fixture(scope="session")
 def misestimation_grid():
-    """Estimate-scaling runs at true eps = 1e-5 with the noisy stop test active."""
-    runs = {}
-    for name in PROBLEM_NAMES:
-        p = get_problem(name)
-        ref = reference_solution(name)
-        for seed in SEEDS:
-            spec = NoiseSpec(1e-5, 1e-5, seed=seed)
-            for mult in MISEST_MULTIPLIERS:
-                cfg = SolverConfig(max_iters=5000).with_estimates(spec.bounds(p.n, p.m), mult)
-                result = solve(p, spec, cfg, x_ref=ref.x_star)
-                runs[(name, seed, mult)] = (result, _dists(result, ref.x_star))
-    return runs
+    """The misestimation study's runs at the smallest level, keyed (problem, seed, multiplier)."""
+    plan = replace(PLAN, eps_levels=(min(PLAN.eps_levels),))
+    return {(name, spec.seed, mult): (result, dists)
+            for name, spec, mult, _, result, dists in _grid_runs(plan, _misestimation_modes)}

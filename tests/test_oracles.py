@@ -81,8 +81,15 @@ class TestNoisyEvaluation:
         spec = NoiseSpec(1e-2, 1e-2, seed=8)
         a = eval_noisy(p, p.x_start, spec, spec.stream(), derivatives)
         b = eval_noisy(q, p.x_start, spec, spec.stream(), derivatives)
+        assert type(q.n) is int and type(q.m) is int
         for u, v in zip(a[:4], b[:4]):
             assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
+
+    @pytest.mark.parametrize("dims", [{"n": 2.0}, {"n": np.float64(2.0)}, {"m": True}],
+                             ids=["float", "numpy-float", "bool"])
+    def test_non_integer_dimensions_rejected(self, dims):
+        with pytest.raises(ValueError, match="dimensions must be positive integers"):
+            replace(get_problem("HS7"), **dims)
 
     def test_distinct_counters_give_distinct_draws(self):
         p = get_problem("HS7")
