@@ -1,7 +1,7 @@
 """Experiment harness: convergence traces, relaxation comparison, misestimation study.
 
 All experiments run the solver with beta=50, nu=0.1 and tau=0.9 and
-report distances to the derived reference solutions.
+report distances to the stored reference solutions.
 Results are deterministic functions of the plan: each run owns a noise
 stream keyed by its seed.  All three experiments solve their runs in one
 loop, one after another in plan order; they are Python-bound, so threads
@@ -66,7 +66,15 @@ class ExperimentPlan:
         # NoiseSpec and SolverConfig own the value rules: build one per value
         # and keep the builtin value it stores.
         specs = [NoiseSpec(eps1, eps2) for eps1, eps2 in self.eps_levels]
+        # Each run's estimates must be finite too; the plan does not know which
+        # study it feeds, so every misestimation multiplier is checked.
+        for name in self.problems:
+            p = get_problem(name)
+            for spec in specs:
+                for multiplier in self.multipliers_for(spec.eps1):
+                    SolverConfig().with_estimates(spec.bounds(p.n, p.m), multiplier)
         builtin = {
+            "problems": tuple(self.problems),
             "eps_levels": tuple((s.eps1, s.eps2) for s in specs),
             "seeds": tuple(NoiseSpec(0.0, 0.0, seed).seed for seed in self.seeds),
             "k_max_values": tuple(SolverConfig(max_iters=k).max_iters for k in self.k_max_values),

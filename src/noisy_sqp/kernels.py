@@ -83,15 +83,6 @@ def factor_jacobian(J: Matrix) -> tuple[Matrix, Vector, Matrix]:
     return U, s, Vt
 
 
-def least_squares_multiplier(J: Matrix, g: Vector) -> Vector:
-    """Least-squares multiplier estimate (JJ')^{-1} J g.
-
-    Raises SingularJacobianError when J is numerically rank deficient.
-    """
-    U, s, Vt = factor_jacobian(np.asarray(J, dtype=float))
-    return U @ ((Vt @ np.asarray(g, dtype=float)) / s)
-
-
 def project_tangent(J: Matrix, w: Vector) -> Vector:
     """Project w onto the null space of J: w - J'(JJ')^{-1} J w."""
     _, _, Vt = factor_jacobian(np.asarray(J, dtype=float))

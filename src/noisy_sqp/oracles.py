@@ -21,7 +21,7 @@ Vector = np.ndarray
 Matrix = np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """An equality-constrained problem: minimize f(x) subject to c(x) = 0.
 

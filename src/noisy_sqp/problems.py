@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import least_squares_multiplier, project_tangent
-from .oracles import NoiseSpec, Problem, Vector
+from .oracles import Problem, Vector
 
 PROBLEM_NAMES = ("HS7", "BT11", "HS40")
 
@@ -193,7 +192,7 @@ def verify_derivatives(p: Problem, x: Vector, h: float = 1e-6) -> float:
     return float(np.maximum(err_g.max(), err_J.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSolution:
     """A derived stationary point used as the distance reference in experiments."""
 
@@ -202,67 +201,26 @@ class ReferenceSolution:
     source: str = "derived-zero-noise-run"
 
 
-def _newton_polish(p: Problem, x: Vector, steps: int = 3, fd_step: float = 1e-6) -> Vector:
-    """Refine a near-stationary point by Newton on the first-order system.
-
-    Solves (g + J' lam, c) = 0 in (x, lam).  The Lagrangian curvature
-    block is built by central differences of the analytic first
-    derivatives, which is plenty for the final digits: the merit-based
-    iteration stalls near 1e-8 once merit differences fall below double
-    rounding, and two Newton corrections from there reach 1e-12 or
-    better.
-    """
-    n, m = p.n, p.m
-    x = np.array(x, dtype=float)
-    J = np.asarray(p.eval_J(x), dtype=float)
-    g = np.asarray(p.eval_g(x), dtype=float)
-    lam = -least_squares_multiplier(J, g)
-    for _ in range(steps):
-        g = np.asarray(p.eval_g(x), dtype=float)
-        J = np.asarray(p.eval_J(x), dtype=float)
-        c = np.asarray(p.eval_c(x), dtype=float)
-        residual = np.concatenate([g + J.T @ lam, c])
-        H = np.zeros((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = fd_step
-            hi = np.asarray(p.eval_g(x + e)) + np.asarray(p.eval_J(x + e)).T @ lam
-            lo = np.asarray(p.eval_g(x - e)) + np.asarray(p.eval_J(x - e)).T @ lam
-            H[:, j] = (hi - lo) / (2.0 * fd_step)
-        system = np.block([[H, J.T], [J, np.zeros((m, m))]])
-        delta = np.linalg.solve(system, -residual)
-        x += delta[:n]
-        lam += delta[n:]
-    return x
+# Each problem's stationary point, as derived from its standard start: a
+# zero-noise solve (beta=5, relaxation off, 5000 iterations, stop-test
+# estimates 1e-6) followed by three Newton steps on (g + J'lam, c) = 0
+# with a central-difference Lagrangian Hessian (step 1e-6).  The digits
+# are that derivation's repr, not the analytic optimum: HS7's x1 is
+# -1.05e-44 and its x2 one ulp above sqrt(3).  tests/test_problems.py
+# checks them to ||c||_inf <= 1e-10 and ||P g|| <= 1e-10.
+_X_STAR = {
+    "HS7": (-1.0515212304562397e-44, 1.7320508075688774),
+    "BT11": (0.7937005259840997, 0.7071067811865476, 0.5297315471796475,
+             0.8408964152537145),
+    "HS40": (1.25312242578965, 0.9704561899793266, 0.36274912950928057,
+             -0.2736159961928774, -0.7468775742103501),
+}
 
 
 @lru_cache(maxsize=None)
 def reference_solution(name: str) -> ReferenceSolution:
-    """Stationary point reached by the exact-oracle solver from the standard start.
-
-    Runs the zero-noise iteration (small constant Hessian scaling for a
-    fast decay) into the stationary point's basin, then applies the
-    Newton refinement so the cached point satisfies the constraint
-    system to ~1e-12 and the KKT residual to well below 1e-10.  The
-    refined point is verified before caching; merit-descent alone stalls
-    near 1e-8 where merit differences drop under double rounding.
-    """
-    from .solver import SolverConfig, solve
-
+    """The stored stationary point of a benchmark problem, with its objective value."""
     p = get_problem(name)
-    cfg = SolverConfig(beta=5.0, max_iters=5000, relaxation_enabled=False,
-                       eps_c_est=1e-6, eps_g_est=1e-6)
-    result = solve(p, NoiseSpec(0.0, 0.0, seed=0), cfg)
-    x_star = _newton_polish(p, result.x)
-
-    g = np.asarray(p.eval_g(x_star), dtype=float)
-    J = np.asarray(p.eval_J(x_star), dtype=float)
-    c = np.asarray(p.eval_c(x_star), dtype=float)
-    kkt = float(np.linalg.norm(project_tangent(J, g)))
-    if kkt > 1e-10 or float(np.max(np.abs(c))) > 1e-10:
-        raise RuntimeError(
-            f"reference for {name} failed verification (kkt={kkt:.2e}, "
-            f"feas={np.max(np.abs(c)):.2e})"
-        )
+    x_star = np.array(_X_STAR[name])
     x_star.flags.writeable = False  # cached and shared across callers
     return ReferenceSolution(x_star=x_star, f_star=float(p.eval_f(x_star)))

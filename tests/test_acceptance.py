@@ -21,7 +21,7 @@ from noisy_sqp import (
     solve,
     verify_derivatives,
 )
-from noisy_sqp.kernels import least_squares_multiplier, project_tangent, solve_sqp_step
+from noisy_sqp.kernels import project_tangent, solve_sqp_step
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -205,8 +205,8 @@ def test_criterion_10_multiplier_projection_identity():
     rng = np.random.default_rng(20240603)
     worst = 0.0
     for _ in range(100):
-        J, _, g = random_full_rank(rng)
-        lam = least_squares_multiplier(J, g)
+        J, c, g = random_full_rank(rng)
+        lam = solve_sqp_step(J, c, g, 1.0).lambda_hat
         residual = kkt_residual(g, J, -lam)
         worst = max(worst, abs(residual - np.linalg.norm(project_tangent(J, g))))
     ok = worst <= 1e-10

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from helpers import explicit_projector, kkt_residual, psi_reference, random_full_rank
 from noisy_sqp import get_problem, reference_solution
 from noisy_sqp.diagnostics import stationarity_psi
-from noisy_sqp.kernels import factor_jacobian, least_squares_multiplier, project_tangent
+from noisy_sqp.kernels import factor_jacobian, project_tangent, solve_sqp_step
 from noisy_sqp.oracles import eval_exact
 
 
@@ -66,8 +66,8 @@ class TestKktResidual:
     def test_negated_multiplier_gives_projected_gradient_norm(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            J, _, g = random_full_rank(rng)
-            lam = least_squares_multiplier(J, g)
+            J, c, g = random_full_rank(rng)
+            lam = solve_sqp_step(J, c, g, 1.0).lambda_hat
             residual = kkt_residual(g, J, -lam)
             assert abs(residual - np.linalg.norm(project_tangent(J, g))) <= 1e-10
 

@@ -282,9 +282,15 @@ class TestPlanValidation:
             ({"k_max_values": (20, 0)}, "max_iters must be a positive integer, got 0"),
             ({"misest_max_iters": 2.5}, "max_iters must be a positive integer, got 2.5"),
             ({"eps_levels": ((1e-3, 1e-3), (math.inf, math.inf))}, "nonnegative and finite"),
+            # BT11's eps_c = 3 * 1e308 overflows; HS7's only under the multiplier 10.
+            ({"problems": ("BT11",), "eps_levels": ((1e308, 1e308),)},
+             "estimated noise bounds must be nonnegative and finite"),
+            ({"eps_levels": ((1e308, 1e308),)},
+             "estimated noise bounds must be nonnegative and finite"),
         ],
         ids=["problem", "negative-seed", "float-seed", "bool-seed", "wide-seed", "nan-eps",
-             "negative-eps2", "k-max", "misest-max-iters", "inf-eps"],
+             "negative-eps2", "k-max", "misest-max-iters", "inf-eps", "overflowing-estimate",
+             "overflowing-misestimate"],
     )
     def test_bad_grid_raises_before_any_run(self, grid, message, no_solve):
         base = {"problems": ("HS7",), "eps_levels": ((1e-3, 1e-3),), "seeds": (0, 1),
@@ -311,6 +317,11 @@ class TestPlanValidation:
                 "k_max_values": (20,), "misest_max_iters": 20}
         with pytest.raises(ValueError, match=f"plan lists must not repeat a value: {repeated}$"):
             ExperimentPlan(**{**base, **grid})
+
+    def test_problems_stored_as_tuple(self):
+        plan = ExperimentPlan(problems=["HS7"])
+        assert plan.problems == ("HS7",)
+        assert hash(plan) == hash(ExperimentPlan(problems=("HS7",)))
 
     def test_numpy_scalars_serialize_as_builtins(self):
         eps = np.float64(1e-3)

@@ -16,7 +16,7 @@ from noisy_sqp import (
     reference_solution,
     verify_derivatives,
 )
-from noisy_sqp.kernels import least_squares_multiplier, solve_sqp_step
+from noisy_sqp.kernels import project_tangent, solve_sqp_step
 
 DIMENSIONS = {"HS7": (2, 1), "BT11": (4, 3), "HS40": (5, 3)}
 STARTS = {
@@ -36,6 +36,16 @@ def test_dimensions_and_start(name):
 def test_unknown_problem():
     with pytest.raises(KeyError, match="unknown problem"):
         get_problem("HS99")
+
+
+def test_problems_compare_by_identity():
+    # Equal fields, ndarray x_start among them, do not make two problems equal.
+    from noisy_sqp import Problem
+
+    p = get_problem("HS7")
+    twin = Problem(p.name, p.n, p.m, p.eval_f, p.eval_c, p.eval_g, p.eval_J, p.x_start)
+    assert p == p and p != twin
+    assert len({p, twin, get_problem("HS7")}) == 3
 
 
 @pytest.mark.parametrize(
@@ -116,14 +126,41 @@ def test_verify_derivatives_reports_nan_disagreement(entry):
 class TestReferenceSolutions:
     @pytest.mark.parametrize("name", list(DIMENSIONS))
     def test_first_order_conditions(self, name):
+        # The bounds the stored points were verified to when they were derived.
         p = get_problem(name)
         ref = reference_solution(name)
         c = np.asarray(p.eval_c(ref.x_star))
         g = np.asarray(p.eval_g(ref.x_star))
         J = np.asarray(p.eval_J(ref.x_star))
-        lam = least_squares_multiplier(J, g)
-        assert np.max(np.abs(c)) <= 1e-9
-        assert np.linalg.norm(g - J.T @ lam) <= 1e-10
+        assert np.max(np.abs(c)) <= 1e-10
+        assert np.linalg.norm(project_tangent(J, g)) <= 1e-10
+
+    @pytest.mark.parametrize("name", list(DIMENSIONS))
+    def test_zero_noise_solve_reaches_the_stored_point(self, name):
+        # The derivation's first stage; Newton steps took its end point the
+        # rest of the way.
+        from noisy_sqp import solve
+
+        cfg = SolverConfig(beta=5.0, max_iters=5000, relaxation_enabled=False,
+                           eps_c_est=1e-6, eps_g_est=1e-6)
+        result = solve(get_problem(name), NoiseSpec(0.0, 0.0, seed=0), cfg)
+        assert np.linalg.norm(result.x - reference_solution(name).x_star) <= 1e-6
+
+    def test_unknown_name_raises_key_error(self):
+        with pytest.raises(KeyError, match="unknown problem 'FOO'"):
+            reference_solution("FOO")
+
+    def test_cached_and_read_only(self):
+        ref = reference_solution("HS40")
+        assert reference_solution("HS40") is ref
+        with pytest.raises(ValueError):
+            ref.x_star[0] = 0.0
+
+    def test_compares_by_identity(self):
+        ref = reference_solution("HS7")
+        twin = type(ref)(ref.x_star, ref.f_star)
+        assert ref == ref and ref != twin
+        assert len({ref, twin}) == 2
 
     @pytest.mark.parametrize("name", list(DIMENSIONS))
     def test_fixed_point_of_the_iteration(self, name):
