@@ -3,8 +3,7 @@
 psi combines the two quantities the convergence theory measures: the
 projected gradient P g and the constraint violation ||c||_1.  P g comes
 from kernels.project_tangent, the one projection outside the step
-kernel; the CLI's KKT residual ||P g|| and the reference solutions'
-check call it too.
+kernel; the CLI's KKT residual ||P g|| calls it too.
 """
 
 from __future__ import annotations
@@ -28,4 +27,4 @@ def stationarity_psi(
     pg = project_tangent(J, g)
     if not b_u > 0:
         raise ValueError(f"b_u must be positive, got {b_u}")
-    return float(np.dot(pg, pg) / b_u + pi * tau * np.abs(c).sum())
+    return float(pg.dot(pg) / b_u + pi * tau * np.add.reduce(np.abs(c)))

@@ -185,9 +185,12 @@ def write_trace_csv(result: SolveResult, path: Path) -> None:
 def trace_path(out_dir: Path, problem: str, spec: NoiseSpec) -> Path:
     """Default trace file name in ``out_dir`` for one problem, noise level and seed.
 
-    The level is written with repr, so distinct levels get distinct names.
+    The level is written with repr, eps2 only where it differs from eps1
+    (``trace_HS7_eps0.001_eps2-1e-05_seed0.csv``), so distinct levels get
+    distinct names.
     """
-    return Path(out_dir) / f"trace_{problem}_eps{spec.eps1!r}_seed{spec.seed}.csv"
+    eps2 = f"_eps2-{spec.eps2!r}" if spec.eps2 != spec.eps1 else ""
+    return Path(out_dir) / f"trace_{problem}_eps{spec.eps1!r}{eps2}_seed{spec.seed}.csv"
 
 
 def run_trace_experiment(

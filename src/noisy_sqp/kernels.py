@@ -18,17 +18,33 @@ dgesdd call behind np.linalg.svd(J, full_matrices=False), without that
 wrapper's per-call cost).  Three guards go with it:
 
 - the finiteness check comes first, because the SVD computing singular
-  vectors may never return for a J holding an infinity;
+  vectors may never return for a J holding an infinity.  It first sums
+  the squares of J's entries with np.vdot: a finite sum means that every
+  entry is finite, and only a non-finite sum (a NaN, an infinity or an
+  overflow) pays for the entrywise np.isfinite test that decides.  The
+  sum costs less than that test (np.vdot copies a J that is not
+  C-ordered first, which only at hundreds of entries costs more than
+  the test, and far less than the SVD), and np.vdot, unlike
+  np.add.reduce or ndarray.dot, reports no floating-point warning when a
+  sum of finite entries overflows or infinities of both signs meet;
 - the gufunc does not raise when LAPACK fails to converge but fills its
   outputs with NaN, so a NaN s[0] raises LinAlgError;
 - U and Vt are allocated in Fortran order (order="F"), the layout
-  LAPACK writes them in; the default would be C order, and numpy's
-  matmul picks its BLAS call by layout, so only this one gives the step
-  its bits.
+  LAPACK writes them in; the default would be C order, and numpy picks
+  its BLAS call by layout, so only this one gives the step its bits.
+
+Every product of the factors goes through ndarray.dot, which makes the
+same cblas dgemv call as the @ operator without matmul's gufunc
+dispatch, so the Fortran-order note above holds for it too and the step
+keeps matmul's bits.  The factors are finite, and that matters where
+their inner dimension is 1 (m = 1): there dgemv skips a zero entry of
+the vector that @ multiplies, which would turn 0 * inf into 0 rather
+than NaN, and a zero multiplier estimate may carry the other sign.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +88,7 @@ def factor_jacobian(J: Matrix) -> tuple[Matrix, Vector, Matrix]:
     a J with more rows than columns has sigma_min = 0, and LinAlgError
     when the SVD does not converge.
     """
-    if not np.isfinite(J).all():
+    if not math.isfinite(np.vdot(J, J)) and not np.isfinite(J).all():
         raise NonFiniteJacobianError("Jacobian has a NaN or an infinite entry")
     U, s, Vt = _umath_linalg.svd_s(J, order="F")
     if not s[0] == s[0]:
@@ -87,7 +103,7 @@ def project_tangent(J: Matrix, w: Vector) -> Vector:
     """Project w onto the null space of J: w - J'(JJ')^{-1} J w."""
     _, _, Vt = factor_jacobian(np.asarray(J, dtype=float))
     w = np.asarray(w, dtype=float)
-    return w - Vt.T @ (Vt @ w)
+    return w - Vt.T.dot(Vt.dot(w))
 
 
 def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
@@ -112,8 +128,9 @@ def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     U, s, Vt = factor_jacobian(J)
-    vg = Vt @ g
-    lambda_hat = U @ (vg / s)
-    v = -(Vt.T @ ((U.T @ c) / s))
-    u = -(g - Vt.T @ vg) / beta
+    V = Vt.T
+    vg = Vt.dot(g)
+    lambda_hat = U.dot(vg / s)
+    v = -V.dot(U.T.dot(c) / s)
+    u = -(g - V.dot(vg)) / beta
     return StepResult(v + u, v, u, lambda_hat)

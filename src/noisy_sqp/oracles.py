@@ -282,19 +282,32 @@ def _check_point(p: Problem, x: Vector) -> Vector:
     return x
 
 
+def _shape_error(p: Problem, callback: str, got: tuple, want: tuple) -> ValueError:
+    return ValueError(f"{p.name}: {callback} returned shape {got}, expected {want}")
+
+
 def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
     """Evaluate the oracles at x with zero perturbation.
 
     With ``derivatives`` false only f and c are evaluated, and g and J
-    are None.
+    are None.  Raises ValueError, naming the problem and the callback,
+    when c, g or J, converted to float arrays, is not of shape (m,), (n,)
+    or (m, n).
     """
     x = _check_point(p, x)
     f = float(p.eval_f(x))
     c = np.asarray(p.eval_c(x), dtype=float)
+    if c.shape != (p.m,):
+        raise _shape_error(p, "eval_c", c.shape, (p.m,))
     if not derivatives:
         return NoisyEval(f, c, None, None)
-    return NoisyEval(f, c, np.asarray(p.eval_g(x), dtype=float),
-                     np.asarray(p.eval_J(x), dtype=float))
+    g = np.asarray(p.eval_g(x), dtype=float)
+    if g.shape != (p.n,):
+        raise _shape_error(p, "eval_g", g.shape, (p.n,))
+    J = np.asarray(p.eval_J(x), dtype=float)
+    if J.shape != (p.m, p.n):
+        raise _shape_error(p, "eval_J", J.shape, (p.m, p.n))
+    return NoisyEval(f, c, g, J)
 
 
 @functools.lru_cache(maxsize=128)

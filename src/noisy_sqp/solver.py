@@ -160,7 +160,11 @@ def linear_model(g: Vector, c: Vector, J: Matrix, d: Vector, pi: float, c_l1: fl
     for steps satisfying the linearized constraints the middle term
     vanishes to solver accuracy.
     """
-    return float(g.dot(d) + pi * np.abs(c + J @ d).sum() - pi * c_l1)
+    # J comes from the oracle in any layout and, called on its own, with any
+    # values, so it keeps @: ndarray.dot would multiply a strided J through a
+    # copy, off by round-off, and where J's inner dimension is 1 dgemv skips a
+    # zero entry of d that @ multiplies, so 0 * inf would read 0, not NaN.
+    return float(g.dot(d) + pi * np.add.reduce(np.abs(c + J @ d)) - pi * c_l1)
 
 
 def update_penalty(pi: float, lam_inf: float, tau: float) -> float:
@@ -225,7 +229,7 @@ def check_termination(
     """
     if c_l1 > eps_c_est:
         return False
-    r = g - J.T @ lambda_hat
+    r = g - J.T @ lambda_hat  # @, not .dot, for the reasons given in linear_model
     residual = math.sqrt(r.dot(r))  # np.linalg.norm's formula for a 1-D array
     return residual <= eps_g_est + lam_inf * eps_J_est
 
@@ -282,7 +286,7 @@ def solve(
         nonlocal trial_x, last_trial
         trial_x = x + alpha * step.d
         ev_t = eval_noisy(p, trial_x, spec, stream, derivatives=False)
-        last_trial = merit_value(ev_t.f, float(np.abs(ev_t.c).sum()), pi)
+        last_trial = merit_value(ev_t.f, float(np.add.reduce(np.abs(ev_t.c))), pi)
         return last_trial
 
     # A NaN or infinity from the oracle makes numpy warn in the step kernel and
@@ -290,7 +294,7 @@ def solve(
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for k in range(cfg.max_iters):
             ev = eval_noisy(p, x, spec, stream)
-            c_l1 = float(np.abs(ev.c).sum())
+            c_l1 = float(np.add.reduce(np.abs(ev.c)))
             alpha = model = merit_trial = eps_r = math.nan
             backtracks, failed = 0, False
             try:
@@ -300,7 +304,7 @@ def solve(
                 singular = isinstance(err, SingularJacobianError)
                 end = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
             else:
-                lam_inf = float(np.abs(step.lambda_hat).max())
+                lam_inf = float(np.maximum.reduce(np.abs(step.lambda_hat)))
                 pi = update_penalty(pi, lam_inf, cfg.tau)
                 # A NaN or infinity in f, c or g (through pi or the step) reaches one
                 # of these two; a NaN pi, which merit_value rejects, is a NaN merit.

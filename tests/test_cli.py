@@ -137,6 +137,14 @@ def test_trace_out_existing_directory_with_a_suffix_gets_the_default_name(tmp_pa
     assert len(written.read_text().splitlines()) == 6
 
 
+def test_traces_differing_only_in_eps2_keep_both_files(tmp_path, capsys):
+    base = ["trace", "--problem", "HS7", "--eps1", "1e-3", "--iters", "5", "--out", str(tmp_path)]
+    assert dispatch(base + ["--eps2", "1e-3"]) == 0
+    assert dispatch(base + ["--eps2", "1e-5"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "trace_HS7_eps0.001_eps2-1e-05_seed0.csv", "trace_HS7_eps0.001_seed0.csv"]
+
+
 def test_check_passes_on_shipped_problems(capsys):
     assert dispatch(["check"]) == 0
     out = capsys.readouterr().out

@@ -60,6 +60,19 @@ class TestTraceExperiment:
         assert dists[-1] <= 1e-6
         assert np.all(dists[1:] <= dists[:-1] * (1 + 1e-9) + 1e-15)
 
+    def test_default_name_carries_eps2_only_when_it_differs(self, tmp_path):
+        names = [trace_path(tmp_path, "HS7", NoiseSpec(1e-3, eps2)).name
+                 for eps2 in (1e-3, 1e-5, 0.0)]
+        assert names == ["trace_HS7_eps0.001_seed0.csv",
+                         "trace_HS7_eps0.001_eps2-1e-05_seed0.csv",
+                         "trace_HS7_eps0.001_eps2-0.0_seed0.csv"]
+
+    def test_levels_differing_only_in_eps2_write_distinct_files(self, tmp_path):
+        paths = [run_trace_experiment(tmp_path, problems=("HS7",), eps1=1e-3, eps2=eps2,
+                                      seeds=(0,), iters=5)[0] for eps2 in (1e-3, 1e-5)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+        assert len(set(paths)) == 2
+
     def test_noisy_trace_stays_in_a_band(self, experiment_grid):
         # after the transient, the distance must not wander far above
         # its typical level

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from helpers import (
@@ -221,6 +222,87 @@ class TestBatchReadiness:
             assert np.array_equal(step.v, v[i])
             assert np.array_equal(step.u, u[i])
             assert np.array_equal(step.d, v[i] + u[i])
+
+
+@st.composite
+def dot_instances(draw):
+    """A Gaussian J of shape (1, 2), (3, 4) or (3, 5), scaled by 1e-8 to 1e8,
+    and a generator for the vectors it multiplies."""
+    m, n = draw(st.sampled_from([(1, 2), (3, 4), (3, 5)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(m, n)) * 10.0 ** draw(st.integers(-8, 8)), rng
+
+
+def _vector(rng, size):
+    return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9)
+
+
+class TestDotMatchesMatmul:
+    """ndarray.dot, which the kernels call, gives the @ operator's bits on
+    factor_jacobian's Fortran-ordered U and Vt and their transposes.  (The
+    iteration helpers multiply the oracle's J with @; see
+    TestHelpersBitwiseAgainstNumpyWrappers.)"""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dot_instances())
+    def test_matrix_vector_products_bitwise(self, instance):
+        J, rng = instance
+        U, _, Vt = factor_jacobian(J)
+        assert U.flags.f_contiguous and Vt.flags.f_contiguous
+        for name, A in {"U": U, "U.T": U.T, "Vt": Vt, "Vt.T": Vt.T}.items():
+            x = _vector(rng, A.shape[1])
+            assert A.dot(x).tobytes() == (A @ x).tobytes(), name
+        x = _vector(rng, J.shape[1])
+        assert x.dot(x).tobytes() == np.dot(x, x).tobytes()
+
+
+# Entries that stress the finiteness gate's sum of squares: it overflows on
+# +-1e308, underflows on a subnormal, and meets infinities of both signs.
+GATE_ENTRIES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, -0.0, 0.0,
+                1.0, -2.5]
+
+
+class TestFinitenessGate:
+    """factor_jacobian rejects J exactly when np.isfinite(J).all() is false,
+    without a floating-point warning (a warning is an error in this suite)."""
+
+    @staticmethod
+    def _rejected(J):
+        # A stub SVD keeps the check to the gate: LAPACK's SVD may never
+        # return for an infinite J, and extreme finite ones may fail it.
+        def unit_svd(J, **kwargs):
+            m, n = J.shape
+            return np.eye(m, order="F"), np.ones(m), np.eye(m, n, order="F")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_umath_linalg", SimpleNamespace(svd_s=unit_svd))
+            try:
+                factor_jacobian(J)
+            except NonFiniteJacobianError:
+                return True
+        return False
+
+    @pytest.mark.parametrize("rows", [
+        [[math.inf, -math.inf]], [[1e308, 1e308]], [[-1e308, -1e308, 1e308]],
+        [[math.nan, 1.0]], [[5e-324, -0.0]], [[-0.0, 0.0]], [[1e308, math.inf, -math.inf]],
+    ])
+    def test_special_entries(self, rows):
+        J = np.array(rows)
+        for A in (J, np.asfortranarray(J), np.repeat(J, 2, axis=1)[:, ::2]):
+            assert self._rejected(A) is not bool(np.isfinite(A).all())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_decides_as_isfinite(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(m, 5))
+        J = data.draw(arrays(np.float64, (m, n), elements=st.sampled_from(GATE_ENTRIES)))
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+        if layout == "F":
+            J = np.asfortranarray(J)
+        elif layout == "strided":
+            J = np.repeat(J, 2, axis=1)[:, ::2]
+        assert self._rejected(J) is not bool(np.isfinite(J).all())
 
 
 class TestNearlySingularJacobian:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -540,6 +541,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="x_start"):
             Problem("bad", 3, 1, lambda x: 0.0, lambda x: np.zeros(1),
                     lambda x: np.zeros(3), lambda x: np.zeros((1, 3)), np.zeros(2))
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-free"])
+    @pytest.mark.parametrize("callback, value", [
+        ("eval_c", np.ones(1)),            # broadcasts against BT11's three c draws
+        ("eval_g", np.ones(1)),            # and against its four g draws
+        ("eval_J", np.ones((1, 4))),       # and against its 3 x 4 J draws
+        ("eval_J", np.ones((4, 3))),
+    ])
+    def test_callback_of_wrong_shape_rejected(self, callback, value, noisy):
+        p = get_problem("BT11")
+        bad = replace(p, **{callback: lambda x: value})
+        spec = NoiseSpec(1e-3, 1e-3, seed=0) if noisy else NoiseSpec(0.0, 0.0)
+        message = re.escape(f"BT11: {callback} returned shape {value.shape}, expected")
+        with pytest.raises(ValueError, match=message):
+            solve(bad, spec, SolverConfig(max_iters=5))
+        with pytest.raises(ValueError, match=message):
+            eval_noisy(bad, p.x_start, spec, spec.stream())
+
+    def test_value_only_evaluation_checks_c_only(self):
+        p = get_problem("BT11")
+        bad_derivatives = replace(p, eval_g=lambda x: np.ones(1), eval_J=lambda x: np.ones(1))
+        assert eval_exact(bad_derivatives, p.x_start, derivatives=False).c.shape == (3,)
+        bad_c = replace(p, eval_c=lambda x: np.ones((3, 1)))
+        with pytest.raises(ValueError, match=r"BT11: eval_c returned shape \(3, 1\)"):
+            eval_exact(bad_c, p.x_start, derivatives=False)
 
     def test_stream_restarts_from_seed(self):
         s = NoiseStream(10)

@@ -33,6 +33,7 @@ from noisy_sqp import (
     solve,
 )
 from noisy_sqp.diagnostics import stationarity_psi
+from noisy_sqp.kernels import SingularJacobianError, factor_jacobian, project_tangent
 from noisy_sqp.solver import (
     check_termination,
     linear_model,
@@ -598,33 +599,67 @@ def _same(x, y):
 
 
 class TestHelpersBitwiseAgainstNumpyWrappers:
-    """The helpers give the bits of their np.sum / np.max / np.linalg.norm forms."""
+    """The helpers give the bits of their np.sum / np.max / np.linalg.norm forms,
+    and the projection and psi those of their @ / np.dot / .sum() forms."""
 
     @settings(max_examples=300, deadline=None)
     @given(helper_inputs())
     @example({"f": _nan(1), "c": np.array([_nan(2)]), "g": np.array([1.0, 2.0]),
               "d": np.array([0.5, -0.5]), "lam": np.array([1.0]),
               "J": np.array([[1.0, 3.0]]), "pi": 1.0, "tau": 0.5, "eps": [0.0, 1.0, 1.0]})
+    # Two inputs on which ndarray.dot would not give @'s bits: an infinite J
+    # against a zero multiplier, where the product's inner dimension is 1 and
+    # the dgemv behind .dot skips the entry that @ multiplies into NaN, and a J
+    # whose strided view .dot multiplies through a contiguous copy.
+    @example({"f": 0.0, "c": np.array([0.0]), "g": np.array([0.0, 0.0]),
+              "d": np.array([0.0, 0.0]), "lam": np.array([0.0]),
+              "J": np.array([[math.inf, math.inf]]), "pi": 1.0, "tau": 0.5, "eps": [0.0] * 3})
+    @example({"f": 0.0, "c": np.array([0.61, -0.65]), "g": np.array([1.34, 0.59, -0.4]),
+              "d": np.array([0.43, 0.18, -0.07]), "lam": np.array([1.0, 1.0]),
+              "J": np.array([[0.61, -0.46, -0.26], [1.3, -0.91, -1.02]]), "pi": 1.0,
+              "tau": 0.5, "eps": [0.0] * 3})
     def test_helpers_match(self, a):
         # The reference stop test takes the multiplier in its g + J' lam
         # convention, the library the least-squares estimate itself.
         lam_hat = -a["lam"]
-        stop_args = (a["c"], a["g"], a["J"], a["lam"], *a["eps"])
         with np.errstate(all="ignore"):
             c_l1, lam_inf = _l1(a["c"]), float(np.abs(lam_hat).max())
-            # A loose eps_c takes every finite c on to the residual clause,
-            # and a bound equal to the reference residual tests it at the edge.
-            edge = float(np.linalg.norm(a["g"] + a["J"].T @ a["lam"]))
-            loose_stop_args = (*stop_args[:4], math.inf, edge, 0.0)
             assert _same(merit_value(a["f"], c_l1, a["pi"]),
                          merit_value_reference(a["f"], a["c"], a["pi"]))
-            assert _same(linear_model(a["g"], a["c"], a["J"], a["d"], a["pi"], c_l1),
-                         linear_model_reference(a["g"], a["c"], a["J"], a["d"], a["pi"]))
             assert _same(update_penalty(a["pi"], lam_inf, a["tau"]),
                          update_penalty_reference(a["pi"], lam_hat, a["tau"]))
-            for args in (stop_args, loose_stop_args):
-                assert check_termination(c_l1, a["g"], a["J"], lam_hat, lam_inf,
-                                         *args[4:]) == check_termination_reference(*args)
+            # J also as a strided view, as a callback may return it.
+            for J in (a["J"], np.repeat(a["J"], 2, axis=1)[:, ::2]):
+                assert _same(linear_model(a["g"], a["c"], J, a["d"], a["pi"], c_l1),
+                             linear_model_reference(a["g"], a["c"], J, a["d"], a["pi"]))
+                # A loose eps_c takes every finite c on to the residual clause,
+                # and a bound equal to the reference residual tests it at the edge.
+                stop_args = (a["c"], a["g"], J, a["lam"], *a["eps"])
+                edge = float(np.linalg.norm(a["g"] + J.T @ a["lam"]))
+                loose_stop_args = (*stop_args[:4], math.inf, edge, 0.0)
+                for args in (stop_args, loose_stop_args):
+                    assert check_termination(c_l1, a["g"], J, lam_hat, lam_inf,
+                                             *args[4:]) == check_termination_reference(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(helper_inputs())
+    def test_projection_and_psi_match(self, a):
+        J, g, c, pi, tau = a["J"], a["g"], a["c"], a["pi"], a["tau"]
+        b_u = 1.0 + a["eps"][0]
+        calls = (lambda: project_tangent(J, g), lambda: stationarity_psi(g, c, J, pi, tau, b_u))
+        with np.errstate(all="ignore"):
+            try:
+                _, _, Vt = factor_jacobian(J)
+            except (SingularJacobianError, np.linalg.LinAlgError) as err:
+                for call in calls:
+                    with pytest.raises(type(err)):
+                        call()
+                return
+            pg = g - Vt.T @ (Vt @ g)
+            psi = float(np.dot(pg, pg) / b_u + pi * tau * np.abs(c).sum())
+            got_pg, got_psi = calls[0](), calls[1]()
+        assert all(_same(x, y) for x, y in zip(got_pg, pg))
+        assert _same(got_psi, psi)
 
 
 def _poisoned(name, quantity, value, after):
