@@ -46,17 +46,14 @@ class Problem:
     x_start: Vector
 
     def __post_init__(self):
-        # A bool would pass as 0 or 1; a float would fail later, as a draw count or slice index.
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0
-                   for d in (self.n, self.m)):
-            raise ValueError(f"dimensions must be positive integers, got n={self.n}, m={self.m}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
+        for name in ("n", "m"):  # a float would fail later, as a draw count or slice index
+            object.__setattr__(self, name, _integer(getattr(self, name), name, positive=True))
         if self.m >= self.n:
             raise ValueError(f"need m < n, got m={self.m}, n={self.n}")
-        x0 = np.asarray(self.x_start, dtype=float)
+        x0 = np.array(self.x_start, dtype=float)  # a copy: the caller keeps theirs
         if x0.shape != (self.n,):
             raise ValueError(f"x_start has shape {x0.shape}, expected ({self.n},)")
+        x0.flags.writeable = False
         object.__setattr__(self, "x_start", x0)
 
 
@@ -75,9 +72,27 @@ class NoiseBounds:
     eps_J: float
 
 
-def _is_real(value) -> bool:
-    """True for a real number other than a bool, which would pass range checks as 0 or 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+_SIGN = {False: "nonnegative", True: "positive"}
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a builtin float if it is a finite real, > 0 when ``positive``,
+    else >= 0.  NaN fails, and a bool is no real: it would pass as 0 or 1."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (0 < value if positive else 0 <= value) and value < math.inf):
+        return float(value)
+    raise ValueError(f"{name} must be {_SIGN[positive]} and finite, got {value!r}")
+
+
+def _integer(value, name: str, positive: bool = False, bits: Optional[int] = None) -> int:
+    """``value`` as a builtin int if it is an integer, > 0 when ``positive``,
+    else >= 0, and below ``2**bits`` when ``bits`` is given.  A bool is no integer."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= int(positive)):
+        raise ValueError(f"{name} must be a {_SIGN[positive]} integer, got {value!r}")
+    if bits is not None and int(value) >= 2**bits:
+        raise ValueError(f"{name} must be below 2**{bits}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -96,17 +111,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # NaN fails the range check too.
-        if not all(_is_real(e) and 0 <= e < math.inf for e in (self.eps1, self.eps2)):
-            raise ValueError("noise half-widths must be nonnegative and finite numbers")
-        if isinstance(self.seed, bool) or not (
-                isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.seed > _M32:
-            raise ValueError(f"seed must be below 2**32, got {self.seed!r}")
-        object.__setattr__(self, "eps1", float(self.eps1))
-        object.__setattr__(self, "eps2", float(self.eps2))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("eps1", "eps2"):
+            object.__setattr__(self, name, _real(getattr(self, name), "noise half-widths"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", bits=32))
 
     def bounds(self, n: int, m: int) -> NoiseBounds:
         """Derived norm bounds for a problem of size (n, m).
@@ -122,7 +129,7 @@ class NoiseSpec:
         )
 
     def stream(self) -> "NoiseStream":
-        return NoiseStream(self.seed)
+        return NoiseStream(self)
 
 
 # numpy's SeedSequence mix constants (numpy/random/bit_generator.pyx).
@@ -214,13 +221,14 @@ def _draw_block(seed: int, block: int, width: int) -> np.ndarray:
 
 @dataclass
 class NoiseStream:
-    """Counter-keyed source of per-evaluation uniform draws.
+    """Counter-keyed source of per-evaluation uniform draws for a :class:`NoiseSpec`.
 
-    Evaluation ``counter`` of stream ``seed`` reads the uniforms that
-    ``np.random.default_rng(np.random.SeedSequence((seed, counter)))``
+    Evaluation ``counter`` of a stream of ``spec`` reads the uniforms that
+    ``np.random.default_rng(np.random.SeedSequence((spec.seed, counter)))``
     draws first, so a run's noise depends only on its seed and call
     sequence.  Concurrent runs each own a stream and cannot perturb one
-    another.  Seed and counter are ``int`` values in ``[0, 2**32)``.
+    another.  The spec checked its seed when it was built; the counter is
+    an ``int`` in ``[0, 2**32)``.
 
     The draws are shared by every stream of a seed.  The process keeps an
     LRU cache of the last 128 blocks of 256 counters, keyed on ``(seed,
@@ -235,24 +243,26 @@ class NoiseStream:
     never changes.  A zero-width draw reads no block.
     """
 
-    seed: int
+    spec: NoiseSpec
     counter: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.spec, NoiseSpec):
+            raise ValueError(f"a noise stream needs a NoiseSpec, got {self.spec!r}")
 
     def next_rng(self, k: int) -> np.ndarray:
         """The first ``k`` uniforms of evaluation ``counter``, read-only;
         advances the counter by one.
 
-        Raises ValueError if the seed or counter is not an ``int`` in
+        Raises ValueError if the counter is not an ``int`` in
         ``[0, 2**32)`` or ``k`` is not an ``int`` >= 0, a bool counting
         as no ``int``.  On any error the counter is unchanged.
         """
-        seed, counter = self.seed, self.counter
-        if not (type(seed) is int and 0 <= seed <= _M32
-                and type(counter) is int and 0 <= counter <= _M32
-                and type(k) is int and k >= 0):
-            raise ValueError("noise seed and counter must be ints in [0, 2**32) and k an "
-                             f"int >= 0, got seed={seed!r}, counter={counter!r}, k={k!r}")
-        u = (_draw_block(seed, counter >> 8, max(_BLOCK_WIDTH, k))[counter & 255, :k]
+        counter = self.counter
+        if not (type(counter) is int and 0 <= counter <= _M32 and type(k) is int and k >= 0):
+            raise ValueError("noise counter must be an int in [0, 2**32) and k an int >= 0, "
+                             f"got counter={counter!r}, k={k!r}")
+        u = (_draw_block(self.spec.seed, counter >> 8, max(_BLOCK_WIDTH, k))[counter & 255, :k]
              if k else _NO_DRAWS)
         self.counter = counter + 1
         return u
@@ -291,11 +301,16 @@ def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
 
     With ``derivatives`` false only f and c are evaluated, and g and J
     are None.  Raises ValueError, naming the problem and the callback,
-    when c, g or J, converted to float arrays, is not of shape (m,), (n,)
-    or (m, n).
+    when f, c, g or J, converted to float arrays, is not of shape (),
+    (m,), (n,) or (m, n).
     """
     x = _check_point(p, x)
-    f = float(p.eval_f(x))
+    f = p.eval_f(x)
+    if type(f) is not float:  # the shipped problems return Python floats
+        f = np.asarray(f, dtype=float)
+        if f.shape != ():
+            raise _shape_error(p, "eval_f", f.shape, ())
+        f = float(f)
     c = np.asarray(p.eval_c(x), dtype=float)
     if c.shape != (p.m,):
         raise _shape_error(p, "eval_c", c.shape, (p.m,))
@@ -322,9 +337,7 @@ def _noise_map(eps1: float, eps2: float, m: int, n: int, derivatives: bool):
     return k1, k2, lo, span
 
 
-def eval_noisy(
-    p: Problem, x: Vector, spec: NoiseSpec, stream: NoiseStream, derivatives: bool = True
-) -> NoisyEval:
+def eval_noisy(p: Problem, x: Vector, stream: NoiseStream, derivatives: bool = True) -> NoisyEval:
     """Evaluate the oracles at x and add one fresh uniform draw per scalar.
 
     One :func:`eval_exact` call gives the exact values and one
@@ -338,11 +351,10 @@ def eval_noisy(
     ----------
     p : Problem
     x : array, shape (n,)
-    spec : NoiseSpec
-        Half-widths of the uniform perturbations.
     stream : NoiseStream
+        Its ``spec`` gives the half-widths of the uniform perturbations.
         Advanced by exactly one evaluation; repeated calls with equal
-        (seed, counter) state reproduce identical draws.
+        (spec, counter) state reproduce identical draws.
     derivatives : bool
         False evaluates only f and c (g and J are None).  Their noise is
         drawn first, so they equal a full evaluation's bit for bit.
@@ -357,7 +369,7 @@ def eval_noisy(
     """
     exact = eval_exact(p, x, derivatives)
     f, c, g, J, _ = exact
-    k1, k2, lo, span = _noise_map(spec.eps1, spec.eps2, p.m, p.n, derivatives)
+    k1, k2, lo, span = _noise_map(stream.spec.eps1, stream.spec.eps2, p.m, p.n, derivatives)
     # One row of draws in the order f, c, g, J (row-major), mapped to the
     # per-entry lo + span * u of Generator.uniform, so the values equal
     # separate uniform(-eps, eps) calls bit for bit.

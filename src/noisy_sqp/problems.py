@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .oracles import Problem, Vector
+from .oracles import Problem, Vector, _real
 
 PROBLEM_NAMES = ("HS7", "BT11", "HS40")
 
@@ -175,8 +175,7 @@ def verify_derivatives(p: Problem, x: Vector, h: float = 1e-6) -> float:
     against differences of eval_c, with step h.  Errors are relative to
     max(1, |analytic entry|).  A NaN disagreement makes the result NaN.
     """
-    if not 0 < h < math.inf:  # NaN fails too
-        raise ValueError(f"step must be finite and positive, got {h}")
+    h = _real(h, "step", positive=True)
     x = np.asarray(x, dtype=float)
     g = np.asarray(p.eval_g(x), dtype=float)
     J = np.asarray(p.eval_J(x), dtype=float)

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .diagnostics import stationarity_psi
 from .kernels import NonFiniteJacobianError, SingularJacobianError, solve_sqp_step
-from .oracles import Matrix, NoiseSpec, Problem, Vector, _check_point, _is_real, eval_noisy
+from .oracles import (Matrix, NoiseSpec, Problem, Vector, _check_point, _integer, _real,
+                      eval_noisy)
 
 __all__ = [
     "SolverConfig",
@@ -70,30 +70,18 @@ class SolverConfig:
     termination_enabled: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not _is_real(value):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-        # Written as chained comparisons so that NaN fails each check too.
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not all(0 <= e < math.inf for e in (self.eps_f_est, self.eps_c_est,
-                                                self.eps_g_est, self.eps_J_est)):
-            raise ValueError("estimated noise bounds must be nonnegative and finite")
-        if isinstance(self.max_iters, bool) or not (
-                isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        object.__setattr__(self, "beta", _real(self.beta, "beta", positive=True))
+        for name in ("eps_f_est", "eps_c_est", "eps_g_est", "eps_J_est"):
+            object.__setattr__(self, name, _real(getattr(self, name), "estimated noise bounds"))
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters", positive=True))
         for name in ("relaxation_enabled", "termination_enabled"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     def with_estimates(self, bounds, multiplier: float = 1.0) -> "SolverConfig":
         """Copy of this config using `bounds` (times a finite `multiplier` >= 0) as estimates."""
-        # NaN fails too, and -1 * 0 would pass as -0.0.
-        if not (_is_real(multiplier) and 0 <= multiplier < math.inf):
-            raise ValueError(f"estimate multiplier must be nonnegative and finite, "
-                             f"got {multiplier}")
+        # Checked here, as -1 * 0 would pass the config's check as -0.0.
+        multiplier = _real(multiplier, "estimate multiplier")
         return replace(
             self,
             eps_f_est=bounds.eps_f * multiplier,
@@ -285,7 +273,7 @@ def solve(
         """Noisy merit at x_k + alpha*d_k; keeps the point and the merit."""
         nonlocal trial_x, last_trial
         trial_x = x + alpha * step.d
-        ev_t = eval_noisy(p, trial_x, spec, stream, derivatives=False)
+        ev_t = eval_noisy(p, trial_x, stream, derivatives=False)
         last_trial = merit_value(ev_t.f, float(np.add.reduce(np.abs(ev_t.c))), pi)
         return last_trial
 
@@ -293,7 +281,7 @@ def solve(
     # the merit; the run reports it through its status instead.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for k in range(cfg.max_iters):
-            ev = eval_noisy(p, x, spec, stream)
+            ev = eval_noisy(p, x, stream)
             c_l1 = float(np.add.reduce(np.abs(ev.c)))
             alpha = model = merit_trial = eps_r = math.nan
             backtracks, failed = 0, False

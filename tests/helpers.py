@@ -83,7 +83,7 @@ def per_evaluation_draws(stream, k):
 
     Advances the counter by one, as :meth:`NoiseStream.next_rng` does.
     """
-    u = seed_sequence_rng(stream.seed, stream.counter).random(k)
+    u = seed_sequence_rng(stream.spec.seed, stream.counter).random(k)
     stream.counter += 1
     return u
 
@@ -96,7 +96,7 @@ def fresh_dict_draws(stream, k):
     For seeds and counters below 2**32; advances the counter by one.
     """
     counter = stream.counter
-    words = oracles._seed_words(stream.seed, counter >> 8)[counter & 255]
+    words = oracles._seed_words(stream.spec.seed, counter >> 8)[counter & 255]
     a, b, c, d = words.tolist()
     inc = ((c << 64 | d) << 1 | 1) & _M128
     rng = np.random.Generator(np.random.PCG64())
@@ -110,11 +110,11 @@ def fresh_dict_draws(stream, k):
     return rng.random(k)
 
 
-def two_step_eval_noisy(p, x, spec, stream, derivatives=True):
+def two_step_eval_noisy(p, x, stream, derivatives=True):
     """eval_noisy with each noise group mapped by a scalar -eps + (eps - -eps) * u."""
     exact = oracles.eval_exact(p, x, derivatives)
     f, c, g, J = exact.f, exact.c, exact.g, exact.J
-    e1, e2 = spec.eps1, spec.eps2
+    e1, e2 = stream.spec.eps1, stream.spec.eps2
     k1 = 1 + p.m if e1 > 0 else 0
     k2 = p.n * (1 + p.m) if e2 > 0 and derivatives else 0
     u = stream.next_rng(k1 + k2)
@@ -129,14 +129,15 @@ def two_step_eval_noisy(p, x, spec, stream, derivatives=True):
     return oracles.NoisyEval(f=float(f), c=c, g=g, J=J, exact=exact)
 
 
-def uniform_reference_eval(p, x, spec, stream):
+def uniform_reference_eval(p, x, stream):
     """Noisy (f, c, g, J) drawn with one Generator.uniform call per quantity.
 
     The generator comes from numpy's SeedSequence path at the stream's
     (seed, counter), not from the stream itself; the counter is advanced
     by one as an evaluation would.
     """
-    rng = seed_sequence_rng(stream.seed, stream.counter)
+    spec = stream.spec
+    rng = seed_sequence_rng(spec.seed, stream.counter)
     stream.counter += 1
     f, c = float(p.eval_f(x)), np.asarray(p.eval_c(x), dtype=float)
     g, J = np.asarray(p.eval_g(x), dtype=float), np.asarray(p.eval_J(x), dtype=float)
@@ -217,7 +218,7 @@ def reference_solve(p, spec, cfg, x_ref=None, collect_psi=False):
         )
 
     for k in range(cfg.max_iters):
-        ev = oracles.eval_noisy(p, x, spec, stream)
+        ev = oracles.eval_noisy(p, x, stream)
         try:
             step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
         except (SingularJacobianError, NonFiniteJacobianError) as err:
@@ -249,7 +250,7 @@ def reference_solve(p, spec, cfg, x_ref=None, collect_psi=False):
         def merit_at(alpha):
             nonlocal last_trial, trial_x
             trial_x = x + alpha * step.d
-            ev_t = oracles.eval_noisy(p, trial_x, spec, stream, derivatives=False)
+            ev_t = oracles.eval_noisy(p, trial_x, stream, derivatives=False)
             last_trial = merit_value_reference(ev_t.f, ev_t.c, pi)
             return last_trial
 
@@ -292,10 +293,10 @@ def adversarial_eval_noisy(eval_noisy, frac):
     their uniform noise.  Apply with ``monkeypatch.setattr(solver,
     "eval_noisy", adversarial_eval_noisy(solver.eval_noisy, frac))``.
     """
-    def adversary(p, x, spec, stream, derivatives=True):
-        drawn = eval_noisy(p, x, spec, stream, derivatives)
+    def adversary(p, x, stream, derivatives=True):
+        drawn = eval_noisy(p, x, stream, derivatives)
         exact = drawn.exact
-        e = frac * spec.eps1 if not derivatives else -frac * spec.eps1
+        e = frac * stream.spec.eps1 if not derivatives else -frac * stream.spec.eps1
         return oracles.NoisyEval(f=exact.f + e, c=exact.c + e * np.sign(exact.c),
                                  g=drawn.g, J=drawn.J, exact=exact)
     return adversary

@@ -54,7 +54,7 @@ class TestNoisyEvaluation:
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.normal(size=p.n)
-            noisy = eval_noisy(p, x, spec, stream)
+            noisy = eval_noisy(p, x, stream)
             exact = eval_exact(p, x)
             assert noisy.f == exact.f
             assert_array_equal(noisy.c, exact.c)
@@ -67,8 +67,8 @@ class TestNoisyEvaluation:
         points = [p.x_start + 0.1 * k for k in range(6)]
         s1, s2 = spec.stream(), spec.stream()
         for x in points:
-            a = eval_noisy(p, x, spec, s1)
-            b = eval_noisy(p, x, spec, s2)
+            a = eval_noisy(p, x, s1)
+            b = eval_noisy(p, x, s2)
             assert a.f == b.f
             assert_array_equal(a.c, b.c)
             assert_array_equal(a.g, b.g)
@@ -80,24 +80,23 @@ class TestNoisyEvaluation:
         p = get_problem("BT11")
         q = replace(p, n=np.int64(p.n), m=np.int64(p.m))
         spec = NoiseSpec(1e-2, 1e-2, seed=8)
-        a = eval_noisy(p, p.x_start, spec, spec.stream(), derivatives)
-        b = eval_noisy(q, p.x_start, spec, spec.stream(), derivatives)
+        a = eval_noisy(p, p.x_start, spec.stream(), derivatives)
+        b = eval_noisy(q, p.x_start, spec.stream(), derivatives)
         assert type(q.n) is int and type(q.m) is int
         for u, v in zip(a[:4], b[:4]):
             assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
 
-    @pytest.mark.parametrize("dims", [{"n": 2.0}, {"n": np.float64(2.0)}, {"m": True}],
-                             ids=["float", "numpy-float", "bool"])
-    def test_non_integer_dimensions_rejected(self, dims):
-        with pytest.raises(ValueError, match="dimensions must be positive integers"):
-            replace(get_problem("HS7"), **dims)
+    def test_float_dimension_rejected(self):
+        # numpy scalars, bools and the other edge values are rows of test_input_rules.
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got 2\.0$"):
+            replace(get_problem("HS7"), n=2.0)
 
     def test_distinct_counters_give_distinct_draws(self):
         p = get_problem("HS7")
         spec = NoiseSpec(1e-3, 1e-3, seed=5)
         stream = spec.stream()
-        a = eval_noisy(p, p.x_start, spec, stream)
-        b = eval_noisy(p, p.x_start, spec, stream)
+        a = eval_noisy(p, p.x_start, stream)
+        b = eval_noisy(p, p.x_start, stream)
         assert a.f != b.f
         assert stream.counter == 2
 
@@ -110,8 +109,8 @@ class TestNoisyEvaluation:
             stream, ref_stream = spec.stream(), spec.stream()
             for _ in range(50):
                 x = p.x_start + rng.normal(size=p.n)
-                out = eval_noisy(p, x, spec, stream)
-                f, c, g, J = uniform_reference_eval(p, x, spec, ref_stream)
+                out = eval_noisy(p, x, stream)
+                f, c, g, J = uniform_reference_eval(p, x, ref_stream)
                 assert type(out.f) is float
                 assert out.f == f
                 assert_array_equal(out.c, c)
@@ -125,7 +124,7 @@ class TestNoisyEvaluation:
         rng = np.random.default_rng(0)
         for _ in range(10_000):
             x = p.x_start + rng.uniform(-1, 1, size=p.n)
-            noisy = eval_noisy(p, x, spec, stream)
+            noisy = eval_noisy(p, x, stream)
             exact = eval_exact(p, x)
             assert abs(noisy.f - exact.f) <= spec.eps1
             assert np.all(np.abs(noisy.c - exact.c) <= spec.eps1)
@@ -143,8 +142,8 @@ class TestValueOnlyEvaluation:
         rng = np.random.default_rng(4)
         for i in range(40):
             x = p.x_start + rng.normal(size=p.n)
-            full = eval_noisy(p, x, spec, full_stream)
-            value = eval_noisy(p, x, spec, value_stream, derivatives=False)
+            full = eval_noisy(p, x, full_stream)
+            value = eval_noisy(p, x, value_stream, derivatives=False)
             assert value_stream.counter == full_stream.counter == i + 1
             assert type(value.f) is float and value.f == full.f
             assert_array_equal(value.c, full.c)
@@ -157,42 +156,47 @@ class TestValueOnlyEvaluation:
         p = Problem("values", 2, 1, lambda x: x @ x, lambda x: x[:1], fail, fail, np.ones(2))
         out = eval_exact(p, p.x_start, derivatives=False)
         assert out.f == 2.0 and out.g is None and out.J is None
-        stream = NoiseStream(3)
-        noisy = eval_noisy(p, p.x_start, NoiseSpec(1e-2, 1e-2, seed=3), stream, derivatives=False)
+        stream = NoiseSpec(1e-2, 1e-2, seed=3).stream()
+        noisy = eval_noisy(p, p.x_start, stream, derivatives=False)
         assert noisy.g is None and stream.counter == 1
 
 
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**31 - 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
 # Counters near 2**32 run off the last block, where every draw is rejected.
 COUNTERS = st.one_of(st.integers(0, 1000), st.integers(2**32 - 300, 2**32 + 5))
-OUT_OF_RANGE = r"ints in \[0, 2\*\*32\)"
+OUT_OF_RANGE = r"counter must be an int in \[0, 2\*\*32\)"
 STREAM_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("draw"), st.integers(1, 300)),
         st.tuples(st.just("counter"), COUNTERS),
-        st.tuples(st.just("seed"), st.one_of(SEEDS, st.integers(2**32, 2**70))),
+        st.tuples(st.just("spec"), SEEDS),
     ),
     max_size=6,
 )
 
 
+def seeded(seed, counter=0):
+    """A stream at ``counter`` of a noise-free spec; its draws depend only on ``seed``."""
+    return NoiseStream(NoiseSpec(0.0, 0.0, seed=seed), counter)
+
+
 def _check_rejected(stream, k=3):
-    """next_rng rejects the stream's seed or counter, or k, and leaves the counter alone."""
-    seed, counter = stream.seed, stream.counter
+    """next_rng rejects the stream's counter, or k, and leaves the stream alone."""
+    spec, counter = stream.spec, stream.counter
     with pytest.raises(ValueError, match=OUT_OF_RANGE):
         stream.next_rng(k)
-    assert stream.seed is seed and stream.counter is counter
+    assert stream.spec is spec and stream.counter is counter
 
 
 class TestNoiseStreamMatchesSeedSequence:
-    """Draw i of NoiseStream(seed) equals numpy's SeedSequence((seed, i)) path,
-    bit for bit, for seeds and counters in [0, 2**32); others are rejected."""
+    """Draw i of a stream of seed equals numpy's SeedSequence((seed, i)) path,
+    bit for bit, for counters in [0, 2**32); others are rejected."""
 
     @staticmethod
     def _check_draws(stream, count):
         for _ in range(count):
-            seed, counter = stream.seed, stream.counter
-            if not (0 <= seed < 2**32 and 0 <= counter < 2**32):
+            seed, counter = stream.spec.seed, stream.counter
+            if not 0 <= counter < 2**32:
                 _check_rejected(stream)
                 continue
             got = stream.next_rng(3)
@@ -205,47 +209,39 @@ class TestNoiseStreamMatchesSeedSequence:
     @example(seed=2**32 - 1, counter=2**32 - 100, count=110)
     def test_consecutive_draws(self, seed, counter, count):
         # 600 draws cross at least two block boundaries.
-        self._check_draws(NoiseStream(seed, counter), count)
+        self._check_draws(seeded(seed, counter), count)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, ops=STREAM_OPS)
-    def test_reassigned_counter_and_seed(self, seed, ops):
-        stream = NoiseStream(seed)
+    def test_reassigned_counter_and_spec(self, seed, ops):
+        stream = seeded(seed)
         self._check_draws(stream, 20)
         for op, value in ops:
             if op == "draw":
                 self._check_draws(stream, value)
             else:
-                setattr(stream, op, value)
+                setattr(stream, op, NoiseSpec(0.0, 0.0, seed=value) if op == "spec" else value)
                 self._check_draws(stream, 3)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(2**32, 2**96), counter=st.integers(0, 50))
-    def test_wide_seeds_are_rejected(self, seed, counter):
-        stream = NoiseStream(seed, counter)
-        for k in (3, 0):
-            _check_rejected(stream, k)
 
     @pytest.mark.parametrize("counter", [2**32, 2**40, -1])
     def test_counters_outside_32_bits_are_rejected(self, counter):
-        stream = NoiseStream(4)
+        stream = seeded(4)
         self._check_draws(stream, 3)
         stream.counter = counter
         for k in (3, 0):
             _check_rejected(stream, k)
 
     @pytest.mark.parametrize("value", [1.0, np.int64(5), True, "5"])
-    @pytest.mark.parametrize("field", ["seed", "counter"])
-    def test_reassigned_seed_or_counter_of_another_type_is_rejected(self, field, value):
-        stream = NoiseStream(5)
+    def test_reassigned_counter_of_another_type_is_rejected(self, value):
+        stream = seeded(5)
         self._check_draws(stream, 3)
-        setattr(stream, field, value)
+        stream.counter = value
         for k in (3, 0):
             _check_rejected(stream, k)
 
     @pytest.mark.parametrize("seed", [9, 2**32 - 1])
     def test_rows_are_read_only(self, seed):
-        stream = NoiseStream(seed)
+        stream = seeded(seed)
         for k in (1, 6, 24, 0):
             u = stream.next_rng(k)
             assert u.shape == (k,) and u.dtype == np.float64
@@ -253,20 +249,10 @@ class TestNoiseStreamMatchesSeedSequence:
             with pytest.raises(ValueError, match="read-only"):
                 u[:] = 0.0
 
-    @pytest.mark.parametrize("seed", [-1, -(2**40)])
-    def test_negative_seed_is_rejected(self, seed):
-        fresh, reseeded = NoiseStream(seed), NoiseStream(4)
-        self._check_draws(reseeded, 3)
-        reseeded.seed = seed
-        for stream, counter in ((fresh, 0), (reseeded, 3)):
-            for _ in range(2):
-                _check_rejected(stream)
-            assert stream.counter == counter
-
     @pytest.mark.parametrize("k", [-3, -1, 2.0, True, False, np.int64(3), None, "3"], ids=repr)
     def test_draw_counts_other_than_nonnegative_ints_are_rejected(self, k):
         # After a 24-wide draw, k = -3 would otherwise slice 21 draws.
-        stream = NoiseStream(5)
+        stream = seeded(5)
         stream.next_rng(24)
         _check_rejected(stream, k)
         self._check_draws(stream, 3)
@@ -298,7 +284,7 @@ class TestDrawCache:
     @staticmethod
     def _check_widths(stream, widths):
         for k in widths:
-            seed, counter = stream.seed, stream.counter
+            seed, counter = stream.spec.seed, stream.counter
             assert_array_equal(stream.next_rng(k), seed_sequence_rng(seed, counter).random(k))
 
     @pytest.mark.parametrize("seed", [0, 31, 2**32 - 1])
@@ -306,25 +292,25 @@ class TestDrawCache:
         # Counters 250 to 859 span blocks 0 to 3, each built once 24 wide
         # whatever the draw counts up to 24.
         widths = [(1, 4, 20, 24)[i % 4] for i in range(600)]
-        self._check_widths(NoiseStream(seed, 250), [1] * 10 + widths)  # cold
+        self._check_widths(seeded(seed, 250), [1] * 10 + widths)  # cold
         info = oracles_module._draw_block.cache_info()
         assert info.misses == 4 and info.currsize == 4
-        self._check_widths(NoiseStream(seed, 250), [1] * 10 + widths[::-1])  # warm
+        self._check_widths(seeded(seed, 250), [1] * 10 + widths[::-1])  # warm
         assert oracles_module._draw_block.cache_info().misses == 4
         # Wider requests build blocks of their own width: blocks 0 and 1 at
         # 30, then block 1 at 25; the 24-wide blocks still serve the rest.
-        self._check_widths(NoiseStream(seed, 250), [30] * 10 + [25] * 2 + [24] * 2)
+        self._check_widths(seeded(seed, 250), [30] * 10 + [25] * 2 + [24] * 2)
         info = oracles_module._draw_block.cache_info()
         assert info.misses == 7 and info.currsize == 7
 
     def test_failed_block_allocation_changes_neither_width_nor_counter(self, cold_cache):
-        stream = NoiseStream(5)
+        stream = seeded(5)
         self._check_widths(stream, [6])
         with pytest.raises(MemoryError):
             stream.next_rng(10**12)  # a (256, 10**12) block cannot be allocated
         assert stream.counter == 1
         self._check_widths(stream, [3])
-        self._check_widths(NoiseStream(7), [3])
+        self._check_widths(seeded(7), [3])
         # The failed request is the only other miss: seed 5's 24-wide block
         # still serves its next draw, and seed 7's is built 24 wide.
         info = oracles_module._draw_block.cache_info()
@@ -334,7 +320,7 @@ class TestDrawCache:
 
     @pytest.mark.parametrize("k", [1, 4, 20, 24, 30])
     def test_each_width_across_a_block_boundary(self, k, cold_cache):
-        for stream in (NoiseStream(3, 250), NoiseStream(3, 250)):
+        for stream in (seeded(3, 250), seeded(3, 250)):
             self._check_widths(stream, [k] * 12)
             self._check_widths(stream, [24, k, 1])
 
@@ -342,11 +328,11 @@ class TestDrawCache:
     def test_last_hashed_counter_and_first_rejected_counter(self, counter, cold_cache):
         # 2**32 - 1 is the last row of the last block; 2**32 is rejected
         # before any block is looked up.
-        self._check_draws(NoiseStream(7, counter), 1)
+        self._check_draws(seeded(7, counter), 1)
         assert oracles_module._draw_block.cache_info().misses == int(counter < 2**32)
 
     def test_blocks_are_built_whole_and_read_only(self, cold_cache):
-        NoiseStream(6, 300).next_rng(5)  # a 5-wide draw reads a 24-wide block
+        seeded(6, 300).next_rng(5)  # a 5-wide draw reads a 24-wide block
         block = oracles_module._draw_block(6, 1, 24)
         assert oracles_module._draw_block.cache_info().misses == 1
         assert block.shape == (256, 24) and not block.flags.writeable
@@ -365,7 +351,7 @@ class TestDrawCache:
             assert u.shape == (0,) and not u.flags.writeable
         for derivatives in (True, False):
             x = p.x_start + 0.25
-            got, want = eval_noisy(p, x, spec, stream, derivatives), eval_exact(p, x, derivatives)
+            got, want = eval_noisy(p, x, stream, derivatives), eval_exact(p, x, derivatives)
             for a, b in zip(got[:4], want[:4]):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         assert stream.counter == 302
@@ -375,14 +361,14 @@ class TestDrawCache:
     @given(seed=SEEDS, paces=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                                       min_size=1, max_size=12))
     def test_two_streams_of_one_seed_used_alternately(self, seed, paces):
-        a, b = NoiseStream(seed), NoiseStream(seed)
+        a, b = seeded(seed), seeded(seed)
         for count_a, count_b in paces:
             self._check_draws(a, count_a)
             self._check_widths(b, [24] * count_b)
 
     def test_cache_holds_at_most_its_block_bound(self, cold_cache):
         bound = oracles_module._MAX_BLOCKS
-        streams = [NoiseStream(seed) for seed in range(bound + 20)]
+        streams = [seeded(seed) for seed in range(bound + 20)]
         for stream in streams + streams:
             self._check_widths(stream, [24, 6])
             assert oracles_module._draw_block.cache_info().currsize <= bound
@@ -393,7 +379,7 @@ class TestDrawCache:
         # different order each, so builds at widths 24 and 30 and reads interleave.
         def work(i, errors):
             try:
-                stream = NoiseStream(11, 200)
+                stream = seeded(11, 200)
                 for j in range(120):
                     self._check_widths(stream, [(1, 4, 20, 24, 6, 9, 30)[(i + j) % 7]])
             except AssertionError as e:
@@ -504,28 +490,16 @@ class TestDerivedBounds:
 
 
 class TestValidation:
-    def test_negative_half_width_rejected(self):
-        for eps1, eps2 in ((-1e-3, 0.0), (0.0, -1e-3), (math.nan, 0.0), (0.0, math.nan),
-                           (math.nan, math.nan), (math.inf, 0.0), (0.0, math.inf),
-                           (True, False), (True, 0.0), (0.0, False), (np.True_, 0.0),
-                           ("1e-3", 0.0)):
-            with pytest.raises(ValueError, match="nonnegative"):
-                NoiseSpec(eps1, eps2)
-
-    @pytest.mark.parametrize("seed", [2**32, 2**40, np.uint64(2**32)])
+    # The half-widths' and the seed's edge values are rows of test_input_rules.
+    @pytest.mark.parametrize("seed", [2**40, np.uint64(2**32)])
     def test_seed_must_be_below_2_to_the_32(self, seed):
-        with pytest.raises(ValueError, match=r"seed must be below 2\*\*32"):
+        with pytest.raises(ValueError, match=r"^seed must be below 2\*\*32, got "):
             NoiseSpec(1e-3, 1e-3, seed=seed)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, math.nan, "0", True])
+    @pytest.mark.parametrize("seed", [1.5, 2.0])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             NoiseSpec(1e-3, 1e-3, seed=seed)
-
-    def test_numpy_scalars_stored_as_builtins(self):
-        spec = NoiseSpec(np.float64(1e-3), np.float32(0.5), seed=np.int64(7))
-        assert (type(spec.eps1), type(spec.eps2), type(spec.seed)) == (float, float, int)
-        assert (spec.eps1, spec.eps2, spec.seed) == (1e-3, 0.5, 7)
 
     def test_largest_seed_accepted(self):
         spec = NoiseSpec(1e-3, 1e-3, seed=np.uint32(2**32 - 1))
@@ -542,8 +516,20 @@ class TestValidation:
             Problem("bad", 3, 1, lambda x: 0.0, lambda x: np.zeros(1),
                     lambda x: np.zeros(3), lambda x: np.zeros((1, 3)), np.zeros(2))
 
+    def test_problem_keeps_a_read_only_copy_of_the_start(self):
+        hs7 = get_problem("HS7")
+        x0 = np.array([2.0, 2.0])
+        p = Problem("mine", 2, 1, hs7.eval_f, hs7.eval_c, hs7.eval_g, hs7.eval_J, x0)
+        x0[0] = 99.0
+        assert p.x_start is not x0 and p.x_start.tolist() == [2.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            p.x_start[0] = 99.0
+
     @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-free"])
     @pytest.mark.parametrize("callback, value", [
+        ("eval_f", np.ones(1)),            # float() of these would raise a bare TypeError,
+        ("eval_f", [1.0]),                 # or on older numpy only warn
+        ("eval_f", np.ones((1, 1))),
         ("eval_c", np.ones(1)),            # broadcasts against BT11's three c draws
         ("eval_g", np.ones(1)),            # and against its four g draws
         ("eval_J", np.ones((1, 4))),       # and against its 3 x 4 J draws
@@ -553,11 +539,11 @@ class TestValidation:
         p = get_problem("BT11")
         bad = replace(p, **{callback: lambda x: value})
         spec = NoiseSpec(1e-3, 1e-3, seed=0) if noisy else NoiseSpec(0.0, 0.0)
-        message = re.escape(f"BT11: {callback} returned shape {value.shape}, expected")
+        message = re.escape(f"BT11: {callback} returned shape {np.shape(value)}, expected")
         with pytest.raises(ValueError, match=message):
             solve(bad, spec, SolverConfig(max_iters=5))
         with pytest.raises(ValueError, match=message):
-            eval_noisy(bad, p.x_start, spec, spec.stream())
+            eval_noisy(bad, p.x_start, spec.stream())
 
     def test_value_only_evaluation_checks_c_only(self):
         p = get_problem("BT11")
@@ -567,8 +553,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"BT11: eval_c returned shape \(3, 1\)"):
             eval_exact(bad_c, p.x_start, derivatives=False)
 
+    @pytest.mark.parametrize("value", [0.0, np.float64(1.5), np.array(-2.0)], ids=repr)
+    def test_scalar_objective_of_any_type_is_a_builtin_float(self, value):
+        p = replace(get_problem("BT11"), eval_f=lambda x: value)
+        assert eval_exact(p, p.x_start).f.hex() == float(value).hex()
+        assert type(eval_exact(p, p.x_start, derivatives=False).f) is float
+
+    @pytest.mark.parametrize("spec", [2, None, NoiseSpec(0.0, 0.0).bounds(2, 1)], ids=repr)
+    def test_stream_needs_a_spec(self, spec):
+        # A bare seed would read that seed's draws whatever spec eval_noisy was given.
+        with pytest.raises(ValueError, match="^a noise stream needs a NoiseSpec, got "):
+            NoiseStream(spec)
+
     def test_stream_restarts_from_seed(self):
-        s = NoiseStream(10)
+        s = seeded(10)
         first = s.next_rng(1)[0]
-        again = NoiseStream(10).next_rng(1)[0]
+        again = seeded(10).next_rng(1)[0]
         assert first == again

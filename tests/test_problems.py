@@ -98,9 +98,9 @@ def test_verify_derivatives_detects_a_wrong_gradient():
     assert verify_derivatives(broken, p.x_start) > 1e-3
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-6, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("h", [0.0, -1e-6])  # other edge values are rows of test_input_rules
 def test_verify_derivatives_requires_finite_positive_step(h):
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="^step must be positive and finite, got "):
         verify_derivatives(get_problem("HS7"), np.array([2.0, 2.0]), h=h)
 
 
