@@ -33,13 +33,15 @@ wrapper's per-call cost).  Three guards go with it:
   LAPACK writes them in; the default would be C order, and numpy picks
   its BLAS call by layout, so only this one gives the step its bits.
 
-Every product of the factors goes through ndarray.dot, which makes the
-same cblas dgemv call as the @ operator without matmul's gufunc
-dispatch, so the Fortran-order note above holds for it too and the step
-keeps matmul's bits.  The factors are finite, and that matters where
-their inner dimension is 1 (m = 1): there dgemv skips a zero entry of
-the vector that @ multiplies, which would turn 0 * inf into 0 rather
-than NaN, and a zero multiplier estimate may carry the other sign.
+Every product of the factors goes through _dot, which keeps the @
+operator's bits.  It calls ndarray.dot, which makes the same cblas dgemv
+call as @ without matmul's gufunc dispatch, so the Fortran-order note
+above holds for it too.  A 1x1 factor (U when m = 1, and Vt when J is
+1x1) goes to @ itself: ndarray.dot multiplies it as a scalar, a * x,
+where @ sums 0 + a * x, so a zero product would take the other sign.
+The factors are finite, and that matters where their inner dimension
+is 1 (m = 1): there dgemv skips a zero entry of the vector that @
+multiplies, which would turn 0 * inf into 0 rather than NaN.
 """
 
 from __future__ import annotations
@@ -99,11 +101,16 @@ def factor_jacobian(J: Matrix) -> tuple[Matrix, Vector, Matrix]:
     return U, s, Vt
 
 
+def _dot(A: Matrix, x: Vector) -> Vector:
+    """A @ x: ndarray.dot, or the @ operator itself for a 1x1 A."""
+    return A.dot(x) if A.size > 1 else A @ x
+
+
 def project_tangent(J: Matrix, w: Vector) -> Vector:
     """Project w onto the null space of J: w - J'(JJ')^{-1} J w."""
     _, _, Vt = factor_jacobian(np.asarray(J, dtype=float))
     w = np.asarray(w, dtype=float)
-    return w - Vt.T.dot(Vt.dot(w))
+    return w - _dot(Vt.T, _dot(Vt, w))
 
 
 def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
@@ -129,8 +136,8 @@ def solve_sqp_step(J: Matrix, c: Vector, g: Vector, beta: float) -> StepResult:
         raise ValueError(f"beta must be positive, got {beta}")
     U, s, Vt = factor_jacobian(J)
     V = Vt.T
-    vg = Vt.dot(g)
-    lambda_hat = U.dot(vg / s)
-    v = -V.dot(U.T.dot(c) / s)
-    u = -(g - V.dot(vg)) / beta
+    vg = _dot(Vt, g)
+    lambda_hat = _dot(U, vg / s)
+    v = -_dot(V, _dot(U.T, c) / s)
+    u = -(g - _dot(V, vg)) / beta
     return StepResult(v + u, v, u, lambda_hat)

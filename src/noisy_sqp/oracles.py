@@ -132,71 +132,10 @@ class NoiseSpec:
         return NoiseStream(self)
 
 
-# numpy's SeedSequence mix constants (numpy/random/bit_generator.pyx).
-_M32 = 0xFFFFFFFF
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hashmix(const: int, mult: int):
-    """numpy's ``hashmix`` with its running hash constant, from ``const`` on:
-    ``hashmix(values, rows)`` hashes uint32 lanes ``values``, broadcast to
-    ``rows`` rows, row i as numpy's i-th next call would
-    (``h = value ^ const; const *= mult; h *= const; h ^= h >> 16``)."""
-    def hashmix(values: np.ndarray, rows: int) -> np.ndarray:
-        nonlocal const
-        consts = [const]
-        for _ in range(rows):
-            consts.append(consts[-1] * mult & _M32)
-        const = consts[-1]
-        k = np.array(consts, dtype=np.uint32)[:, None]
-        h = values ^ k[:-1]
-        h *= k[1:]
-        h ^= h >> 16
-        return h
-    return hashmix
-
-
-def _seed_words(seed: int, block: int) -> np.ndarray:
-    """``SeedSequence((seed, c)).generate_state(4, np.uint64)`` for the 256
-    counters c of aligned block ``block``, from ``256 * block`` on.
-
-    numpy's ``mix_entropy`` and ``generate_state`` for a two-word entropy,
-    with one uint32 lane per counter; seed and every counter must fit in
-    32 bits.  Returns a C-contiguous ``(256, 4)`` uint64 array, so each row
-    is one counter's four words in memory, as PCG64 reads them.
-    """
-    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
-    entropy = np.zeros((4, 256), dtype=np.uint32)
-    entropy[0], entropy[1] = seed, np.arange(256 * block, 256 * block + 256, dtype=np.uint32)
-    pool = hashmix(entropy, 4)
-    for s in range(4):
-        # mix(pool[d], hashmix(pool[s])) into every other word d, in d order
-        d = [i for i in range(4) if i != s]
-        mixed = pool[d] * _MIX_L
-        mixed -= hashmix(pool[s], 3) * _MIX_R
-        mixed ^= mixed >> 16
-        pool[d] = mixed
-    # generate_state(4, np.uint64): eight words from the pool cycled twice,
-    # hashed from INIT_B with MULT_B, paired low word first.
-    words = _hashmix(0x8B51F9DD, 0x58F38DED)(np.concatenate((pool, pool)), 8).astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
-
-
 _MAX_BLOCKS = 128
 _BLOCK_WIDTH = 24  # the widest draw of the shipped problems: HS40's full evaluation
 _NO_DRAWS = np.empty(0)
 _NO_DRAWS.flags.writeable = False
-
-
-class _RowSeed:
-    """numpy's seed-sequence interface over one counter's row of
-    :func:`_seed_words`, which PCG64 reads as ``generate_state(4, np.uint64)``."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
 
 
 @functools.lru_cache(maxsize=_MAX_BLOCKS)
@@ -204,17 +143,14 @@ def _draw_block(seed: int, block: int, width: int) -> np.ndarray:
     """The first ``width`` uniforms of each counter of aligned block
     ``block``, as a read-only ``(256, width)`` array.
 
-    Row ``r`` is what ``Generator.random`` draws from a PCG64 that numpy
-    seeds with counter ``256 * block + r``'s words, passed through
-    :class:`_RowSeed`.  ``width`` is 24 or a wider request's own count
-    (see :class:`NoiseStream`).
+    Row ``r`` is what ``Generator.random`` draws first from a PCG64 that
+    numpy seeds with ``SeedSequence((seed, 256 * block + r))``.  ``width``
+    is 24 or a wider request's own count (see :class:`NoiseStream`).
     """
-    # Registered here, not on import, so that importing the package does
-    # not import numpy.random; registering again is a no-op.
-    np.random.bit_generator.ISeedSequence.register(_RowSeed)
     draws = np.empty((256, width))
-    for row, words in zip(draws, _seed_words(seed, block)):
-        np.random.Generator(np.random.PCG64(_RowSeed(words))).random(out=row)
+    for counter, row in enumerate(draws, 256 * block):
+        bits = np.random.PCG64(np.random.SeedSequence((seed, counter)))
+        np.random.Generator(bits).random(out=row)
     draws.flags.writeable = False
     return draws
 
@@ -228,7 +164,7 @@ class NoiseStream:
     draws first, so a run's noise depends only on its seed and call
     sequence.  Concurrent runs each own a stream and cannot perturb one
     another.  The spec checked its seed when it was built; the counter is
-    an ``int`` in ``[0, 2**32)``.
+    an ``int`` in ``[0, 2**32)``, and :meth:`next_rng` checks both.
 
     The draws are shared by every stream of a seed.  The process keeps an
     LRU cache of the last 128 blocks of 256 counters, keyed on ``(seed,
@@ -236,11 +172,11 @@ class NoiseStream:
     evaluation, the widest of the shipped problems), or ``k`` wide when
     ``k`` is larger, so a key depends only on the request, never on what
     ran before.  A block is built whole on a miss, one float64 row per
-    counter from a numpy PCG64 seeded with the counter's words of numpy's
-    ``SeedSequence`` hash (:func:`_seed_words`).  At most
-    128 * 256 * 24 * 8 bytes (6.3 MB) for draws of at most 24; a wider
-    request's blocks take ``k / 24`` times that.  A block is read-only and
-    never changes.  A zero-width draw reads no block.
+    counter from a PCG64 that numpy seeds from ``SeedSequence((spec.seed,
+    counter))``, about 20 microseconds a row, so a 24-wide miss costs a few
+    milliseconds.  At most 128 * 256 * 24 * 8 bytes (6.3 MB) for draws of
+    at most 24; a wider request's blocks take ``k / 24`` times that.  A
+    block is read-only and never changes.  A zero-width draw reads no block.
     """
 
     spec: NoiseSpec
@@ -254,15 +190,18 @@ class NoiseStream:
         """The first ``k`` uniforms of evaluation ``counter``, read-only;
         advances the counter by one.
 
-        Raises ValueError if the counter is not an ``int`` in
-        ``[0, 2**32)`` or ``k`` is not an ``int`` >= 0, a bool counting
-        as no ``int``.  On any error the counter is unchanged.
+        Raises ValueError if the spec is not a :class:`NoiseSpec`, the
+        counter is not an ``int`` in ``[0, 2**32)`` or ``k`` is not an
+        ``int`` >= 0, a bool counting as no ``int``.  On any error the
+        counter is unchanged.
         """
-        counter = self.counter
-        if not (type(counter) is int and 0 <= counter <= _M32 and type(k) is int and k >= 0):
-            raise ValueError("noise counter must be an int in [0, 2**32) and k an int >= 0, "
-                             f"got counter={counter!r}, k={k!r}")
-        u = (_draw_block(self.spec.seed, counter >> 8, max(_BLOCK_WIDTH, k))[counter & 255, :k]
+        spec, counter = self.spec, self.counter
+        if not (isinstance(spec, NoiseSpec) and type(counter) is int and 0 <= counter < 2**32
+                and type(k) is int and k >= 0):
+            raise ValueError("a noise stream needs a NoiseSpec, its counter must be an int in "
+                             "[0, 2**32) and k an int >= 0, "
+                             f"got spec={spec!r}, counter={counter!r}, k={k!r}")
+        u = (_draw_block(spec.seed, counter >> 8, max(_BLOCK_WIDTH, k))[counter & 255, :k]
              if k else _NO_DRAWS)
         self.counter = counter + 1
         return u

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .oracles import Problem, Vector, _real
+from .oracles import Problem, Vector, _check_point, _real, eval_exact
 
 PROBLEM_NAMES = ("HS7", "BT11", "HS40")
 
@@ -174,17 +174,19 @@ def verify_derivatives(p: Problem, x: Vector, h: float = 1e-6) -> float:
     Compares eval_g against differences of eval_f and each eval_J column
     against differences of eval_c, with step h.  Errors are relative to
     max(1, |analytic entry|).  A NaN disagreement makes the result NaN.
+    Every value is read through :func:`eval_exact`, so a point or a
+    callback result of the wrong shape raises its ValueError.
     """
     h = _real(h, "step", positive=True)
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(p.eval_g(x), dtype=float)
-    J = np.asarray(p.eval_J(x), dtype=float)
+    x = _check_point(p, x)
+    _, _, g, J, _ = eval_exact(p, x)
     fd_g, fd_J = np.empty(p.n), np.empty((p.m, p.n))
     for j in range(p.n):
         e = np.zeros(p.n)
         e[j] = h
-        fd_g[j] = (p.eval_f(x + e) - p.eval_f(x - e)) / (2.0 * h)
-        fd_J[:, j] = (np.asarray(p.eval_c(x + e)) - np.asarray(p.eval_c(x - e))) / (2.0 * h)
+        up, down = eval_exact(p, x + e, derivatives=False), eval_exact(p, x - e, derivatives=False)
+        fd_g[j] = (up.f - down.f) / (2.0 * h)
+        fd_J[:, j] = (up.c - down.c) / (2.0 * h)
     err_g = np.abs(fd_g - g) / np.maximum(1.0, np.abs(g))
     err_J = np.abs(fd_J - J) / np.maximum(1.0, np.abs(J))
     # np.maximum, unlike the builtin max, keeps a NaN disagreement.

@@ -8,9 +8,10 @@ draws, numpy's per-evaluation SeedSequence generator, the numpy-wrapper
 merit helpers and numpy's SVD rank gate are the straightforward forms of
 the library's noise model, noise stream, iteration helpers and rank
 gate; the library must match them bit for bit (the gate: decision for
-decision).  The fresh-state-dict draws, the two-step noise map and the
-numpy-scalar problem callbacks are the library's earlier forms.  None of
-them reads the library's shared draw cache.  ``reference_solve`` is the
+decision).  The two-step noise map and the numpy-scalar problem
+callbacks are the library's earlier forms.  The two-step noise map
+draws through the stream's ``next_rng``; the other forms above never
+read the library's shared draw cache.  ``reference_solve`` is the
 solver's iteration as it was written on the merit helper forms, around
 the library's oracle (draw cache included), step kernel, psi and line
 search.
@@ -74,10 +75,6 @@ def seed_sequence_rng(seed, counter):
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, counter)))
 
 
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
 def per_evaluation_draws(stream, k):
     """The stream's next k uniforms from numpy's own SeedSequence generator.
 
@@ -86,28 +83,6 @@ def per_evaluation_draws(stream, k):
     u = seed_sequence_rng(stream.spec.seed, stream.counter).random(k)
     stream.counter += 1
     return u
-
-
-def fresh_dict_draws(stream, k):
-    """The stream's next k uniforms, from a counter's seed words hashed by
-    the block kernel and loaded into a fresh Generator through a fresh
-    state dict; the shared draw cache is never read.
-
-    For seeds and counters below 2**32; advances the counter by one.
-    """
-    counter = stream.counter
-    words = oracles._seed_words(stream.spec.seed, counter >> 8)[counter & 255]
-    a, b, c, d = words.tolist()
-    inc = ((c << 64 | d) << 1 | 1) & _M128
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    stream.counter += 1
-    return rng.random(k)
 
 
 def two_step_eval_noisy(p, x, stream, derivatives=True):

@@ -226,22 +226,25 @@ class TestBatchReadiness:
 
 @st.composite
 def dot_instances(draw):
-    """A Gaussian J of shape (1, 2), (3, 4) or (3, 5), scaled by 1e-8 to 1e8,
-    and a generator for the vectors it multiplies."""
-    m, n = draw(st.sampled_from([(1, 2), (3, 4), (3, 5)]))
+    """A Gaussian J of shape (1, 1), (1, 2), (2, 2), (3, 4) or (3, 5), scaled
+    by 1e-8 to 1e8, and a generator for the vectors it multiplies."""
+    m, n = draw(st.sampled_from([(1, 1), (1, 2), (2, 2), (3, 4), (3, 5)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.normal(size=(m, n)) * 10.0 ** draw(st.integers(-8, 8)), rng
 
 
-def _vector(rng, size):
-    return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9)
+def _vectors(rng, size):
+    """A Gaussian vector, one of signed zeros, and a mix of the two."""
+    x = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9)
+    zeros = np.where(rng.integers(0, 2, size=size) == 1, -0.0, 0.0)
+    return x, zeros, np.where(rng.integers(0, 2, size=size) == 1, zeros, x)
 
 
 class TestDotMatchesMatmul:
-    """ndarray.dot, which the kernels call, gives the @ operator's bits on
-    factor_jacobian's Fortran-ordered U and Vt and their transposes.  (The
-    iteration helpers multiply the oracle's J with @; see
-    TestHelpersBitwiseAgainstNumpyWrappers.)"""
+    """The kernels' products give the @ operator's bits on factor_jacobian's
+    Fortran-ordered U and Vt and their transposes, a 1x1 factor and zero
+    products of either sign among them.  (The iteration helpers multiply
+    the oracle's J with @; see TestHelpersBitwiseAgainstNumpyWrappers.)"""
 
     @settings(max_examples=300, deadline=None)
     @given(dot_instances())
@@ -250,10 +253,27 @@ class TestDotMatchesMatmul:
         U, _, Vt = factor_jacobian(J)
         assert U.flags.f_contiguous and Vt.flags.f_contiguous
         for name, A in {"U": U, "U.T": U.T, "Vt": Vt, "Vt.T": Vt.T}.items():
-            x = _vector(rng, A.shape[1])
-            assert A.dot(x).tobytes() == (A @ x).tobytes(), name
-        x = _vector(rng, J.shape[1])
-        assert x.dot(x).tobytes() == np.dot(x, x).tobytes()
+            for x in _vectors(rng, A.shape[1]):
+                assert kernels._dot(A, x).tobytes() == (A @ x).tobytes(), (name, x)
+        for x in _vectors(rng, J.shape[1]):
+            assert x.dot(x).tobytes() == np.dot(x, x).tobytes()
+
+    @pytest.mark.parametrize("J,c,g", [
+        ([[1.0]], [0.0], [-0.0]), ([[1.0]], [-0.0], [0.0]), ([[-2.0]], [-0.0], [-0.0]),
+        ([[0.0, 1.0, 2.0]], [1.0], [-1.0, -0.0, 0.0]),
+    ])
+    def test_step_with_a_one_by_one_factor_bitwise(self, J, c, g):
+        # ndarray.dot multiplies a 1x1 factor (U when m = 1, and Vt when J is
+        # 1x1) as a scalar, so a zero product took the other sign than @ gives
+        # it: u and lambda_hat at a 1x1 J, and lambda_hat at the 1x3 J.
+        J, c, g = np.array(J), np.array(c), np.array(g)
+        U, s, Vt = factor_jacobian(J)
+        vg = Vt @ g
+        v = -(Vt.T @ ((U.T @ c) / s))
+        u = -(g - Vt.T @ vg) / 2.0
+        step = solve_sqp_step(J, c, g, 2.0)
+        for got, want in zip(step, (v + u, v, u, U @ (vg / s))):
+            assert got.tobytes() == want.tobytes()
 
 
 # Entries that stress the finiteness gate's sum of squares: it overflows on

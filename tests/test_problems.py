@@ -1,6 +1,7 @@
 """Tests for the benchmark problems, derivative checks, and reference solutions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ def test_verify_derivatives_detects_a_wrong_gradient():
         lambda x: p.eval_g(x) + np.array([0.1, 0.0]), p.eval_J, p.x_start,
     )
     assert verify_derivatives(broken, p.x_start) > 1e-3
+
+
+def test_verify_derivatives_rejects_a_point_of_another_length():
+    # BT11's callbacks unpack x, so a 3-vector raised a bare TypeError.
+    with pytest.raises(ValueError, match=r"^point has shape \(3,\), expected \(4,\) for BT11"):
+        verify_derivatives(get_problem("BT11"), np.ones(3))
+
+
+def test_verify_derivatives_rejects_a_gradient_of_another_shape():
+    # A one-entry gradient broadcast against the differences and gave 9.0.
+    p = replace(get_problem("BT11"), eval_g=lambda x: np.array([1.0]))
+    with pytest.raises(ValueError, match=r"^BT11: eval_g returned shape \(1,\), expected \(4,\)"):
+        verify_derivatives(p, p.x_start)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-6])  # other edge values are rows of test_input_rules

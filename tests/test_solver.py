@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 import noisy_sqp.solver as solver_module
 from helpers import (
     check_termination_reference,
-    fresh_dict_draws,
     linear_model_reference,
     merit_value_reference,
     per_evaluation_draws,
@@ -329,8 +328,8 @@ class TestOracleFastPathsPreserveRuns:
 
 
 class TestOnePassOraclePreservesRuns:
-    """Runs are bitwise those of the uncached, fresh-dict, two-step oracle path
-    with x_{k+1} recomputed as x_k + alpha_k * d_k."""
+    """Runs are bitwise those of the uncached, per-evaluation SeedSequence,
+    two-step oracle path with x_{k+1} recomputed as x_k + alpha_k * d_k."""
 
     @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
     @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
@@ -353,7 +352,7 @@ class TestOnePassOraclePreservesRuns:
             steps.append(solve_sqp_step(*args))
             return steps[-1]
 
-        monkeypatch.setattr(NoiseStream, "next_rng", fresh_dict_draws)
+        monkeypatch.setattr(NoiseStream, "next_rng", per_evaluation_draws)
         monkeypatch.setattr(solver_module, "eval_noisy", two_step_eval_noisy)
         monkeypatch.setattr(solver_module, "solve_sqp_step", recorded_step)
         reference = runs()
@@ -643,6 +642,11 @@ class TestHelpersBitwiseAgainstNumpyWrappers:
 
     @settings(max_examples=300, deadline=None)
     @given(helper_inputs())
+    # A 1x1 J, whose factors ndarray.dot multiplies as scalars, against a
+    # negative zero gradient.
+    @example({"f": 0.0, "c": np.array([0.0]), "g": np.array([-0.0]), "d": np.array([0.0]),
+              "lam": np.array([0.0]), "J": np.array([[1.0]]), "pi": 1.0, "tau": 0.5,
+              "eps": [0.0] * 3})
     def test_projection_and_psi_match(self, a):
         J, g, c, pi, tau = a["J"], a["g"], a["c"], a["pi"], a["tau"]
         b_u = 1.0 + a["eps"][0]
