@@ -8,10 +8,8 @@ kernel; the CLI's KKT residual ||P g|| calls it too.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .kernels import project_tangent
-from .oracles import Matrix, Vector
+from .oracles import Matrix, Vector, _l1
 
 
 def stationarity_psi(
@@ -27,4 +25,4 @@ def stationarity_psi(
     pg = project_tangent(J, g)
     if not b_u > 0:
         raise ValueError(f"b_u must be positive, got {b_u}")
-    return float(pg.dot(pg) / b_u + pi * tau * np.add.reduce(np.abs(c)))
+    return float(pg.dot(pg) / b_u + pi * tau * _l1(c))

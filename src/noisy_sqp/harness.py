@@ -10,7 +10,6 @@ would only queue on the interpreter lock.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import statistics
@@ -166,20 +165,19 @@ def _summaries(plan: ExperimentPlan, modes) -> list[RunSummary]:
 
 
 def write_trace_csv(result: SolveResult, path: Path) -> None:
-    """One row per executed iteration, in shortest round-trip decimals."""
+    """One row per executed iteration, in shortest round-trip decimals, with the bytes
+    of ``csv.writer``'s excel dialect: no int or float repr needs quoting."""
+    lines = [",".join(TRACE_HEADER)]
+    for row in result.trace:
+        dist = row.dist_to_ref
+        if dist > 0:
+            log2_dist = math.log2(dist)
+        else:
+            log2_dist = -math.inf if dist == 0 else math.nan
+        lines.append(f"{row.k},{dist!r},{log2_dist!r},{row.alpha!r},{row.pi!r},"
+                     f"{row.merit_noisy!r},{row.psi!r},{row.backtracks}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for row in result.trace:
-            dist = row.dist_to_ref
-            if dist > 0:
-                log2_dist = math.log2(dist)
-            else:
-                log2_dist = -math.inf if dist == 0 else math.nan
-            writer.writerow(
-                (row.k, repr(dist), repr(log2_dist), repr(row.alpha), repr(row.pi),
-                 repr(row.merit_noisy), repr(row.psi), row.backtracks)
-            )
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def trace_path(out_dir: Path, problem: str, spec: NoiseSpec) -> Path:

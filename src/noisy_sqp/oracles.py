@@ -95,6 +95,29 @@ def _integer(value, name: str, positive: bool = False, bits: Optional[int] = Non
     return int(value)
 
 
+def _l1(v: Vector) -> float:
+    """||v||_1 as a builtin float, summed left to right: numpy's order below 8
+    entries, so the bits of ``np.add.reduce(np.abs(v))``, while numpy sums 8 or
+    more pairwise.  A loop, as ``sum`` compensates its rounding from Python 3.12."""
+    s = 0.0
+    for a in v.tolist():
+        s += abs(a)
+    return s
+
+
+def _linf(v: Vector) -> float:
+    """||v||_inf of a non-empty v as a builtin float, NaN if any entry is NaN:
+    the bits of ``np.maximum.reduce(np.abs(v))``, where ``max`` would drop a NaN."""
+    m = 0.0
+    for a in v.tolist():
+        a = abs(a)
+        if a > m:
+            m = a
+        elif a != a:
+            return a
+    return m
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Half-widths of the uniform noise added to oracle evaluations.

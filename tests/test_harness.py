@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import statistics
@@ -25,7 +26,7 @@ from noisy_sqp import (
 )
 from noisy_sqp import harness
 from noisy_sqp.harness import _TERMINATION_KIND, MISESTIMATION_MULTIPLIERS, trace_path
-from noisy_sqp.solver import Status
+from noisy_sqp.solver import IterateRecord, SolveResult, Status
 
 
 def _read_csv(path):
@@ -86,6 +87,27 @@ def small_table():
     plan = ExperimentPlan(problems=("HS7",), eps_levels=((1e-5, 1e-5),),
                           seeds=(0, 1), k_max_values=(100, 300))
     return run_relaxation_table(plan)
+
+
+def test_trace_csv_has_the_bytes_of_csv_writer(tmp_path):
+    # k, dist, log2(dist), alpha, pi, merit_noisy, psi, backtracks
+    cells = [
+        (0, 0.0, -math.inf, 1.0, 1.0, 2.5, 0.125, 0),
+        (1, math.nan, math.nan, -0.0, 5e-324, math.inf, math.nan, 3),
+        (2, 5e-324, -1074.0, 0.5, 1e300, -math.inf, 1e-300, 50),
+        (3, 0.5, -1.0, math.nan, 1.0, math.nan, 0.0, 0),
+    ]
+    x = np.zeros(2)
+    rows = [IterateRecord(k, x, alpha, pi, merit, math.nan, dist, psi, bt, False, math.nan,
+                          math.nan)
+            for k, dist, _, alpha, pi, merit, psi, bt in cells]
+    path = tmp_path / "t.csv"
+    harness.write_trace_csv(SolveResult(x, rows, Status.NONFINITE), path)
+    reference = io.StringIO()
+    writer = csv.writer(reference)  # the excel dialect: \r\n line endings
+    writer.writerow(harness.TRACE_HEADER)
+    writer.writerows((k, *map(repr, floats), bt) for k, *floats, bt in cells)
+    assert path.read_bytes() == reference.getvalue().encode()
 
 
 class TestRelaxationTable:

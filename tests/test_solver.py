@@ -32,7 +32,9 @@ from noisy_sqp import (
     solve,
 )
 from noisy_sqp.diagnostics import stationarity_psi
-from noisy_sqp.kernels import SingularJacobianError, factor_jacobian, project_tangent
+from noisy_sqp.kernels import (SingularJacobianError, factor_jacobian, project_tangent,
+                               solve_sqp_step)
+from noisy_sqp.oracles import _l1, _linf, eval_exact
 from noisy_sqp.solver import (
     check_termination,
     linear_model,
@@ -40,11 +42,6 @@ from noisy_sqp.solver import (
     relaxed_line_search,
     update_penalty,
 )
-
-
-def _l1(c):
-    """||c||_1 as solve computes it once per evaluation."""
-    return float(np.abs(c).sum())
 
 
 class TestMeritValue:
@@ -622,7 +619,7 @@ class TestHelpersBitwiseAgainstNumpyWrappers:
         # convention, the library the least-squares estimate itself.
         lam_hat = -a["lam"]
         with np.errstate(all="ignore"):
-            c_l1, lam_inf = _l1(a["c"]), float(np.abs(lam_hat).max())
+            c_l1, lam_inf = _l1(a["c"]), _linf(lam_hat)
             assert _same(merit_value(a["f"], c_l1, a["pi"]),
                          merit_value_reference(a["f"], a["c"], a["pi"]))
             assert _same(update_penalty(a["pi"], lam_inf, a["tau"]),
@@ -664,6 +661,27 @@ class TestHelpersBitwiseAgainstNumpyWrappers:
             got_pg, got_psi = calls[0](), calls[1]()
         assert all(_same(x, y) for x, y in zip(got_pg, pg))
         assert _same(got_psi, psi)
+
+    # Entries whose sums overflow, round or vanish: huge pairs, the smallest
+    # subnormal and both zeros, beside any float.
+    @settings(max_examples=500, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 7), elements=ANY_ENTRIES | st.sampled_from(
+        (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan))))
+    @example(np.array([1.0, math.nan]))  # a NaN after a finite entry, which max drops
+    @example(np.array([1e308, -1e308, 5e-324]))
+    def test_norms_have_numpys_bits_below_8_entries(self, v):
+        with np.errstate(all="ignore"):
+            l1, linf = np.add.reduce(np.abs(v)), np.maximum.reduce(np.abs(v))
+        assert type(_l1(v)) is float and type(_linf(v)) is float
+        assert _same(_l1(v), l1)
+        assert _same(_linf(v), linf)
+
+    def test_l1_of_8_entries_is_a_left_fold(self):
+        # Each 2**-53 added to 1.0 rounds back to 1.0; numpy sums 8 entries
+        # pairwise, adding 2**-53 to 2**-53 first.
+        v = np.array([1.0] + [2.0**-53] * 7)
+        assert _l1(v) == 1.0
+        assert np.add.reduce(v) == 1.0 + 3 * 2.0**-52
 
 
 def _poisoned(name, quantity, value, after):
@@ -731,6 +749,28 @@ class TestNonFiniteOracleValues:
         assert result.status is Status.NONFINITE
         assert 1 <= len(result.trace) < 60
         assert np.all(np.isfinite(result.x))
+
+    def test_a_nan_multiplier_entry_makes_the_penalty_nan(self):
+        # An infinite second gradient entry gives BT11 the multiplier
+        # [inf, nan, nan] at x_start.  Its l-inf norm is NaN, so pi and the
+        # merit are NaN; a max that dropped the NaNs would record inf for both.
+        p = get_problem("BT11")
+        clean = p.eval_g
+
+        def eval_g(x):
+            g = np.array(clean(x), dtype=float)
+            g[1] = math.inf
+            return g
+
+        p, cfg = replace(p, eval_g=eval_g), SolverConfig(max_iters=5)
+        ev = eval_exact(p, p.x_start)
+        with np.errstate(all="ignore"):
+            step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
+        assert step.lambda_hat[0] == math.inf and np.isnan(step.lambda_hat[1:]).all()
+        result = solve(p, NoiseSpec(0.0, 0.0), cfg)
+        assert result.status is Status.NONFINITE
+        assert len(result.trace) == 1
+        assert math.isnan(result.trace[0].pi) and math.isnan(result.trace[0].merit_noisy)
 
     def test_search_with_only_distant_non_finite_trials_is_a_line_search_failure(self):
         # The gradient points uphill, so no trial decreases the merit; the
