@@ -1,8 +1,15 @@
 """Command-line interface: single solves, trace dumps, and table reproduction.
 
-Exit codes: 0 success / experiment completed; 1 usage error; 2 the run
-ended with a line-search failure; 3 the run hit a rank-deficient
-Jacobian; 4 the oracle returned a NaN or an infinity.
+``solve``'s exit code and each table row's ``termination_kind`` are ``Status`` attributes:
+
+    status                 kind        exit code
+    converged              opt         0
+    max_iters              max_iters   0
+    line_search_failure    ls          2
+    singular_jacobian      singular    3
+    nonfinite              nonfinite   4
+
+A usage error (not a run outcome) or a failed ``check`` exits 1; other commands exit 0.
 """
 
 from __future__ import annotations
@@ -26,15 +33,7 @@ from .harness import (
 from .kernels import NonFiniteJacobianError, SingularJacobianError, project_tangent
 from .oracles import NoiseSpec, eval_exact
 from .problems import PROBLEM_NAMES, get_problem, reference_solution, verify_derivatives
-from .solver import SolverConfig, Status, solve
-
-_STATUS_EXIT = {
-    Status.CONVERGED: 0,
-    Status.MAX_ITERS: 0,
-    Status.LINE_SEARCH_FAILURE: 2,
-    Status.SINGULAR_JACOBIAN: 3,
-    Status.NONFINITE: 4,
-}
+from .solver import SolverConfig, solve
 
 # SolverConfig fields with a flag of the same name; a flag left out keeps the default.
 _CONFIG_FLAGS = ("beta", "max_iters")
@@ -139,7 +138,7 @@ def _cmd_solve(args) -> int:
     print(f"||c(x)||_1:     {np.abs(end.c).sum():.6e}")
     print(f"kkt residual:   {kkt}")
     print(f"dist to x*:     {np.linalg.norm(result.x - ref.x_star):.6e}")
-    return _STATUS_EXIT[result.status]
+    return result.status.exit_code
 
 
 def _make_out_dir(path: Path) -> None:

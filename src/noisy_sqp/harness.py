@@ -21,7 +21,7 @@ import numpy as np
 
 from .oracles import NoiseSpec
 from .problems import PROBLEM_NAMES, get_problem, reference_solution
-from .solver import SolverConfig, SolveResult, Status, solve
+from .solver import SolverConfig, SolveResult, solve
 
 TRACE_HEADER = ("k", "dist", "log2_dist", "alpha", "pi", "merit_noisy", "psi", "backtracks")
 
@@ -32,14 +32,6 @@ MISESTIMATION_MULTIPLIERS = {
     1e-5: (1.0, 1e-3, 1e3),
     1e-3: (1.0, 1e-2, 1e2),
     1e-1: (1.0, 1e-1, 1e1),
-}
-
-_TERMINATION_KIND = {
-    Status.CONVERGED: "opt",
-    Status.LINE_SEARCH_FAILURE: "ls",
-    Status.MAX_ITERS: "max_iters",
-    Status.SINGULAR_JACOBIAN: "singular",
-    Status.NONFINITE: "nonfinite",
 }
 
 
@@ -160,7 +152,7 @@ def _summaries(plan: ExperimentPlan, modes) -> list[RunSummary]:
             status=result.status.value, failure_iter=result.failure_iter,
             min_dist=float(dists[min_iter]), min_dist_iter=min_iter,
             iters_run=result.iters_run, k_max=cfg.max_iters,
-            termination_kind=_TERMINATION_KIND[result.status]))
+            termination_kind=result.status.kind))
     return summaries
 
 

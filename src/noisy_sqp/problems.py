@@ -199,7 +199,6 @@ class ReferenceSolution:
 
     x_star: Vector
     f_star: float
-    source: str = "derived-zero-noise-run"
 
 
 # Each problem's stationary point, as derived from its standard start: a

@@ -92,11 +92,20 @@ class SolverConfig:
 
 
 class Status(enum.Enum):
-    CONVERGED = "converged"
-    MAX_ITERS = "max_iters"
-    LINE_SEARCH_FAILURE = "line_search_failure"
-    SINGULAR_JACOBIAN = "singular_jacobian"
-    NONFINITE = "nonfinite"
+    """How a run ended: the value, the tables' ``kind`` column and the CLI's ``exit_code``."""
+
+    CONVERGED = "converged", "opt", 0
+    MAX_ITERS = "max_iters", "max_iters", 0
+    LINE_SEARCH_FAILURE = "line_search_failure", "ls", 2
+    SINGULAR_JACOBIAN = "singular_jacobian", "singular", 3
+    NONFINITE = "nonfinite", "nonfinite", 4
+
+    def __new__(cls, value: str, kind: str, exit_code: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.kind = kind
+        member.exit_code = exit_code
+        return member
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import json
+import pickle
 
 import pytest
 
@@ -8,7 +9,6 @@ from noisy_sqp import (NoiseSpec, SolverConfig, get_problem, reference_solution,
                        write_trace_csv)
 from noisy_sqp.cli import dispatch
 from noisy_sqp.solver import Status
-from noisy_sqp.cli import _STATUS_EXIT
 
 
 def test_solve_exact_reports_solution(capsys):
@@ -47,16 +47,35 @@ def test_solve_reports_a_rank_deficient_end_point_and_exits_3(capsys):
     assert captured.err == ""
 
 
-def test_status_exit_mapping_is_total():
-    assert _STATUS_EXIT[Status.CONVERGED] == 0
-    assert _STATUS_EXIT[Status.MAX_ITERS] == 0
-    assert _STATUS_EXIT[Status.LINE_SEARCH_FAILURE] == 2
-    assert _STATUS_EXIT[Status.SINGULAR_JACOBIAN] == 3
+@pytest.mark.parametrize("status,value,kind,exit_code", [
+    (Status.CONVERGED, "converged", "opt", 0),
+    (Status.MAX_ITERS, "max_iters", "max_iters", 0),
+    (Status.LINE_SEARCH_FAILURE, "line_search_failure", "ls", 2),
+    (Status.SINGULAR_JACOBIAN, "singular_jacobian", "singular", 3),
+    (Status.NONFINITE, "nonfinite", "nonfinite", 4),
+])
+def test_status_value_kind_and_exit_code(status, value, kind, exit_code):
+    assert (status.value, status.kind, status.exit_code) == (value, kind, exit_code)
 
 
-def test_nonfinite_status_exits_4():
-    assert _STATUS_EXIT[Status.NONFINITE] == 4
-    assert set(_STATUS_EXIT) == set(Status)
+@pytest.mark.parametrize("status", list(Status))
+def test_status_looks_up_pickles_and_prints_by_its_value(status):
+    assert Status(status.value) is status
+    assert pickle.loads(pickle.dumps(status)) is status
+    assert repr(status) == f"<Status.{status.name}: {status.value!r}>"
+
+
+@pytest.mark.parametrize("command", ["tables", "misest"])
+def test_json_termination_kind_is_the_status_kind(command, capsys):
+    argv = [command, "--problems", "HS7", "--eps-levels", "1e-5", "--seeds", "1",
+            "--format", "json"]
+    if command == "tables":
+        argv += ["--kmax", "20"]
+    assert dispatch(argv) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert runs
+    for row in runs:
+        assert row["termination_kind"] == Status(row["status"]).kind
 
 
 def test_trace_writes_requested_file(tmp_path, capsys):

@@ -25,7 +25,7 @@ from noisy_sqp import (
     summaries_to_json,
 )
 from noisy_sqp import harness
-from noisy_sqp.harness import _TERMINATION_KIND, MISESTIMATION_MULTIPLIERS, trace_path
+from noisy_sqp.harness import MISESTIMATION_MULTIPLIERS, trace_path
 from noisy_sqp.solver import IterateRecord, SolveResult, Status
 
 
@@ -187,11 +187,6 @@ class TestMisestimationTable:
         plan = ExperimentPlan(problems=("HS7",), eps_levels=((1e-5, 1e-5),), seeds=(1,))
         text = render_misestimation_table(run_misestimation_table(plan))
         assert "(opt)" in text and "(ls)" in text
-
-
-def test_every_status_has_a_termination_kind():
-    assert _TERMINATION_KIND[Status.NONFINITE] == "nonfinite"
-    assert set(_TERMINATION_KIND) == set(Status)
 
 
 def _assert_columns_line_up(text):

@@ -195,9 +195,6 @@ class TestReferenceSolutions:
         ref = reference_solution(name)
         assert abs(ref.f_star - p.eval_f(ref.x_star)) <= 1e-12
 
-    def test_source_tag(self):
-        assert reference_solution("BT11").source == "derived-zero-noise-run"
-
     @pytest.mark.parametrize("name", list(DIMENSIONS))
     def test_default_dynamics_land_on_the_same_point(self, name):
         # The experiment configuration (beta=50) must converge toward the
