@@ -151,9 +151,6 @@ class NoiseSpec:
             eps_J=m * math.sqrt(n) * self.eps2,
         )
 
-    def stream(self) -> "NoiseStream":
-        return NoiseStream(self)
-
 
 _MAX_BLOCKS = 128
 _BLOCK_WIDTH = 24  # the widest draw of the shipped problems: HS40's full evaluation

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .oracles import Problem, Vector, _check_point, _real, eval_exact
+from .oracles import Problem, Vector, _check_point, eval_exact
 
 PROBLEM_NAMES = ("HS7", "BT11", "HS40")
 
@@ -157,36 +157,42 @@ def _hs40() -> Problem:
 _BUILDERS = {"HS7": _hs7, "BT11": _bt11, "HS40": _hs40}
 
 
-def get_problem(name: str) -> Problem:
-    """Look up a benchmark problem by name (HS7, BT11, HS40)."""
+def _named(table: dict, name: str):
+    """``table[name]``, or a KeyError that lists the benchmark problems."""
     try:
-        builder = _BUILDERS[name]
+        return table[name]
     except KeyError:
         raise KeyError(
             f"unknown problem {name!r}; available: {', '.join(PROBLEM_NAMES)}"
         ) from None
-    return builder()
 
 
-def verify_derivatives(p: Problem, x: Vector, h: float = 1e-6) -> float:
+def get_problem(name: str) -> Problem:
+    """Look up a benchmark problem by name (HS7, BT11, HS40)."""
+    return _named(_BUILDERS, name)()
+
+
+_FD_STEP = 1e-6  # central-difference step of verify_derivatives
+
+
+def verify_derivatives(p: Problem, x: Vector) -> float:
     """Max relative disagreement between analytic and central-difference derivatives.
 
     Compares eval_g against differences of eval_f and each eval_J column
-    against differences of eval_c, with step h.  Errors are relative to
+    against differences of eval_c, with step 1e-6.  Errors are relative to
     max(1, |analytic entry|).  A NaN disagreement makes the result NaN.
     Every value is read through :func:`eval_exact`, so a point or a
     callback result of the wrong shape raises its ValueError.
     """
-    h = _real(h, "step", positive=True)
     x = _check_point(p, x)
     _, _, g, J, _ = eval_exact(p, x)
     fd_g, fd_J = np.empty(p.n), np.empty((p.m, p.n))
     for j in range(p.n):
         e = np.zeros(p.n)
-        e[j] = h
+        e[j] = _FD_STEP
         up, down = eval_exact(p, x + e, derivatives=False), eval_exact(p, x - e, derivatives=False)
-        fd_g[j] = (up.f - down.f) / (2.0 * h)
-        fd_J[:, j] = (up.c - down.c) / (2.0 * h)
+        fd_g[j] = (up.f - down.f) / (2.0 * _FD_STEP)
+        fd_J[:, j] = (up.c - down.c) / (2.0 * _FD_STEP)
     err_g = np.abs(fd_g - g) / np.maximum(1.0, np.abs(g))
     err_J = np.abs(fd_J - J) / np.maximum(1.0, np.abs(J))
     # np.maximum, unlike the builtin max, keeps a NaN disagreement.
@@ -198,7 +204,6 @@ class ReferenceSolution:
     """A derived stationary point used as the distance reference in experiments."""
 
     x_star: Vector
-    f_star: float
 
 
 # Each problem's stationary point, as derived from its standard start: a
@@ -219,8 +224,7 @@ _X_STAR = {
 
 @lru_cache(maxsize=None)
 def reference_solution(name: str) -> ReferenceSolution:
-    """The stored stationary point of a benchmark problem, with its objective value."""
-    p = get_problem(name)
-    x_star = np.array(_X_STAR[name])
+    """The stored stationary point of a benchmark problem."""
+    x_star = np.array(_named(_X_STAR, name))
     x_star.flags.writeable = False  # cached and shared across callers
-    return ReferenceSolution(x_star=x_star, f_star=float(p.eval_f(x_star)))
+    return ReferenceSolution(x_star=x_star)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .diagnostics import stationarity_psi
 from .kernels import NonFiniteJacobianError, SingularJacobianError, solve_sqp_step
-from .oracles import (Matrix, NoiseSpec, Problem, Vector, _check_point, _integer, _l1, _linf,
-                      _real, eval_noisy)
+from .oracles import (Matrix, NoiseSpec, NoiseStream, Problem, Vector, _check_point, _integer,
+                      _l1, _linf, _real, eval_noisy)
 
 __all__ = [
     "SolverConfig",
@@ -52,7 +52,8 @@ class SolverConfig:
     stop test falls back to the absolute tolerance ``zero_noise_tol``.
     The Armijo fraction ``nu``, the penalty margin ``tau``, the initial
     penalty ``pi_init``, the backtracking cap ``max_backtracks`` and
-    ``zero_noise_tol`` are class constants, not fields.
+    ``zero_noise_tol`` are class constants, not fields; the iteration
+    helpers read them from this class rather than take them as arguments.
     """
 
     beta: float = 50.0           # constant Hessian scaling beta_k
@@ -165,43 +166,38 @@ def linear_model(g: Vector, c: Vector, J: Matrix, d: Vector, pi: float, c_l1: fl
     return float(g.dot(d) + pi * _l1(c + J @ d) - pi * c_l1)
 
 
-def update_penalty(pi: float, lam_inf: float, tau: float) -> float:
+def update_penalty(pi: float, lam_inf: float) -> float:
     """Classical penalty update: grow pi when it no longer dominates the multiplier.
 
     ``lam_inf`` is ||lambda_hat||_inf.  Keeps pi when
-    pi >= lam_inf / (1 - tau); otherwise jumps to twice that threshold so
-    increases are substantial and pi settles after finitely many changes.
+    pi >= lam_inf / (1 - tau), with tau = ``SolverConfig.tau``; otherwise
+    jumps to twice that threshold so increases are substantial and pi
+    settles after finitely many changes.
     """
-    if not 0 < tau < 1:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
     # pi >= lam/(1-tau), rearranged so the boundary case is not lost to
     # the rounding of the division
-    if pi >= lam_inf + pi * tau:
+    if pi >= lam_inf + pi * SolverConfig.tau:
         return pi
-    return 2.0 * lam_inf / (1.0 - tau)
+    return 2.0 * lam_inf / (1.0 - SolverConfig.tau)
 
 
 def relaxed_line_search(
-    merit_at: Callable[[float], float],
-    merit_0: float,
-    model: float,
-    nu: float,
-    eps_R: float,
-    max_backtracks: int = SolverConfig.max_backtracks,
+    merit_at: Callable[[float], float], merit_0: float, model: float, eps_R: float
 ) -> Optional[tuple[float, int]]:
     """Backtracking search for the relaxed sufficient-decrease condition.
 
-    Tries alpha = 2**-j for j = 0..max_backtracks and
+    Tries alpha = 2**-j for j = 0..``SolverConfig.max_backtracks`` and
     returns (alpha, j) for the first trial with
 
-        merit_at(alpha) <= merit_0 + nu * alpha * model + eps_R.
+        merit_at(alpha) <= merit_0 + nu * alpha * model + eps_R,
 
-    Each trial costs exactly one merit evaluation.  Returns None when
-    every trial fails (the classical breakdown when eps_R = 0 and noise
-    dominates the predicted decrease).
+    nu being ``SolverConfig.nu``.  Each trial costs exactly one merit
+    evaluation.  Returns None when every trial fails (the classical
+    breakdown when eps_R = 0 and noise dominates the predicted decrease).
     """
+    nu = SolverConfig.nu
     alpha = 1.0
-    for j in range(max_backtracks + 1):
+    for j in range(SolverConfig.max_backtracks + 1):
         if merit_at(alpha) <= merit_0 + nu * alpha * model + eps_R:
             return alpha, j
         alpha *= 0.5
@@ -271,7 +267,7 @@ def solve(
     """
     if x_ref is not None:
         x_ref = _check_point(p, x_ref)
-    stream = spec.stream()
+    stream = NoiseStream(spec)
     x = trial_x = np.array(p.x_start, dtype=float)
     pi = cfg.pi_init
     trace: list[IterateRecord] = []
@@ -303,7 +299,7 @@ def solve(
                 end = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
             else:
                 lam_inf = _linf(step.lambda_hat)
-                pi = update_penalty(pi, lam_inf, cfg.tau)
+                pi = update_penalty(pi, lam_inf)
                 # A NaN or infinity in f, c or g (through pi or the step) reaches one
                 # of these two; a NaN pi, which merit_value rejects, is a NaN merit.
                 merit0 = merit_value(ev.f, c_l1, pi) if pi == pi else math.nan
@@ -317,8 +313,7 @@ def solve(
                 else:
                     eps_r = (2.0 * (cfg.eps_f_est + pi * cfg.eps_c_est)
                              if cfg.relaxation_enabled else 0.0)
-                    found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r,
-                                                cfg.max_backtracks)
+                    found = relaxed_line_search(merit_at, merit0, model, eps_r)
                     if found is not None:
                         alpha, backtracks = found
                         merit_trial = last_trial

@@ -163,7 +163,7 @@ def reference_solve(p, spec, cfg, x_ref=None, collect_psi=False):
     """
     if x_ref is not None:
         x_ref = oracles._check_point(p, x_ref)
-    stream = spec.stream()
+    stream = oracles.NoiseStream(spec)
     x = np.array(p.x_start, dtype=float)
     pi = cfg.pi_init
     trace = []
@@ -229,7 +229,7 @@ def reference_solve(p, spec, cfg, x_ref=None, collect_psi=False):
             last_trial = merit_value_reference(ev_t.f, ev_t.c, pi)
             return last_trial
 
-        found = relaxed_line_search(merit_at, merit0, model, cfg.nu, eps_r, cfg.max_backtracks)
+        found = relaxed_line_search(merit_at, merit0, model, eps_r)
         if found is None:
             record(k, math.nan, merit0, model, cfg.max_backtracks, True, math.nan, eps_r)
             if math.isfinite(last_trial):

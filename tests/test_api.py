@@ -1,5 +1,7 @@
 """Tests for the package's public surface."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import noisy_sqp
-from noisy_sqp import NoiseSpec, SolverConfig, Status, get_problem, solve
+from noisy_sqp import NoiseSpec, SolverConfig, Status, get_problem, problems, solve, solver
 
 PUBLIC_NAMES = {
     "ExperimentPlan", "IterateRecord", "NoiseSpec", "NoiseStream", "PROBLEM_NAMES",
@@ -55,3 +57,17 @@ def test_max_backtracks_is_a_constant_not_a_field():
     with pytest.raises(TypeError):
         SolverConfig(alpha_init=1.0)
 
+
+def test_helpers_read_the_class_constants():
+    # A class constant is read where it is used, never passed in.
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    constants = set(SolverConfig.__annotations__) - fields
+    assert constants == {"nu", "tau", "pi_init", "max_backtracks", "zero_noise_tol"}
+    functions = [getattr(solver, name) for name in solver.__all__]
+    functions += [f for _, f in inspect.getmembers(problems, inspect.isfunction)
+                  if f.__module__ == problems.__name__]
+    functions = [f for f in functions if inspect.isfunction(f)]
+    assert {f.__name__ for f in functions} >= {"relaxed_line_search", "update_penalty",
+                                               "verify_derivatives", "solve"}
+    for f in functions:
+        assert not constants & set(inspect.signature(f).parameters), f.__name__

@@ -2,10 +2,10 @@
 one list of edge values.
 
 Each decision is pinned by hand.  A real setting takes a finite real >= 0
-(> 0 for beta and the derivative step); an integer setting takes an integer
->= 0 (> 0 for dimensions and max_iters; a seed below 2**32).  A bool is
-neither, and NaN fails.  An accepted value is stored as a builtin float or
-int, so numpy scalars and fractions never reach the arithmetic or JSON.
+(> 0 for beta); an integer setting takes an integer >= 0 (> 0 for
+dimensions and max_iters; a seed below 2**32).  A bool is neither, and NaN
+fails.  An accepted value is stored as a builtin float or int, so numpy
+scalars and fractions never reach the arithmetic or JSON.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from noisy_sqp import NoiseSpec, Problem, SolverConfig, get_problem, solve, verify_derivatives
+from noisy_sqp import ExperimentPlan, NoiseSpec, Problem, SolverConfig, get_problem, solve
 
 HS7 = get_problem("HS7")
 
@@ -69,8 +69,11 @@ def _scaled_zero_bounds(multiplier):
     return _estimates(SolverConfig().with_estimates(NoiseSpec(0.0, 0.0).bounds(4, 3), multiplier))
 
 
-def _step(h):
-    return (verify_derivatives(HS7, np.array([2.0, 2.0]), h=h),)
+def _plan(name, read, wrap):
+    # A plan stores each value as its own rule does; one small grid around it.
+    base = {"problems": ("HS7",), "eps_levels": ((1e-3, 1e-3),), "seeds": (0,),
+            "k_max_values": (20,), "misest_max_iters": 20}
+    return lambda x: (read(ExperimentPlan(**{**base, name: wrap(x)})),)
 
 
 # field: (ordinary value v, build(value) -> the stored settings, rule, kind)
@@ -91,8 +94,17 @@ FIELDS = {
                                POSITIVE_INT),
     "with_estimates multiplier": (2, _scaled_zero_bounds,
                                   "estimate multiplier must be nonnegative and finite", REAL),
-    # A bool step (True, np.True_) ran as h = 1 before h took the real-number rule.
-    "verify_derivatives h": (2, _step, "step must be positive and finite", POSITIVE_REAL),
+    "ExperimentPlan.eps_levels": (2, _plan("eps_levels", lambda p: p.eps_levels[0][0],
+                                           lambda x: ((x, 0.0),)),
+                                  "noise half-widths must be nonnegative and finite", REAL),
+    "ExperimentPlan.seeds": (2, _plan("seeds", lambda p: p.seeds[0], lambda x: (x,)),
+                             "seed must be a nonnegative integer", SEED),
+    "ExperimentPlan.k_max_values": (2, _plan("k_max_values", lambda p: p.k_max_values[0],
+                                             lambda x: (x,)),
+                                    "max_iters must be a positive integer", POSITIVE_INT),
+    "ExperimentPlan.misest_max_iters": (2, _plan("misest_max_iters", lambda p: p.misest_max_iters,
+                                                 lambda x: x),
+                                        "max_iters must be a positive integer", POSITIVE_INT),
 }
 
 
@@ -102,7 +114,7 @@ def test_input_rule(field, value_id, make):
     v, build, rule, (kind, accepted) = FIELDS[field]
     value = make(v)
     if value_id not in accepted:
-        if field == "NoiseSpec.seed" and value_id == "2**32":
+        if rule.startswith("seed") and value_id == "2**32":
             rule = "seed must be below 2**32"
         with pytest.raises(ValueError) as err:
             build(value)
@@ -117,7 +129,7 @@ def test_input_rule(field, value_id, make):
         assert all(type(s) is kind for s in stored)
         if field == "with_estimates multiplier":
             assert stored == (0.0,) * 4
-        elif field != "verify_derivatives h":
+        else:
             assert stored == (kind(value),)
 
 

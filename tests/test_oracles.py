@@ -50,7 +50,7 @@ class TestNoisyEvaluation:
     def test_zero_noise_equals_exact_bitwise(self):
         p = get_problem("BT11")
         spec = NoiseSpec(0.0, 0.0, seed=42)
-        stream = spec.stream()
+        stream = NoiseStream(spec)
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.normal(size=p.n)
@@ -65,7 +65,7 @@ class TestNoisyEvaluation:
         p = get_problem("HS40")
         spec = NoiseSpec(1e-2, 1e-2, seed=123)
         points = [p.x_start + 0.1 * k for k in range(6)]
-        s1, s2 = spec.stream(), spec.stream()
+        s1, s2 = NoiseStream(spec), NoiseStream(spec)
         for x in points:
             a = eval_noisy(p, x, s1)
             b = eval_noisy(p, x, s2)
@@ -80,8 +80,8 @@ class TestNoisyEvaluation:
         p = get_problem("BT11")
         q = replace(p, n=np.int64(p.n), m=np.int64(p.m))
         spec = NoiseSpec(1e-2, 1e-2, seed=8)
-        a = eval_noisy(p, p.x_start, spec.stream(), derivatives)
-        b = eval_noisy(q, p.x_start, spec.stream(), derivatives)
+        a = eval_noisy(p, p.x_start, NoiseStream(spec), derivatives)
+        b = eval_noisy(q, p.x_start, NoiseStream(spec), derivatives)
         assert type(q.n) is int and type(q.m) is int
         for u, v in zip(a[:4], b[:4]):
             assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
@@ -94,7 +94,7 @@ class TestNoisyEvaluation:
     def test_distinct_counters_give_distinct_draws(self):
         p = get_problem("HS7")
         spec = NoiseSpec(1e-3, 1e-3, seed=5)
-        stream = spec.stream()
+        stream = NoiseStream(spec)
         a = eval_noisy(p, p.x_start, stream)
         b = eval_noisy(p, p.x_start, stream)
         assert a.f != b.f
@@ -106,7 +106,7 @@ class TestNoisyEvaluation:
         for name in ("HS7", "BT11", "HS40"):
             p = get_problem(name)
             spec = NoiseSpec(eps1, eps2, seed=8)
-            stream, ref_stream = spec.stream(), spec.stream()
+            stream, ref_stream = NoiseStream(spec), NoiseStream(spec)
             for _ in range(50):
                 x = p.x_start + rng.normal(size=p.n)
                 out = eval_noisy(p, x, stream)
@@ -120,7 +120,7 @@ class TestNoisyEvaluation:
     def test_entrywise_bounds_hold_over_10000_evaluations(self):
         p = get_problem("HS7")
         spec = NoiseSpec(1e-1, 1e-1, seed=99)
-        stream = spec.stream()
+        stream = NoiseStream(spec)
         rng = np.random.default_rng(0)
         for _ in range(10_000):
             x = p.x_start + rng.uniform(-1, 1, size=p.n)
@@ -138,7 +138,7 @@ class TestValueOnlyEvaluation:
     def test_values_equal_full_evaluation_bitwise(self, name, eps1, eps2):
         p = get_problem(name)
         spec = NoiseSpec(eps1, eps2, seed=21)
-        full_stream, value_stream = spec.stream(), spec.stream()
+        full_stream, value_stream = NoiseStream(spec), NoiseStream(spec)
         rng = np.random.default_rng(4)
         for i in range(40):
             x = p.x_start + rng.normal(size=p.n)
@@ -156,7 +156,7 @@ class TestValueOnlyEvaluation:
         p = Problem("values", 2, 1, lambda x: x @ x, lambda x: x[:1], fail, fail, np.ones(2))
         out = eval_exact(p, p.x_start, derivatives=False)
         assert out.f == 2.0 and out.g is None and out.J is None
-        stream = NoiseSpec(1e-2, 1e-2, seed=3).stream()
+        stream = NoiseStream(NoiseSpec(1e-2, 1e-2, seed=3))
         noisy = eval_noisy(p, p.x_start, stream, derivatives=False)
         assert noisy.g is None and stream.counter == 1
 
@@ -353,7 +353,7 @@ class TestDrawCache:
     def test_zero_width_draws_read_no_block(self, name, cold_cache):
         p = get_problem(name)
         spec = NoiseSpec(0.0, 0.0, seed=3)
-        stream = spec.stream()
+        stream = NoiseStream(spec)
         before = oracles_module._draw_block.cache_info()
         for counter in range(300):
             assert stream.counter == counter
@@ -489,7 +489,7 @@ class TestValidation:
     def test_largest_seed_accepted(self):
         spec = NoiseSpec(1e-3, 1e-3, seed=np.uint32(2**32 - 1))
         assert spec.seed == 2**32 - 1
-        assert spec.stream().next_rng(1)[0] == seed_sequence_rng(2**32 - 1, 0).random()
+        assert NoiseStream(spec).next_rng(1)[0] == seed_sequence_rng(2**32 - 1, 0).random()
 
     def test_problem_requires_m_less_than_n(self):
         with pytest.raises(ValueError, match="m < n"):
@@ -528,7 +528,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             solve(bad, spec, SolverConfig(max_iters=5))
         with pytest.raises(ValueError, match=message):
-            eval_noisy(bad, p.x_start, spec.stream())
+            eval_noisy(bad, p.x_start, NoiseStream(spec))
 
     def test_value_only_evaluation_checks_c_only(self):
         p = get_problem("BT11")

@@ -58,7 +58,7 @@ def test_problems_compare_by_identity():
     ],
 )
 def test_derivatives_at_pinned_points(name, x):
-    assert verify_derivatives(get_problem(name), x, h=1e-6) <= 1e-6
+    assert verify_derivatives(get_problem(name), x) <= 1e-6
 
 
 @pytest.mark.parametrize("name", list(DIMENSIONS))
@@ -67,7 +67,7 @@ def test_derivatives_at_random_points(name):
     rng = np.random.default_rng(17)
     for _ in range(100):
         x = p.x_start + rng.uniform(-2.0, 2.0, size=p.n)
-        assert verify_derivatives(p, x, h=1e-6) <= 1e-6
+        assert verify_derivatives(p, x) <= 1e-6
 
 
 # Any finite double, and points near the start where the solver runs.
@@ -110,12 +110,6 @@ def test_verify_derivatives_rejects_a_gradient_of_another_shape():
     p = replace(get_problem("BT11"), eval_g=lambda x: np.array([1.0]))
     with pytest.raises(ValueError, match=r"^BT11: eval_g returned shape \(1,\), expected \(4,\)"):
         verify_derivatives(p, p.x_start)
-
-
-@pytest.mark.parametrize("h", [0.0, -1e-6])  # other edge values are rows of test_input_rules
-def test_verify_derivatives_requires_finite_positive_step(h):
-    with pytest.raises(ValueError, match="^step must be positive and finite, got "):
-        verify_derivatives(get_problem("HS7"), np.array([2.0, 2.0]), h=h)
 
 
 @pytest.mark.parametrize("entry", ["g", "J"])
@@ -172,7 +166,7 @@ class TestReferenceSolutions:
 
     def test_compares_by_identity(self):
         ref = reference_solution("HS7")
-        twin = type(ref)(ref.x_star, ref.f_star)
+        twin = type(ref)(ref.x_star)
         assert ref == ref and ref != twin
         assert len({ref, twin}) == 2
 
@@ -187,13 +181,7 @@ class TestReferenceSolutions:
     def test_hs7_optimum_is_analytic(self):
         ref = reference_solution("HS7")
         assert_allclose(ref.x_star, [0.0, math.sqrt(3.0)], atol=1e-9)
-        assert ref.f_star == pytest.approx(-math.sqrt(3.0), abs=1e-10)
-
-    @pytest.mark.parametrize("name", list(DIMENSIONS))
-    def test_objective_value_consistent(self, name):
-        p = get_problem(name)
-        ref = reference_solution(name)
-        assert abs(ref.f_star - p.eval_f(ref.x_star)) <= 1e-12
+        assert get_problem("HS7").eval_f(ref.x_star) == pytest.approx(-math.sqrt(3.0), abs=1e-10)
 
     @pytest.mark.parametrize("name", list(DIMENSIONS))
     def test_default_dynamics_land_on_the_same_point(self, name):

@@ -82,33 +82,32 @@ class TestLinearModel:
 
 class TestUpdatePenalty:
     def test_keeps_dominating_value(self):
-        assert update_penalty(10.0, 0.5, 0.9) == 10.0
+        assert update_penalty(10.0, 0.5) == 10.0
 
     def test_doubles_past_threshold(self):
-        assert update_penalty(1.0, 0.5, 0.9) == pytest.approx(10.0)
+        assert update_penalty(1.0, 0.5) == pytest.approx(10.0)
 
     def test_boundary_keeps(self):
         # threshold is exactly pi; the comparison is >=
-        assert update_penalty(10.0, 1.0, 0.9) == 10.0
+        assert update_penalty(10.0, 1.0) == 10.0
 
 
 class TestRelaxedLineSearch:
     def test_accepts_full_step(self):
-        out = relaxed_line_search(lambda a: 5.0 - 0.5 * a, 5.0, -1.0, 0.1, 0.0)
+        out = relaxed_line_search(lambda a: 5.0 - 0.5 * a, 5.0, -1.0, 0.0)
         assert out == (1.0, 0)
 
     def test_relaxation_absorbs_noise_level_increase(self):
-        out = relaxed_line_search(lambda a: 5.0 + 0.05, 5.0, -1.0, 0.1, 0.2)
+        out = relaxed_line_search(lambda a: 5.0 + 0.05, 5.0, -1.0, 0.2)
         assert out == (1.0, 0)
 
     def test_unsatisfiable_without_relaxation(self):
-        out = relaxed_line_search(lambda a: 5.0 + a, 5.0, -1.0, 0.5, 0.0, max_backtracks=30)
+        out = relaxed_line_search(lambda a: 5.0 + a, 5.0, -1.0, 0.0)
         assert out is None
 
     def test_halving_bookkeeping(self):
         # fails until the step is below 1/8
-        out = relaxed_line_search(lambda a: 5.0 + (1.0 if a > 0.15 else -a), 5.0,
-                                  -1.0, 0.5, 0.0)
+        out = relaxed_line_search(lambda a: 5.0 + (1.0 if a > 0.15 else -a), 5.0, -1.0, 0.0)
         alpha, backtracks = out
         assert alpha == pytest.approx(0.125)
         assert backtracks == 3
@@ -121,8 +120,9 @@ class TestRelaxedLineSearch:
             calls.append(a)
             return 5.0 + a
 
-        assert relaxed_line_search(merit_at, 5.0, -1.0, 0.5, 0.0, max_backtracks=10) is None
-        assert len(calls) == 11
+        assert relaxed_line_search(merit_at, 5.0, -1.0, 0.0) is None
+        # alpha = 1 and its 50 halvings: README's "all 51 trials"
+        assert len(calls) == SolverConfig.max_backtracks + 1 == 51
 
 
 def _stop(c, g, J, lambda_hat, eps_c, eps_g, eps_J):
@@ -622,8 +622,8 @@ class TestHelpersBitwiseAgainstNumpyWrappers:
             c_l1, lam_inf = _l1(a["c"]), _linf(lam_hat)
             assert _same(merit_value(a["f"], c_l1, a["pi"]),
                          merit_value_reference(a["f"], a["c"], a["pi"]))
-            assert _same(update_penalty(a["pi"], lam_inf, a["tau"]),
-                         update_penalty_reference(a["pi"], lam_hat, a["tau"]))
+            assert _same(update_penalty(a["pi"], lam_inf),
+                         update_penalty_reference(a["pi"], lam_hat, SolverConfig.tau))
             # J also as a strided view, as a callback may return it.
             for J in (a["J"], np.repeat(a["J"], 2, axis=1)[:, ::2]):
                 assert _same(linear_model(a["g"], a["c"], J, a["d"], a["pi"], c_l1),
