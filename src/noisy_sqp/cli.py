@@ -35,9 +35,6 @@ from .oracles import NoiseSpec, eval_exact
 from .problems import PROBLEM_NAMES, get_problem, reference_solution, verify_derivatives
 from .solver import SolverConfig, solve
 
-# SolverConfig fields with a flag of the same name; a flag left out keeps the default.
-_CONFIG_FLAGS = ("beta", "max_iters")
-
 
 def _str_tuple(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.split(",") if tok)
@@ -63,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps1", type=float, default=0.0, help="value-noise half-width")
         sp.add_argument("--eps2", type=float, default=0.0, help="derivative-noise half-width")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--beta", type=float, help="Hessian scaling (default 50)")
+        sp.add_argument("--beta", type=float, default=SolverConfig.beta,
+                        help="Hessian scaling (default %(default)s)")
         sp.add_argument("--no-relaxation", action="store_true",
                         help="use the classical Armijo condition")
         sp.add_argument("--est-multiplier", type=float, default=1.0,
@@ -71,13 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="run one solve and print the outcome")
     add_common(sp)
-    sp.add_argument("--max-iters", type=int, default=None)
+    sp.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+                    help="iteration limit (default %(default)s)")
     sp.add_argument("--no-termination", action="store_true",
                     help="run to max-iters, skipping the noisy stop test")
 
     sp = sub.add_parser("trace", help="write a per-iteration CSV trace")
     add_common(sp)
-    sp.add_argument("--iters", type=int, default=1000, dest="max_iters")
+    sp.add_argument("--iters", type=int, default=SolverConfig.max_iters, dest="max_iters",
+                    metavar="ITERS", help="iterations to run (default %(default)s)")
     sp.add_argument("--out", type=Path, required=True,
                     help="CSV file name, or a directory for the default name")
     sp.set_defaults(no_termination=True)  # a trace runs all --iters iterations
@@ -109,9 +109,9 @@ def _solver_config(args, problem) -> tuple[NoiseSpec, SolverConfig]:
         raise SystemExit(f"invalid noise: {err}") from None
     # Estimated bounds default to the true derived bounds, optionally rescaled.
     try:
-        flags = {f: getattr(args, f) for f in _CONFIG_FLAGS if getattr(args, f) is not None}
-        cfg = SolverConfig(relaxation_enabled=not args.no_relaxation,
-                           termination_enabled=not args.no_termination, **flags)
+        cfg = SolverConfig(beta=args.beta, max_iters=args.max_iters,
+                           relaxation_enabled=not args.no_relaxation,
+                           termination_enabled=not args.no_termination)
         return spec, cfg.with_estimates(spec.bounds(problem.n, problem.m), args.est_multiplier)
     except ValueError as err:
         raise SystemExit(f"invalid solver config: {err}") from None

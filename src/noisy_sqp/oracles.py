@@ -191,12 +191,11 @@ class NoiseStream:
     counter // 256, width)``; ``k`` draws read a block 24 wide (HS40's full
     evaluation, the widest of the shipped problems), or ``k`` wide when
     ``k`` is larger, so a key depends only on the request, never on what
-    ran before.  A block is built whole on a miss, one float64 row per
-    counter from a PCG64 that numpy seeds from ``SeedSequence((spec.seed,
-    counter))``, about 20 microseconds a row, so a 24-wide miss costs a few
-    milliseconds.  At most 128 * 256 * 24 * 8 bytes (6.3 MB) for draws of
-    at most 24; a wider request's blocks take ``k / 24`` times that.  A
-    block is read-only and never changes.  A zero-width draw reads no block.
+    ran before; :func:`eval_noisy` asks for its problem's whole row (see
+    :func:`_noise_map`).  A block is built whole on a miss, about 20
+    microseconds a row, and is read-only and never changes: at most 128 *
+    256 * 24 * 8 bytes (6.3 MB) for draws of at most 24, and ``k / 24``
+    times that for a wider request.  A zero-width draw reads no block.
     """
 
     spec: NoiseSpec
@@ -285,11 +284,12 @@ def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
 
 
 @functools.lru_cache(maxsize=128)
-def _noise_map(eps1: float, eps2: float, m: int, n: int, derivatives: bool):
-    """Draw counts (k1 for f and c, k2 for g and J) and the read-only
-    per-draw ``lo`` (-eps) and ``span`` (eps - -eps) of one evaluation."""
+def _noise_map(eps1: float, eps2: float, m: int, n: int):
+    """Counts (k1 for f and c, k2 for g and J) and read-only per-draw ``lo``
+    (-eps) and ``span`` (eps - -eps) of the one row that every evaluation
+    draws; a value-only evaluation uses its leading k1."""
     k1 = 1 + m if eps1 > 0 else 0
-    k2 = n * (1 + m) if eps2 > 0 and derivatives else 0
+    k2 = n * (1 + m) if eps2 > 0 else 0
     lo = np.repeat(np.array([-eps1, -eps2], dtype=float), (k1, k2))
     span = np.repeat(np.array([eps1 - -eps1, eps2 - -eps2], dtype=float), (k1, k2))
     lo.flags.writeable = span.flags.writeable = False
@@ -315,8 +315,8 @@ def eval_noisy(p: Problem, x: Vector, stream: NoiseStream, derivatives: bool = T
         Advanced by exactly one evaluation; repeated calls with equal
         (spec, counter) state reproduce identical draws.
     derivatives : bool
-        False evaluates only f and c (g and J are None).  Their noise is
-        drawn first, so they equal a full evaluation's bit for bit.
+        False evaluates only f and c (g and J are None), from the same row
+        (see :func:`_noise_map`), so they equal a full evaluation's bit for bit.
 
     Returns
     -------
@@ -328,7 +328,7 @@ def eval_noisy(p: Problem, x: Vector, stream: NoiseStream, derivatives: bool = T
     """
     exact = eval_exact(p, x, derivatives)
     f, c, g, J, _ = exact
-    k1, k2, lo, span = _noise_map(stream.spec.eps1, stream.spec.eps2, p.m, p.n, derivatives)
+    k1, k2, lo, span = _noise_map(stream.spec.eps1, stream.spec.eps2, p.m, p.n)
     # One row of draws in the order f, c, g, J (row-major), mapped to the
     # per-entry lo + span * u of Generator.uniform, so the values equal
     # separate uniform(-eps, eps) calls bit for bit.
@@ -337,7 +337,7 @@ def eval_noisy(p: Problem, x: Vector, stream: NoiseStream, derivatives: bool = T
     if k1:
         f = f + float(w[0])
         c = c + w[1:k1]
-    if k2:
+    if k2 and derivatives:
         g = g + w[k1:k1 + p.n]
         J = J + w[k1 + p.n:].reshape(p.m, p.n)
     return NoisyEval(f, c, g, J, exact)

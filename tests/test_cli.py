@@ -26,6 +26,15 @@ def test_solve_default_config_completes(capsys):
     assert "final x" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,iters_flag", [("solve", "--max-iters MAX_ITERS"),
+                                               ("trace", "--iters ITERS")])
+def test_help_shows_the_solver_config_defaults(command, iters_flag, capsys):
+    assert dispatch([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"Hessian scaling (default {SolverConfig.beta})" in text
+    assert f"{iters_flag} " in text and f"(default {SolverConfig.max_iters})" in text
+
+
 def test_solve_without_relaxation_exits_2(capsys):
     code = dispatch(["solve", "--problem", "HS7", "--eps1", "1e-5", "--eps2", "1e-5",
                      "--no-relaxation", "--seed", "1", "--no-termination"])

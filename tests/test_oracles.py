@@ -440,8 +440,29 @@ class TestDrawCache:
         forward, reverse = map(int, out.stdout.split())
         assert forward == reverse > 0
 
+    @pytest.mark.parametrize("eps1", [1e-3, 0.0])
+    def test_wide_value_only_evaluations_share_full_row_blocks(self, eps1, cold_cache):
+        # n = 10, m = 5: a full evaluation draws 66 uniforms (60 at eps1 = 0),
+        # wider than a 24-wide block, and a value-only one reads the same
+        # row, so counters 0 to 599 build blocks 0, 1 and 2 once each.
+        n, m = 10, 5
+        A = np.random.default_rng(0).normal(size=(m, n))
+        p = Problem("wide", n, m, lambda x: float(x @ x), lambda x: A @ x - 1.0,
+                    lambda x: 2.0 * x, lambda x: A, np.zeros(n))
+        spec = NoiseSpec(eps1, 1e-3, seed=11)
+        full_stream, value_stream = NoiseStream(spec), NoiseStream(spec)
+        rng = np.random.default_rng(5)
+        for _ in range(600):
+            x = rng.normal(size=n)
+            full = eval_noisy(p, x, full_stream)
+            value = eval_noisy(p, x, value_stream, derivatives=False)
+            assert type(value.f) is float and value.g is None and value.J is None
+            assert np.float64(value.f).tobytes() == np.float64(full.f).tobytes()
+            assert value.c.tobytes() == full.c.tobytes()
+        assert oracles_module._draw_block.cache_info().misses == 3
+
     def test_noise_map(self):
-        k1, k2, lo, span = oracles_module._noise_map(1e-3, 1e-2, 2, 4, True)
+        k1, k2, lo, span = oracles_module._noise_map(1e-3, 1e-2, 2, 4)
         assert (k1, k2) == (3, 12)
         assert not lo.flags.writeable and not span.flags.writeable
         assert_array_equal(lo, [-1e-3] * 3 + [-1e-2] * 12)
