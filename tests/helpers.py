@@ -14,15 +14,18 @@ draws through the stream's ``next_rng``; the other forms above never
 read the library's shared draw cache.  ``reference_solve`` is the
 solver's iteration as it was written on the merit helper forms, around
 the library's oracle (draw cache included), step kernel, psi and line
-search.
+search.  The experiment grids at the end are the session fixtures' runs.
 """
 
 import math
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from noisy_sqp import oracles
+from noisy_sqp import ExperimentPlan, oracles
 from noisy_sqp.diagnostics import stationarity_psi
+from noisy_sqp.harness import _grid_runs, _misestimation_modes, _relaxation_modes
 from noisy_sqp.kernels import NonFiniteJacobianError, SingularJacobianError, solve_sqp_step
 from noisy_sqp.solver import (
     IterateRecord,
@@ -316,3 +319,38 @@ NUMPY_SCALAR_CALLBACKS = {
                             [1.0, 0.0, 0.0, 0.0, -1.0]]),
     ),
 }
+
+
+# The experiment grids behind the session fixtures of conftest.py and the
+# golden manifest (golden.py): the harness's own runs on ExperimentPlan's
+# default problems, levels and seeds.
+PLAN = ExperimentPlan()
+
+
+@dataclass
+class GridEntry:
+    enabled: SolveResult
+    disabled: SolveResult
+    enabled_dists: np.ndarray   # per-iterate distances plus the final point
+    disabled_dists: np.ndarray
+
+
+def relaxation_grid():
+    """The relaxation table's runs at k_max = 1000, keyed (problem, eps, seed) and timed per level."""
+    runs, timings = {}, {}
+    for level in PLAN.eps_levels:
+        t0 = time.perf_counter()
+        cells = iter(_grid_runs(replace(PLAN, eps_levels=(level,), k_max_values=(1000,)),
+                                _relaxation_modes))
+        # Each seed's classical run comes just before its relaxed one.
+        for (name, spec, _, _, disabled, d_off), (*_, enabled, d_on) in zip(cells, cells):
+            runs[(name, spec.eps1, spec.seed)] = GridEntry(enabled, disabled, d_on, d_off)
+        timings[level[0]] = time.perf_counter() - t0
+    return {"runs": runs, "timings": timings}
+
+
+def misestimation_grid():
+    """The misestimation study's runs at the smallest level, keyed (problem, seed, multiplier)."""
+    plan = replace(PLAN, eps_levels=(min(PLAN.eps_levels),))
+    return {(name, spec.seed, mult): (result, dists)
+            for name, spec, mult, _, result, dists in _grid_runs(plan, _misestimation_modes)}
