@@ -1,10 +1,10 @@
 """Equality-constrained problem abstraction and bounded-noise oracles.
 
-A :class:`Problem` bundles exact callbacks for the objective, constraints
-and their first derivatives.  :func:`eval_noisy` wraps them in a uniform
-noise model: every scalar quantity is perturbed by an independent draw
-from ``U(-eps, eps)``, with ``eps1`` governing function/constraint values
-and ``eps2`` governing gradient/Jacobian entries.
+A :class:`Problem` bundles two exact callbacks: one for the objective and
+constraint values, one for their first derivatives.  :func:`eval_noisy`
+wraps them in a uniform noise model: every scalar quantity is perturbed by
+an independent draw from ``U(-eps, eps)``, with ``eps1`` governing
+function/constraint values and ``eps2`` governing gradient/Jacobian entries.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -25,27 +25,37 @@ Matrix = np.ndarray
 class Problem:
     """An equality-constrained problem: minimize f(x) subject to c(x) = 0.
 
+    The solver asks a problem two things: f and c at every line-search
+    trial, and f, c, g and J at every iterate.  Each callback answers one.
+
     Attributes:
         name: Identifier used in traces and summaries.
         n: Number of variables.
         m: Number of equality constraints; must satisfy m < n.
-        eval_f: x -> objective value.
-        eval_c: x -> constraint residual vector, length m.
-        eval_g: x -> objective gradient, length n.
-        eval_J: x -> constraint Jacobian, shape (m, n).
+        eval_fc: x -> (f, c): the objective value and the constraint
+            residual vector, length m.
+        eval_gJ: x -> (g, J): the objective gradient, length n, and the
+            constraint Jacobian, shape (m, n).
         x_start: Standard starting point, length n.
     """
 
     name: str
     n: int
     m: int
-    eval_f: Callable[[Vector], float]
-    eval_c: Callable[[Vector], Vector]
-    eval_g: Callable[[Vector], Vector]
-    eval_J: Callable[[Vector], Matrix]
+    eval_fc: Callable[[Vector], tuple[float, Vector]]
+    eval_gJ: Callable[[Vector], tuple[Vector, Matrix]]
     x_start: Vector
+    # Only perfbench/test_perfbench.py still builds Problem(name, n, m, f, c,
+    # g, J, x_start); ROADMAP item 1 rewrites it and deletes these two.
+    _J: InitVar[Optional[Callable[[Vector], Matrix]]] = None
+    _x_start: InitVar[Optional[Vector]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _J, _x_start):
+        if _J is not None:
+            f, c, g = self.eval_fc, self.eval_gJ, self.x_start
+            object.__setattr__(self, "eval_fc", lambda x: (f(x), c(x)))
+            object.__setattr__(self, "eval_gJ", lambda x: (g(x), _J(x)))
+            object.__setattr__(self, "x_start", _x_start)
         for name in ("n", "m"):  # a float would fail later, as a draw count or slice index
             object.__setattr__(self, name, _integer(getattr(self, name), name, positive=True))
         if self.m >= self.n:
@@ -250,37 +260,45 @@ def _check_point(p: Problem, x: Vector) -> Vector:
     return x
 
 
-def _shape_error(p: Problem, callback: str, got: tuple, want: tuple) -> ValueError:
-    return ValueError(f"{p.name}: {callback} returned shape {got}, expected {want}")
+def _pair(p: Problem, callback: str, out, quantities: str) -> tuple:
+    """``out``, the result of ``p``'s ``callback``, as a pair, or a ValueError
+    naming the problem and the callback."""
+    try:
+        first, second = out
+    except (TypeError, ValueError):  # raised by the unpacking: the callback has returned
+        raise ValueError(f"{p.name}: {callback} returned {out!r:.80}, "
+                         f"expected a pair {quantities}") from None
+    return first, second
+
+
+def _array(p: Problem, callback: str, quantity: str, value, shape: tuple) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{p.name}: {callback} returned {quantity} of shape {value.shape}, "
+                         f"expected {shape}")
+    return value
 
 
 def eval_exact(p: Problem, x: Vector, derivatives: bool = True) -> NoisyEval:
     """Evaluate the oracles at x with zero perturbation.
 
-    With ``derivatives`` false only f and c are evaluated, and g and J
-    are None.  Raises ValueError, naming the problem and the callback,
-    when f, c, g or J, converted to float arrays, is not of shape (),
-    (m,), (n,) or (m, n).
+    Calls ``p.eval_fc`` once and, with ``derivatives``, ``p.eval_gJ`` once;
+    without, g and J are None.  Raises ValueError, naming the problem and
+    the callback, when a callback returns no pair, and naming the quantity
+    too when f, c, g or J, converted to float arrays, is not of shape (),
+    (m,), (n,) or (m, n).  An exception raised inside a callback passes
+    through unchanged.
     """
     x = _check_point(p, x)
-    f = p.eval_f(x)
+    f, c = _pair(p, "eval_fc", p.eval_fc(x), "(f, c)")
     if type(f) is not float:  # the shipped problems return Python floats
-        f = np.asarray(f, dtype=float)
-        if f.shape != ():
-            raise _shape_error(p, "eval_f", f.shape, ())
-        f = float(f)
-    c = np.asarray(p.eval_c(x), dtype=float)
-    if c.shape != (p.m,):
-        raise _shape_error(p, "eval_c", c.shape, (p.m,))
+        f = float(_array(p, "eval_fc", "f", f, ()))
+    c = _array(p, "eval_fc", "c", c, (p.m,))
     if not derivatives:
         return NoisyEval(f, c, None, None)
-    g = np.asarray(p.eval_g(x), dtype=float)
-    if g.shape != (p.n,):
-        raise _shape_error(p, "eval_g", g.shape, (p.n,))
-    J = np.asarray(p.eval_J(x), dtype=float)
-    if J.shape != (p.m, p.n):
-        raise _shape_error(p, "eval_J", J.shape, (p.m, p.n))
-    return NoisyEval(f, c, g, J)
+    g, J = _pair(p, "eval_gJ", p.eval_gJ(x), "(g, J)")
+    return NoisyEval(f, c, _array(p, "eval_gJ", "g", g, (p.n,)),
+                     _array(p, "eval_gJ", "J", J, (p.m, p.n)))
 
 
 @functools.lru_cache(maxsize=128)

@@ -26,6 +26,8 @@ _SQRT8 = math.sqrt(8.0)
 def _on_floats(body):
     """The callback ``x -> body(*x)``, evaluated on Python floats.
 
+    Each problem has two bodies: ``fc`` returns (f, c) and ``gJ`` returns (g, J).
+
     Python floats take the same IEEE operations and the same C ``pow`` as
     numpy float64 scalars, so the result has the same bits, and they skip
     numpy's per-scalar overhead.  Where Python's ``**`` raises
@@ -44,62 +46,35 @@ def _on_floats(body):
 def _hs7() -> Problem:
     # min ln(1 + x1^2) - x2   s.t.  (1 + x1^2)^2 + x2^2 = 4
     @_on_floats
-    def f(x1, x2):
-        return math.log1p(x1 ** 2) - x2
+    def fc(x1, x2):
+        return math.log1p(x1 ** 2) - x2, np.array([(1.0 + x1 ** 2) ** 2 + x2 ** 2 - 4.0])
 
     @_on_floats
-    def c(x1, x2):
-        return np.array([(1.0 + x1 ** 2) ** 2 + x2 ** 2 - 4.0])
+    def gJ(x1, x2):
+        return (np.array([2.0 * x1 / (1.0 + x1 ** 2), -1.0]),
+                np.array([[4.0 * x1 * (1.0 + x1 ** 2), 2.0 * x2]]))
 
-    @_on_floats
-    def g(x1, x2):
-        return np.array([2.0 * x1 / (1.0 + x1 ** 2), -1.0])
-
-    @_on_floats
-    def J(x1, x2):
-        return np.array([[4.0 * x1 * (1.0 + x1 ** 2), 2.0 * x2]])
-
-    return Problem("HS7", 2, 1, f, c, g, J, np.array([2.0, 2.0]))
+    return Problem("HS7", 2, 1, fc, gJ, np.array([2.0, 2.0]))
 
 
 def _bt11() -> Problem:
     # min -x1 x2 x3 x4   s.t.  x1^3 + x2^2 = 1,  x1^2 x4 = x3,  x4^2 = x2
     @_on_floats
-    def f(x1, x2, x3, x4):
-        return -x1 * x2 * x3 * x4
+    def fc(x1, x2, x3, x4):
+        c = [x1 ** 3 + x2 ** 2 - 1.0, x1 ** 2 * x4 - x3, x4 ** 2 - x2]
+        return -x1 * x2 * x3 * x4, np.array(c)
 
     @_on_floats
-    def c(x1, x2, x3, x4):
-        return np.array(
-            [
-                x1 ** 3 + x2 ** 2 - 1.0,
-                x1 ** 2 * x4 - x3,
-                x4 ** 2 - x2,
-            ]
-        )
+    def gJ(x1, x2, x3, x4):
+        g = [-x2 * x3 * x4, -x1 * x3 * x4, -x1 * x2 * x4, -x1 * x2 * x3]
+        J = [
+            [3.0 * x1 ** 2, 2.0 * x2, 0.0, 0.0],
+            [2.0 * x1 * x4, 0.0, -1.0, x1 ** 2],
+            [0.0, -1.0, 0.0, 2.0 * x4],
+        ]
+        return np.array(g), np.array(J)
 
-    @_on_floats
-    def g(x1, x2, x3, x4):
-        return np.array(
-            [
-                -x2 * x3 * x4,
-                -x1 * x3 * x4,
-                -x1 * x2 * x4,
-                -x1 * x2 * x3,
-            ]
-        )
-
-    @_on_floats
-    def J(x1, x2, x3, x4):
-        return np.array(
-            [
-                [3.0 * x1 ** 2, 2.0 * x2, 0.0, 0.0],
-                [2.0 * x1 * x4, 0.0, -1.0, x1 ** 2],
-                [0.0, -1.0, 0.0, 2.0 * x4],
-            ]
-        )
-
-    return Problem("BT11", 4, 3, f, c, g, J, np.array([2.0, 2.0, 2.0, 2.0]))
+    return Problem("BT11", 4, 3, fc, gJ, np.array([2.0, 2.0, 2.0, 2.0]))
 
 
 def _hs40() -> Problem:
@@ -108,50 +83,34 @@ def _hs40() -> Problem:
     #      x2 + x4 + x3^2   = sqrt(8) - 2
     #      x1 - x5          = 2
     @_on_floats
-    def f(x1, x2, x3, x4, x5):
-        return (
-            (x1 - 1.0) ** 2
-            + (x1 - x2) ** 2
-            + (x2 - x3) ** 2
-            + (x3 - x4) ** 4
-            + (x4 - x5) ** 4
-        )
+    def fc(x1, x2, x3, x4, x5):
+        f = (x1 - 1.0) ** 2 + (x1 - x2) ** 2 + (x2 - x3) ** 2 + (x3 - x4) ** 4 + (x4 - x5) ** 4
+        c = [
+            x1 + x2 ** 2 + x3 ** 3 + 2.0 - _SQRT18,
+            x2 + x4 + x3 ** 2 + 2.0 - _SQRT8,
+            x1 - x5 - 2.0,
+        ]
+        return f, np.array(c)
 
     @_on_floats
-    def c(x1, x2, x3, x4, x5):
-        return np.array(
-            [
-                x1 + x2 ** 2 + x3 ** 3 + 2.0 - _SQRT18,
-                x2 + x4 + x3 ** 2 + 2.0 - _SQRT8,
-                x1 - x5 - 2.0,
-            ]
-        )
-
-    @_on_floats
-    def g(x1, x2, x3, x4, x5):
+    def gJ(x1, x2, x3, x4, x5):
         d34 = (x3 - x4) ** 3
         d45 = (x4 - x5) ** 3
-        return np.array(
-            [
-                2.0 * (x1 - 1.0) + 2.0 * (x1 - x2),
-                -2.0 * (x1 - x2) + 2.0 * (x2 - x3),
-                -2.0 * (x2 - x3) + 4.0 * d34,
-                -4.0 * d34 + 4.0 * d45,
-                -4.0 * d45,
-            ]
-        )
+        g = [
+            2.0 * (x1 - 1.0) + 2.0 * (x1 - x2),
+            -2.0 * (x1 - x2) + 2.0 * (x2 - x3),
+            -2.0 * (x2 - x3) + 4.0 * d34,
+            -4.0 * d34 + 4.0 * d45,
+            -4.0 * d45,
+        ]
+        J = [
+            [1.0, 2.0 * x2, 3.0 * x3 ** 2, 0.0, 0.0],
+            [0.0, 1.0, 2.0 * x3, 1.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, -1.0],
+        ]
+        return np.array(g), np.array(J)
 
-    @_on_floats
-    def J(x1, x2, x3, x4, x5):
-        return np.array(
-            [
-                [1.0, 2.0 * x2, 3.0 * x3 ** 2, 0.0, 0.0],
-                [0.0, 1.0, 2.0 * x3, 1.0, 0.0],
-                [1.0, 0.0, 0.0, 0.0, -1.0],
-            ]
-        )
-
-    return Problem("HS40", 5, 3, f, c, g, J, np.full(5, 0.8))
+    return Problem("HS40", 5, 3, fc, gJ, np.full(5, 0.8))
 
 
 _BUILDERS = {"HS7": _hs7, "BT11": _bt11, "HS40": _hs40}
@@ -178,8 +137,8 @@ _FD_STEP = 1e-6  # central-difference step of verify_derivatives
 def verify_derivatives(p: Problem, x: Vector) -> float:
     """Max relative disagreement between analytic and central-difference derivatives.
 
-    Compares eval_g against differences of eval_f and each eval_J column
-    against differences of eval_c, with step 1e-6.  Errors are relative to
+    Compares g against differences of f and each column of J against
+    differences of c, with step 1e-6.  Errors are relative to
     max(1, |analytic entry|).  A NaN disagreement makes the result NaN.
     Every value is read through :func:`eval_exact`, so a point or a
     callback result of the wrong shape raises its ValueError.

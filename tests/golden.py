@@ -117,13 +117,9 @@ def cli_digests(work_dir: Path) -> dict[str, str]:
     return digests
 
 
-def environment() -> dict[str, str]:
-    return {"numpy": np.__version__, "python": platform.python_version(),
-            "machine": platform.machine()}
-
-
 def manifest(experiment_grid, misestimation_grid, work_dir: Path) -> dict:
-    return {"environment": environment(),
+    return {"environment": {"numpy": np.__version__, "python": platform.python_version(),
+                            "machine": platform.machine()},
             "digests": {**grid_digests(experiment_grid, misestimation_grid),
                         **cli_digests(work_dir)}}
 

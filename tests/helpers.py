@@ -117,8 +117,9 @@ def uniform_reference_eval(p, x, stream):
     spec = stream.spec
     rng = seed_sequence_rng(spec.seed, stream.counter)
     stream.counter += 1
-    f, c = float(p.eval_f(x)), np.asarray(p.eval_c(x), dtype=float)
-    g, J = np.asarray(p.eval_g(x), dtype=float), np.asarray(p.eval_J(x), dtype=float)
+    (f, c), (g, J) = p.eval_fc(x), p.eval_gJ(x)
+    f, c = float(f), np.asarray(c, dtype=float)
+    g, J = np.asarray(g, dtype=float), np.asarray(J, dtype=float)
     if spec.eps1 > 0:
         f = f + rng.uniform(-spec.eps1, spec.eps1)
         c = c + rng.uniform(-spec.eps1, spec.eps1, size=p.m)
@@ -280,43 +281,44 @@ def adversarial_eval_noisy(eval_noisy, frac):
     return adversary
 
 
-# The problem callbacks as they were written on numpy scalars (x[i]); the
-# library's Python-float callbacks must equal them bit for bit.
+# The problem callbacks as they were written on numpy scalars (x[i]), as
+# (eval_fc, eval_gJ) pairs; the library's Python-float callbacks must equal
+# them bit for bit.
 _SQRT18, _SQRT8 = math.sqrt(18.0), math.sqrt(8.0)
 
 NUMPY_SCALAR_CALLBACKS = {
     "HS7": (
-        lambda x: math.log1p(x[0] ** 2) - x[1],
-        lambda x: np.array([(1.0 + x[0] ** 2) ** 2 + x[1] ** 2 - 4.0]),
-        lambda x: np.array([2.0 * x[0] / (1.0 + x[0] ** 2), -1.0]),
-        lambda x: np.array([[4.0 * x[0] * (1.0 + x[0] ** 2), 2.0 * x[1]]]),
+        lambda x: (math.log1p(x[0] ** 2) - x[1],
+                   np.array([(1.0 + x[0] ** 2) ** 2 + x[1] ** 2 - 4.0])),
+        lambda x: (np.array([2.0 * x[0] / (1.0 + x[0] ** 2), -1.0]),
+                   np.array([[4.0 * x[0] * (1.0 + x[0] ** 2), 2.0 * x[1]]])),
     ),
     "BT11": (
-        lambda x: -x[0] * x[1] * x[2] * x[3],
-        lambda x: np.array([x[0] ** 3 + x[1] ** 2 - 1.0, x[0] ** 2 * x[3] - x[2],
-                            x[3] ** 2 - x[1]]),
-        lambda x: np.array([-x[1] * x[2] * x[3], -x[0] * x[2] * x[3],
-                            -x[0] * x[1] * x[3], -x[0] * x[1] * x[2]]),
-        lambda x: np.array([[3.0 * x[0] ** 2, 2.0 * x[1], 0.0, 0.0],
-                            [2.0 * x[0] * x[3], 0.0, -1.0, x[0] ** 2],
-                            [0.0, -1.0, 0.0, 2.0 * x[3]]]),
+        lambda x: (-x[0] * x[1] * x[2] * x[3],
+                   np.array([x[0] ** 3 + x[1] ** 2 - 1.0, x[0] ** 2 * x[3] - x[2],
+                             x[3] ** 2 - x[1]])),
+        lambda x: (np.array([-x[1] * x[2] * x[3], -x[0] * x[2] * x[3],
+                             -x[0] * x[1] * x[3], -x[0] * x[1] * x[2]]),
+                   np.array([[3.0 * x[0] ** 2, 2.0 * x[1], 0.0, 0.0],
+                             [2.0 * x[0] * x[3], 0.0, -1.0, x[0] ** 2],
+                             [0.0, -1.0, 0.0, 2.0 * x[3]]])),
     ),
     "HS40": (
         lambda x: ((x[0] - 1.0) ** 2 + (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2
-                   + (x[2] - x[3]) ** 4 + (x[3] - x[4]) ** 4),
-        lambda x: np.array([x[0] + x[1] ** 2 + x[2] ** 3 + 2.0 - _SQRT18,
-                            x[1] + x[3] + x[2] ** 2 + 2.0 - _SQRT8,
-                            x[0] - x[4] - 2.0]),
-        lambda x: np.array([
-            2.0 * (x[0] - 1.0) + 2.0 * (x[0] - x[1]),
-            -2.0 * (x[0] - x[1]) + 2.0 * (x[1] - x[2]),
-            -2.0 * (x[1] - x[2]) + 4.0 * (x[2] - x[3]) ** 3,
-            -4.0 * (x[2] - x[3]) ** 3 + 4.0 * (x[3] - x[4]) ** 3,
-            -4.0 * (x[3] - x[4]) ** 3,
-        ]),
-        lambda x: np.array([[1.0, 2.0 * x[1], 3.0 * x[2] ** 2, 0.0, 0.0],
-                            [0.0, 1.0, 2.0 * x[2], 1.0, 0.0],
-                            [1.0, 0.0, 0.0, 0.0, -1.0]]),
+                   + (x[2] - x[3]) ** 4 + (x[3] - x[4]) ** 4,
+                   np.array([x[0] + x[1] ** 2 + x[2] ** 3 + 2.0 - _SQRT18,
+                             x[1] + x[3] + x[2] ** 2 + 2.0 - _SQRT8,
+                             x[0] - x[4] - 2.0])),
+        lambda x: (np.array([
+                       2.0 * (x[0] - 1.0) + 2.0 * (x[0] - x[1]),
+                       -2.0 * (x[0] - x[1]) + 2.0 * (x[1] - x[2]),
+                       -2.0 * (x[1] - x[2]) + 4.0 * (x[2] - x[3]) ** 3,
+                       -4.0 * (x[2] - x[3]) ** 3 + 4.0 * (x[3] - x[4]) ** 3,
+                       -4.0 * (x[3] - x[4]) ** 3,
+                   ]),
+                   np.array([[1.0, 2.0 * x[1], 3.0 * x[2] ** 2, 0.0, 0.0],
+                             [0.0, 1.0, 2.0 * x[2], 1.0, 0.0],
+                             [1.0, 0.0, 0.0, 0.0, -1.0]])),
     ),
 }
 
@@ -336,7 +338,8 @@ class GridEntry:
 
 
 def relaxation_grid():
-    """The relaxation table's runs at k_max = 1000, keyed (problem, eps, seed) and timed per level."""
+    """The relaxation table's runs at k_max = 1000, keyed (problem, eps, seed), and
+    their wall time per level."""
     runs, timings = {}, {}
     for level in PLAN.eps_levels:
         t0 = time.perf_counter()

@@ -39,9 +39,8 @@ def test_criterion_1_zero_noise_convergence():
         cfg = SolverConfig(beta=3.0, max_iters=200, relaxation_enabled=False)
         result = solve(p, NoiseSpec(0.0, 0.0, seed=0), cfg)
         assert result.status is Status.CONVERGED, name
-        c = np.asarray(p.eval_c(result.x))
-        g = np.asarray(p.eval_g(result.x))
-        J = np.asarray(p.eval_J(result.x))
+        c = np.asarray(p.eval_fc(result.x)[1])
+        g, J = (np.asarray(v) for v in p.eval_gJ(result.x))
         lam = np.linalg.lstsq(J.T, g, rcond=None)[0]
         worst_feas = max(worst_feas, float(np.sum(np.abs(c))))
         worst_kkt = max(worst_kkt, float(np.linalg.norm(g - J.T @ lam)))

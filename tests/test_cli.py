@@ -187,8 +187,8 @@ def test_check_fails_on_a_nan_gradient(monkeypatch, capsys):
 
     def nan_gradient(name):
         p = get_problem(name)
-        return Problem(p.name, p.n, p.m, p.eval_f, p.eval_c,
-                       lambda x: np.full(p.n, np.nan), p.eval_J, p.x_start)
+        return Problem(p.name, p.n, p.m, p.eval_fc,
+                       lambda x: (np.full(p.n, np.nan), p.eval_gJ(x)[1]), p.x_start)
 
     monkeypatch.setattr("noisy_sqp.cli.get_problem", nan_gradient)
     assert dispatch(["check"]) == 1

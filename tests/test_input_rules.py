@@ -52,8 +52,7 @@ SEED = int, {"int64", "2**32-1"}
 
 def _problem(**dims):
     dims = {"n": 2, "m": 1, **dims}
-    return Problem("table", dims["n"], dims["m"], HS7.eval_f, HS7.eval_c, HS7.eval_g,
-                   HS7.eval_J, np.zeros(2))
+    return Problem("table", dims["n"], dims["m"], HS7.eval_fc, HS7.eval_gJ, np.zeros(2))
 
 
 def _estimates(cfg):

@@ -98,7 +98,7 @@ class TestSolveStep:
     def test_hs7_step_matches_dense_solve(self):
         p = get_problem("HS7")
         x = np.array([2.0, 2.0])
-        J, c, g = p.eval_J(x), p.eval_c(x), p.eval_g(x)
+        (_, c), (g, J) = p.eval_fc(x), p.eval_gJ(x)
         step = solve_sqp_step(J, c, g, 50.0)
         assert_allclose(step.d, dense_kkt_step(J, c, g, 50.0), atol=1e-10)
 
@@ -163,10 +163,10 @@ def step_instances(draw):
         return (*random_full_rank(rng), beta)
     p = get_problem(name)
     x = p.x_start + rng.uniform(-0.5, 0.5, size=p.n)
-    J = p.eval_J(x)
+    (_, c), (g, J) = p.eval_fc(x), p.eval_gJ(x)
     s = np.linalg.svd(J, compute_uv=False)
     assume(s[-1] > 1e-2 * s[0])
-    return J, p.eval_c(x), p.eval_g(x), beta
+    return J, c, g, beta
 
 
 class TestStepProperties:
@@ -406,7 +406,7 @@ class TestRankGate:
         # LAPACK's SVD computing singular vectors never returned for this
         # one with inf at [0, 0]: the finiteness check has to come first.
         p = get_problem("BT11")
-        bt11 = p.eval_J(p.x_start)
+        _, bt11 = p.eval_gJ(p.x_start)
         bt11[0, 0] = value
         for J in (small, bt11):
             m, n = J.shape
@@ -435,7 +435,7 @@ class TestRankGate:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         p = get_problem("BT11")
-        J, c, g = p.eval_J(p.x_start), p.eval_c(p.x_start), p.eval_g(p.x_start)
+        (_, c), (g, J) = p.eval_fc(p.x_start), p.eval_gJ(p.x_start)
         assert factor_jacobian(J)[1][-1] > 0
         solve_sqp_step(J, c, g, 50.0)
         assert stationarity_psi(g, c, J, 1.0, 0.9, 50.0) > 0

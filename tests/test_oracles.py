@@ -153,7 +153,7 @@ class TestValueOnlyEvaluation:
         def fail(x):
             raise AssertionError("derivative callback called")
 
-        p = Problem("values", 2, 1, lambda x: x @ x, lambda x: x[:1], fail, fail, np.ones(2))
+        p = Problem("values", 2, 1, lambda x: (x @ x, x[:1]), fail, np.ones(2))
         out = eval_exact(p, p.x_start, derivatives=False)
         assert out.f == 2.0 and out.g is None and out.J is None
         stream = NoiseStream(NoiseSpec(1e-2, 1e-2, seed=3))
@@ -447,8 +447,8 @@ class TestDrawCache:
         # row, so counters 0 to 599 build blocks 0, 1 and 2 once each.
         n, m = 10, 5
         A = np.random.default_rng(0).normal(size=(m, n))
-        p = Problem("wide", n, m, lambda x: float(x @ x), lambda x: A @ x - 1.0,
-                    lambda x: 2.0 * x, lambda x: A, np.zeros(n))
+        p = Problem("wide", n, m, lambda x: (float(x @ x), A @ x - 1.0),
+                    lambda x: (2.0 * x, A), np.zeros(n))
         spec = NoiseSpec(eps1, 1e-3, seed=11)
         full_stream, value_stream = NoiseStream(spec), NoiseStream(spec)
         rng = np.random.default_rng(5)
@@ -514,54 +514,83 @@ class TestValidation:
 
     def test_problem_requires_m_less_than_n(self):
         with pytest.raises(ValueError, match="m < n"):
-            Problem("bad", 2, 2, lambda x: 0.0, lambda x: np.zeros(2),
-                    lambda x: np.zeros(2), lambda x: np.zeros((2, 2)), np.zeros(2))
+            Problem("bad", 2, 2, lambda x: (0.0, np.zeros(2)),
+                    lambda x: (np.zeros(2), np.zeros((2, 2))), np.zeros(2))
 
     def test_problem_checks_start_shape(self):
         with pytest.raises(ValueError, match="x_start"):
-            Problem("bad", 3, 1, lambda x: 0.0, lambda x: np.zeros(1),
-                    lambda x: np.zeros(3), lambda x: np.zeros((1, 3)), np.zeros(2))
+            Problem("bad", 3, 1, lambda x: (0.0, np.zeros(1)),
+                    lambda x: (np.zeros(3), np.zeros((1, 3))), np.zeros(2))
 
     def test_problem_keeps_a_read_only_copy_of_the_start(self):
         hs7 = get_problem("HS7")
         x0 = np.array([2.0, 2.0])
-        p = Problem("mine", 2, 1, hs7.eval_f, hs7.eval_c, hs7.eval_g, hs7.eval_J, x0)
+        p = Problem("mine", 2, 1, hs7.eval_fc, hs7.eval_gJ, x0)
         x0[0] = 99.0
         assert p.x_start is not x0 and p.x_start.tolist() == [2.0, 2.0]
         with pytest.raises(ValueError, match="read-only"):
             p.x_start[0] = 99.0
 
     @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-free"])
-    @pytest.mark.parametrize("callback, value", [
-        ("eval_f", np.ones(1)),            # float() of these would raise a bare TypeError,
-        ("eval_f", [1.0]),                 # or on older numpy only warn
-        ("eval_f", np.ones((1, 1))),
-        ("eval_c", np.ones(1)),            # broadcasts against BT11's three c draws
-        ("eval_g", np.ones(1)),            # and against its four g draws
-        ("eval_J", np.ones((1, 4))),       # and against its 3 x 4 J draws
-        ("eval_J", np.ones((4, 3))),
+    @pytest.mark.parametrize("callback, value, error", [
+        # float() of these would raise a bare TypeError, or on older numpy only warn
+        ("eval_fc", (np.ones(1), np.zeros(3)), "f of shape (1,), expected ()"),
+        ("eval_fc", ([1.0], np.zeros(3)), "f of shape (1,), expected ()"),
+        ("eval_fc", (np.ones((1, 1)), np.zeros(3)), "f of shape (1, 1), expected ()"),
+        # these broadcast against BT11's three c, four g and 3 x 4 J draws
+        ("eval_fc", (0.0, np.ones(1)), "c of shape (1,), expected (3,)"),
+        ("eval_gJ", (np.ones(1), np.zeros((3, 4))), "g of shape (1,), expected (4,)"),
+        ("eval_gJ", (np.zeros(4), np.ones((1, 4))), "J of shape (1, 4), expected (3, 4)"),
+        ("eval_gJ", (np.zeros(4), np.ones((4, 3))), "J of shape (4, 3), expected (3, 4)"),
+        # no pair to unpack
+        ("eval_fc", 1.0, "1.0, expected a pair (f, c)"),
+        ("eval_fc", None, "None, expected a pair (f, c)"),
+        ("eval_fc", (0.0, 0.0, 0.0), "(0.0, 0.0, 0.0), expected a pair (f, c)"),
+        ("eval_gJ", 1.0, "1.0, expected a pair (g, J)"),
+        ("eval_gJ", None, "None, expected a pair (g, J)"),
+        ("eval_gJ", (0.0, 0.0, 0.0), "(0.0, 0.0, 0.0), expected a pair (g, J)"),
     ])
-    def test_callback_of_wrong_shape_rejected(self, callback, value, noisy):
+    def test_callback_of_wrong_shape_rejected(self, callback, value, error, noisy):
         p = get_problem("BT11")
         bad = replace(p, **{callback: lambda x: value})
         spec = NoiseSpec(1e-3, 1e-3, seed=0) if noisy else NoiseSpec(0.0, 0.0)
-        message = re.escape(f"BT11: {callback} returned shape {np.shape(value)}, expected")
+        message = "^" + re.escape(f"BT11: {callback} returned {error}") + "$"
         with pytest.raises(ValueError, match=message):
-            solve(bad, spec, SolverConfig(max_iters=5))
+            eval_exact(bad, p.x_start)
         with pytest.raises(ValueError, match=message):
             eval_noisy(bad, p.x_start, NoiseStream(spec))
+        with pytest.raises(ValueError, match=message):
+            solve(bad, spec, SolverConfig(max_iters=5))
 
-    def test_value_only_evaluation_checks_c_only(self):
+    @pytest.mark.parametrize("error", [TypeError("inside"), ValueError("inside"),
+                                       ZeroDivisionError("inside")], ids=repr)
+    @pytest.mark.parametrize("callback", ["eval_fc", "eval_gJ"])
+    def test_exception_inside_a_callback_passes_through(self, callback, error):
+        # The pair check catches the TypeError and ValueError of unpacking only.
+        def raising(x):
+            raise error
+
+        p = replace(get_problem("BT11"), **{callback: raising})
+        spec = NoiseSpec(1e-3, 1e-3, seed=0)
+        for call in (lambda: eval_exact(p, p.x_start),
+                     lambda: eval_noisy(p, p.x_start, NoiseStream(spec)),
+                     lambda: solve(p, spec, SolverConfig(max_iters=5))):
+            with pytest.raises(type(error)) as raised:
+                call()
+            assert raised.value is error
+
+    def test_value_only_evaluation_checks_eval_fc_only(self):
         p = get_problem("BT11")
-        bad_derivatives = replace(p, eval_g=lambda x: np.ones(1), eval_J=lambda x: np.ones(1))
+        bad_derivatives = replace(p, eval_gJ=lambda x: None)
         assert eval_exact(bad_derivatives, p.x_start, derivatives=False).c.shape == (3,)
-        bad_c = replace(p, eval_c=lambda x: np.ones((3, 1)))
-        with pytest.raises(ValueError, match=r"BT11: eval_c returned shape \(3, 1\)"):
+        bad_c = replace(p, eval_fc=lambda x: (0.0, np.ones((3, 1))))
+        with pytest.raises(ValueError, match=r"BT11: eval_fc returned c of shape \(3, 1\)"):
             eval_exact(bad_c, p.x_start, derivatives=False)
 
     @pytest.mark.parametrize("value", [0.0, np.float64(1.5), np.array(-2.0)], ids=repr)
     def test_scalar_objective_of_any_type_is_a_builtin_float(self, value):
-        p = replace(get_problem("BT11"), eval_f=lambda x: value)
+        p = get_problem("BT11")
+        p = replace(p, eval_fc=lambda x, fc=p.eval_fc: (value, fc(x)[1]))
         assert eval_exact(p, p.x_start).f.hex() == float(value).hex()
         assert type(eval_exact(p, p.x_start, derivatives=False).f) is float
 

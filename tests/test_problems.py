@@ -44,7 +44,7 @@ def test_problems_compare_by_identity():
     from noisy_sqp import Problem
 
     p = get_problem("HS7")
-    twin = Problem(p.name, p.n, p.m, p.eval_f, p.eval_c, p.eval_g, p.eval_J, p.x_start)
+    twin = Problem(p.name, p.n, p.m, p.eval_fc, p.eval_gJ, p.x_start)
     assert p == p and p != twin
     assert len({p, twin, get_problem("HS7")}) == 3
 
@@ -82,20 +82,20 @@ def test_callbacks_equal_numpy_scalar_forms_bitwise(name, data):
     p = get_problem(name)
     x = np.array(data.draw(st.lists(COORDS, min_size=p.n, max_size=p.n)))
     with np.errstate(all="ignore"):
-        for got, want in zip((p.eval_f, p.eval_c, p.eval_g, p.eval_J),
-                             NUMPY_SCALAR_CALLBACKS[name]):
-            expected = np.asarray(want(x), dtype=float)
-            assert np.asarray(got(x), dtype=float).tobytes() == expected.tobytes()
+        for got, want in zip((p.eval_fc, p.eval_gJ), NUMPY_SCALAR_CALLBACKS[name]):
+            for a, b in zip(got(x), want(x), strict=True):
+                assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def test_verify_derivatives_detects_a_wrong_gradient():
     from noisy_sqp import Problem
 
     p = get_problem("HS7")
-    broken = Problem(
-        "HS7-broken", p.n, p.m, p.eval_f, p.eval_c,
-        lambda x: p.eval_g(x) + np.array([0.1, 0.0]), p.eval_J, p.x_start,
-    )
+    def eval_gJ(x):
+        g, J = p.eval_gJ(x)
+        return g + np.array([0.1, 0.0]), J
+
+    broken = Problem("HS7-broken", p.n, p.m, p.eval_fc, eval_gJ, p.x_start)
     assert verify_derivatives(broken, p.x_start) > 1e-3
 
 
@@ -107,8 +107,10 @@ def test_verify_derivatives_rejects_a_point_of_another_length():
 
 def test_verify_derivatives_rejects_a_gradient_of_another_shape():
     # A one-entry gradient broadcast against the differences and gave 9.0.
-    p = replace(get_problem("BT11"), eval_g=lambda x: np.array([1.0]))
-    with pytest.raises(ValueError, match=r"^BT11: eval_g returned shape \(1,\), expected \(4,\)"):
+    p = get_problem("BT11")
+    p = replace(p, eval_gJ=lambda x, gJ=p.eval_gJ: (np.array([1.0]), gJ(x)[1]))
+    with pytest.raises(ValueError,
+                       match=r"^BT11: eval_gJ returned g of shape \(1,\), expected \(4,\)"):
         verify_derivatives(p, p.x_start)
 
 
@@ -118,16 +120,16 @@ def test_verify_derivatives_reports_nan_disagreement(entry):
     from noisy_sqp import Problem
 
     p = get_problem("HS7")
-    eval_g, eval_J = p.eval_g, p.eval_J
-    if entry == "g":
-        def eval_g(x):
-            return np.array([math.nan, -1.0])
-    else:
-        def eval_J(x):
-            J = np.array(p.eval_J(x), dtype=float)
+
+    def eval_gJ(x):
+        g, J = (np.array(v, dtype=float) for v in p.eval_gJ(x))
+        if entry == "g":
+            g[0] = math.nan
+        else:
             J[0, 1] = math.nan
-            return J
-    broken = Problem("HS7-nan", p.n, p.m, p.eval_f, p.eval_c, eval_g, eval_J, p.x_start)
+        return g, J
+
+    broken = Problem("HS7-nan", p.n, p.m, p.eval_fc, eval_gJ, p.x_start)
     assert math.isnan(verify_derivatives(broken, p.x_start))
 
 
@@ -137,9 +139,8 @@ class TestReferenceSolutions:
         # The bounds the stored points were verified to when they were derived.
         p = get_problem(name)
         ref = reference_solution(name)
-        c = np.asarray(p.eval_c(ref.x_star))
-        g = np.asarray(p.eval_g(ref.x_star))
-        J = np.asarray(p.eval_J(ref.x_star))
+        c = np.asarray(p.eval_fc(ref.x_star)[1])
+        g, J = (np.asarray(v) for v in p.eval_gJ(ref.x_star))
         assert np.max(np.abs(c)) <= 1e-10
         assert np.linalg.norm(project_tangent(J, g)) <= 1e-10
 
@@ -174,14 +175,15 @@ class TestReferenceSolutions:
     def test_fixed_point_of_the_iteration(self, name):
         p = get_problem(name)
         ref = reference_solution(name)
-        step = solve_sqp_step(p.eval_J(ref.x_star), p.eval_c(ref.x_star),
-                              p.eval_g(ref.x_star), 50.0)
+        (_, c), (g, J) = p.eval_fc(ref.x_star), p.eval_gJ(ref.x_star)
+        step = solve_sqp_step(J, c, g, 50.0)
         assert np.linalg.norm(step.d) <= 1e-8
 
     def test_hs7_optimum_is_analytic(self):
         ref = reference_solution("HS7")
         assert_allclose(ref.x_star, [0.0, math.sqrt(3.0)], atol=1e-9)
-        assert get_problem("HS7").eval_f(ref.x_star) == pytest.approx(-math.sqrt(3.0), abs=1e-10)
+        f, _ = get_problem("HS7").eval_fc(ref.x_star)
+        assert f == pytest.approx(-math.sqrt(3.0), abs=1e-10)
 
     @pytest.mark.parametrize("name", list(DIMENSIONS))
     def test_default_dynamics_land_on_the_same_point(self, name):

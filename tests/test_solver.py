@@ -148,7 +148,7 @@ class TestCheckTermination:
 
 
 def _exact_kkt(p, x):
-    g, J = p.eval_g(x), p.eval_J(x)
+    g, J = p.eval_gJ(x)
     lam = np.linalg.solve(J @ J.T, J @ g)
     return float(np.linalg.norm(g - J.T @ lam))
 
@@ -160,7 +160,7 @@ class TestSolveExact:
             cfg = SolverConfig(beta=3.0, max_iters=200, relaxation_enabled=False)
             result = solve(p, NoiseSpec(0.0, 0.0, seed=0), cfg)
             assert result.status is Status.CONVERGED, name
-            assert np.sum(np.abs(p.eval_c(result.x))) <= 1e-8
+            assert np.sum(np.abs(p.eval_fc(result.x)[1])) <= 1e-8
             assert _exact_kkt(p, result.x) <= 1e-8
 
     def test_default_beta_reaches_merit_floor(self):
@@ -170,7 +170,7 @@ class TestSolveExact:
         cfg = SolverConfig(max_iters=500, termination_enabled=False)
         result = solve(p, NoiseSpec(0.0, 0.0, seed=0), cfg)
         assert result.status is Status.MAX_ITERS
-        assert np.sum(np.abs(p.eval_c(result.x))) <= 1e-8
+        assert np.sum(np.abs(p.eval_fc(result.x)[1])) <= 1e-8
         assert _exact_kkt(p, result.x) <= 1e-5
 
     def test_zero_noise_descent_is_classical(self):
@@ -254,10 +254,8 @@ class TestSolveNoisy:
     def test_singular_jacobian_is_a_status(self):
         p = Problem(
             "degenerate", 2, 1,
-            eval_f=lambda x: float(x[0] ** 2 + x[1] ** 2),
-            eval_c=lambda x: np.array([0.0 * x[0]]),
-            eval_g=lambda x: 2.0 * x,
-            eval_J=lambda x: np.zeros((1, 2)),
+            eval_fc=lambda x: (float(x[0] ** 2 + x[1] ** 2), np.array([0.0 * x[0]])),
+            eval_gJ=lambda x: (2.0 * x, np.zeros((1, 2))),
             x_start=np.ones(2),
         )
         result = solve(p, NoiseSpec(0.0, 0.0, seed=0), SolverConfig(max_iters=10))
@@ -428,17 +426,17 @@ class TestPsiReadsTheIterateEvaluation:
 
     @staticmethod
     def _counted(p):
-        calls = dict.fromkeys("fcgJ", 0)
+        calls = dict.fromkeys(("fc", "gJ"), 0)
 
-        def counted(quantity):
-            clean = getattr(p, f"eval_{quantity}")
+        def counted(pair):
+            clean = getattr(p, f"eval_{pair}")
 
             def callback(x):
-                calls[quantity] += 1
+                calls[pair] += 1
                 return clean(x)
             return callback
 
-        return replace(p, **{f"eval_{q}": counted(q) for q in calls}), calls
+        return replace(p, **{f"eval_{pair}": counted(pair) for pair in calls}), calls
 
     def test_each_derivative_is_evaluated_once_per_iteration(self):
         p, calls = self._counted(get_problem("BT11"))
@@ -451,7 +449,7 @@ class TestPsiReadsTheIterateEvaluation:
         iters = len(result.trace)
         trials = sum(r.backtracks + 1 for r in result.trace)
         assert np.all(np.isfinite([r.psi for r in result.trace]))
-        assert calls == {"f": iters + trials, "c": iters + trials, "g": iters, "J": iters}
+        assert calls == {"fc": iters + trials, "gJ": iters}
 
     @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
     @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
@@ -461,8 +459,10 @@ class TestPsiReadsTheIterateEvaluation:
         cfg = SolverConfig(max_iters=150, termination_enabled=False).with_estimates(
             spec.bounds(p.n, p.m))
         result = solve(p, spec, cfg, x_ref=reference_solution(name).x_star, collect_psi=True)
-        expected = [stationarity_psi(p.eval_g(r.x), p.eval_c(r.x), p.eval_J(r.x), r.pi,
-                                     cfg.tau, cfg.beta) for r in result.trace]
+        expected = []
+        for r in result.trace:
+            (_, c), (g, J) = p.eval_fc(r.x), p.eval_gJ(r.x)
+            expected.append(stationarity_psi(g, c, J, r.pi, cfg.tau, cfg.beta))
         assert np.array([r.psi for r in result.trace]).tobytes() == np.array(expected).tobytes()
 
 
@@ -474,10 +474,8 @@ def _random_problem(seed):
     H = rng.uniform(0.5, 5.0, size=n)
     return Problem(
         f"random{seed}", n, m,
-        eval_f=lambda x: 0.5 * (H * x) @ x + h @ x,
-        eval_c=lambda x: A @ x - b,
-        eval_g=lambda x: H * x + h,
-        eval_J=lambda x: A.copy(),
+        eval_fc=lambda x: (0.5 * (H * x) @ x + h @ x, A @ x - b),
+        eval_gJ=lambda x: (H * x + h, A.copy()),
         x_start=rng.normal(size=n),
     )
 
@@ -685,10 +683,11 @@ class TestHelpersBitwiseAgainstNumpyWrappers:
 
 
 def _poisoned(name, quantity, value, after):
-    """Problem `name` whose `quantity` callback returns `value` in its first
-    entry from call `after` + 1 on."""
+    """Problem `name` whose callback of `quantity` returns `value` in that
+    quantity's first entry from call `after` + 1 on."""
     p = get_problem(name)
-    clean = getattr(p, f"eval_{quantity}")
+    callback = "eval_fc" if quantity in "fc" else "eval_gJ"
+    clean, i = getattr(p, callback), "fcgJ".index(quantity) % 2
     calls = 0
 
     def poisoned(x):
@@ -697,13 +696,15 @@ def _poisoned(name, quantity, value, after):
         out = clean(x)
         if calls <= after:
             return out
+        out = list(out)
         if quantity == "f":
-            return value
-        out = np.array(out, dtype=float)
-        out.flat[0] = value
-        return out
+            out[i] = value
+        else:
+            out[i] = np.array(out[i], dtype=float)
+            out[i].flat[0] = value
+        return tuple(out)
 
-    return replace(p, **{f"eval_{quantity}": poisoned})
+    return replace(p, **{callback: poisoned})
 
 
 class TestNonFiniteOracleValues:
@@ -755,14 +756,15 @@ class TestNonFiniteOracleValues:
         # [inf, nan, nan] at x_start.  Its l-inf norm is NaN, so pi and the
         # merit are NaN; a max that dropped the NaNs would record inf for both.
         p = get_problem("BT11")
-        clean = p.eval_g
+        clean = p.eval_gJ
 
-        def eval_g(x):
-            g = np.array(clean(x), dtype=float)
+        def eval_gJ(x):
+            g, J = clean(x)
+            g = np.array(g, dtype=float)
             g[1] = math.inf
-            return g
+            return g, J
 
-        p, cfg = replace(p, eval_g=eval_g), SolverConfig(max_iters=5)
+        p, cfg = replace(p, eval_gJ=eval_gJ), SolverConfig(max_iters=5)
         ev = eval_exact(p, p.x_start)
         with np.errstate(all="ignore"):
             step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
@@ -778,10 +780,9 @@ class TestNonFiniteOracleValues:
         # finite.  The search failed, not the oracle.
         p = Problem(
             "uphill", 2, 1,
-            eval_f=lambda x: math.nan if x[0] > 1.5 else float(x[0] ** 2 + x[1] ** 2),
-            eval_c=lambda x: np.array([x[0] - x[1]]),
-            eval_g=lambda x: -2.0 * x,
-            eval_J=lambda x: np.array([[1.0, -1.0]]),
+            eval_fc=lambda x: (math.nan if x[0] > 1.5 else float(x[0] ** 2 + x[1] ** 2),
+                               np.array([x[0] - x[1]])),
+            eval_gJ=lambda x: (-2.0 * x, np.array([[1.0, -1.0]])),
             x_start=np.array([1.0, 1.0]),
         )
         result = solve(p, NoiseSpec(0.0, 0.0, seed=0),
