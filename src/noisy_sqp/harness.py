@@ -189,7 +189,7 @@ def run_trace_experiment(
     eps1: float = 1e-3,
     eps2: float = 1e-3,
     seeds: Iterable[int] = (0,),
-    iters: int = 1000,
+    iters: int = SolverConfig.max_iters,
 ) -> list[Path]:
     """Write one per-iteration CSV per (problem, seed) and return the paths.
 

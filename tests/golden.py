@@ -11,7 +11,7 @@ of an output fails tier-1.  The outputs are:
 - ``tables`` and ``misest`` on a small plan through ``cli.dispatch``, as
   JSON and as text;
 - the README's ``solve`` runs (stdout, stderr and exit code) and its two
-  ``trace`` CSVs, as the CI workflow runs them.
+  ``trace`` CSVs; the manifest is the check of those commands' outputs.
 
 The manifest also records the numpy version, Python version and machine
 it was written on; LAPACK may round differently under another BLAS build.

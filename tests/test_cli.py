@@ -2,12 +2,13 @@
 
 import json
 import pickle
+import sys
 
 import pytest
 
 from noisy_sqp import (NoiseSpec, SolverConfig, get_problem, reference_solution, solve,
                        write_trace_csv)
-from noisy_sqp.cli import dispatch
+from noisy_sqp.cli import dispatch, main
 from noisy_sqp.solver import Status
 
 
@@ -54,6 +55,23 @@ def test_solve_reports_a_rank_deficient_end_point_and_exits_3(capsys):
     assert "kkt residual:   n/a (Jacobian numerically rank deficient" in captured.out
     assert "dist to x*:" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv,code,err_lines", [
+    (["--problem", "HS7", "--eps1", "1e-5", "--eps2", "1e-5", "--no-relaxation", "--seed", "1"],
+     2, 0),
+    # Steps so long that the problem overflows end nonfinite, with no numpy warning.
+    (["--problem", "HS7", "--eps1", "1e-3", "--eps2", "1e-3", "--beta", "1e-100", "--seed", "0"],
+     4, 0),
+    (["--problem", "HS7", "--seed", "4294967296"], 1, 1),
+], ids=["classical", "overflow", "seed-2**32"])
+def test_console_script_exits_with_the_run_code(argv, code, err_lines, monkeypatch, capsys):
+    # main is the noisy-sqp console script: it reads sys.argv and exits the process.
+    monkeypatch.setattr(sys, "argv", ["noisy-sqp", "solve", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+    assert len(capsys.readouterr().err.splitlines()) == err_lines
 
 
 @pytest.mark.parametrize("status,value,kind,exit_code", [
@@ -225,6 +243,7 @@ def test_tables_small_grid(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "relaxation_eps0.001.json").read_text())
     assert {r["seed"] for r in doc["runs"]} == {0, 1}
+    assert len(doc["runs"]) == 6  # per seed, one classical run and one relaxed run per k_max
     assert "wrote" in out
 
 
@@ -244,6 +263,7 @@ def test_misest_small_grid(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     doc = json.loads((tmp_path / "misestimation_eps1e-05.json").read_text())
+    assert len(doc["runs"]) == 3  # one run per estimate multiplier
     kinds = {r["est_multiplier"]: r["termination_kind"] for r in doc["runs"]}
     assert kinds[1e-3] == "ls" and kinds[1e3] == "opt"
 
