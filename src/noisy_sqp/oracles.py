@@ -133,10 +133,12 @@ class NoiseSpec:
     """Half-widths of the uniform noise added to oracle evaluations.
 
     ``eps1`` is the half-width for the objective and each constraint
-    value, ``eps2`` for each gradient and Jacobian entry.  ``seed``, an
-    integer in ``[0, 2**32)``, keys the deterministic noise stream (see
-    :class:`NoiseStream`).  Numpy scalars are stored as the builtin float
-    and int, so specs serialize to JSON.
+    value, ``eps2`` for each gradient and Jacobian entry, each at most
+    ``sys.float_info.max / 2``, so that the span ``eps - -eps`` of
+    ``U(-eps, eps)`` is finite.  ``seed``, an integer in ``[0, 2**32)``,
+    keys the deterministic noise stream (see :class:`NoiseStream`).  Numpy
+    scalars are stored as the builtin float and int, so specs serialize to
+    JSON.
     """
 
     eps1: float
@@ -145,7 +147,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("eps1", "eps2"):
-            object.__setattr__(self, name, _real(getattr(self, name), "noise half-widths"))
+            eps = _real(getattr(self, name), "noise half-widths")
+            if eps - -eps == math.inf:  # every draw would be inf or NaN
+                raise ValueError("noise half-widths must be at most sys.float_info.max / 2, "
+                                 f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, eps)
         object.__setattr__(self, "seed", _integer(self.seed, "seed", bits=32))
 
     def bounds(self, n: int, m: int) -> NoiseBounds:

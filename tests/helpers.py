@@ -3,20 +3,24 @@
 These deliberately avoid the library's own code paths: the dense
 stationarity-system solve checks the closed-form step, the explicit
 projector checks the factored projection, and the KKT residual
-||g + J' lam|| checks the least-squares multiplier.  The per-quantity noise
-draws, numpy's per-evaluation SeedSequence generator, the numpy-wrapper
-merit helpers and numpy's SVD rank gate are the straightforward forms of
-the library's noise model, noise stream, iteration helpers and rank
-gate; the library must match them bit for bit (the gate: decision for
-decision).  The two-step noise map and the numpy-scalar problem
-callbacks are the library's earlier forms.  The two-step noise map
-draws through the stream's ``next_rng``; the other forms above never
-read the library's shared draw cache.  ``reference_solve`` is the
-solver's iteration as it was written on the merit helper forms, around
-the library's oracle (draw cache included), step kernel, psi and line
-search.  The experiment grids at the end are the session fixtures' runs.
+||g + J' lam|| checks the least-squares multiplier.  numpy's
+per-evaluation SeedSequence generator, the numpy-wrapper merit helpers
+and numpy's SVD rank gate are the straightforward forms of the library's
+noise stream, iteration helpers and rank gate; the library must match
+them bit for bit (the gate: decision for decision).  The numpy-scalar
+problem callbacks are the library's earlier form.
+
+``uniform_reference_eval`` is the noise contract itself: evaluation i of
+seed s adds what ``Generator.uniform`` draws from ``SeedSequence((s, i))``,
+one call per quantity.  ``reference_solve`` is the one reference for whole
+runs: the solver's iteration on those evaluations and the merit helper
+forms.  It shares only the step kernel, psi and the line search with the
+library and reads nothing of its noise path (no ``eval_noisy``, noise
+stream, draw cache or noise map).  The experiment grids at the end are the
+session fixtures' runs.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -78,51 +82,25 @@ def seed_sequence_rng(seed, counter):
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, counter)))
 
 
-def per_evaluation_draws(stream, k):
-    """The stream's next k uniforms from numpy's own SeedSequence generator.
+def uniform_reference_eval(p, x, spec, counter, derivatives=True):
+    """Evaluation ``counter`` of ``spec``'s noise contract, drawn by numpy itself.
 
-    Advances the counter by one, as :meth:`NoiseStream.next_rng` does.
+    The problem's callbacks give the exact values, and each quantity in the
+    order f, c, g, J adds one ``Generator.uniform(-eps, eps)`` call of
+    ``seed_sequence_rng(spec.seed, counter)``; a zero half-width draws
+    nothing.  Returns (f, c, g, J), or only (f, c) without ``derivatives``,
+    as a line-search trial evaluates, and then calls no derivative callback.
     """
-    u = seed_sequence_rng(stream.spec.seed, stream.counter).random(k)
-    stream.counter += 1
-    return u
-
-
-def two_step_eval_noisy(p, x, stream, derivatives=True):
-    """eval_noisy with each noise group mapped by a scalar -eps + (eps - -eps) * u."""
-    exact = oracles.eval_exact(p, x, derivatives)
-    f, c, g, J = exact.f, exact.c, exact.g, exact.J
-    e1, e2 = stream.spec.eps1, stream.spec.eps2
-    k1 = 1 + p.m if e1 > 0 else 0
-    k2 = p.n * (1 + p.m) if e2 > 0 and derivatives else 0
-    u = stream.next_rng(k1 + k2)
-    if k1:
-        w = -e1 + (e1 - -e1) * u[:k1]
-        f = f + w[0]
-        c = c + w[1:]
-    if k2:
-        w = -e2 + (e2 - -e2) * u[k1:]
-        g = g + w[:p.n]
-        J = J + w[p.n:].reshape(p.m, p.n)
-    return oracles.NoisyEval(f=float(f), c=c, g=g, J=J, exact=exact)
-
-
-def uniform_reference_eval(p, x, stream):
-    """Noisy (f, c, g, J) drawn with one Generator.uniform call per quantity.
-
-    The generator comes from numpy's SeedSequence path at the stream's
-    (seed, counter), not from the stream itself; the counter is advanced
-    by one as an evaluation would.
-    """
-    spec = stream.spec
-    rng = seed_sequence_rng(spec.seed, stream.counter)
-    stream.counter += 1
-    (f, c), (g, J) = p.eval_fc(x), p.eval_gJ(x)
+    rng = seed_sequence_rng(spec.seed, counter)
+    f, c = p.eval_fc(x)
     f, c = float(f), np.asarray(c, dtype=float)
-    g, J = np.asarray(g, dtype=float), np.asarray(J, dtype=float)
     if spec.eps1 > 0:
         f = f + rng.uniform(-spec.eps1, spec.eps1)
         c = c + rng.uniform(-spec.eps1, spec.eps1, size=p.m)
+    if not derivatives:
+        return f, c
+    g, J = p.eval_gJ(x)
+    g, J = np.asarray(g, dtype=float), np.asarray(J, dtype=float)
     if spec.eps2 > 0:
         g = g + rng.uniform(-spec.eps2, spec.eps2, size=p.n)
         J = J + rng.uniform(-spec.eps2, spec.eps2, size=(p.m, p.n))
@@ -158,33 +136,33 @@ def check_termination_reference(c, g, J, lam, eps_c_est, eps_g_est, eps_J_est):
 
 
 def reference_solve(p, spec, cfg, x_ref=None, collect_psi=False):
-    """The iteration of ``solver.solve`` as it was written on the helper forms above.
+    """The iteration of ``solver.solve`` written from the noise contract and
+    the helper forms above.
 
-    Each helper recomputes the norms it needs, the stop test takes the
-    negated multiplier in its ``g + J' lam`` convention, and the merit
-    has no positivity guard.  The oracle, the step kernel, psi and the
-    line search are the library's.
+    Evaluation i of the run, iterates and line-search trials in call order,
+    is ``uniform_reference_eval`` at counter i, so no draw passes through
+    the library's noise path.  psi comes from a fresh exact evaluation at
+    x_k, and x_{k+1} is recomputed as x_k + alpha_k d_k.  Each merit helper
+    recomputes the norms it needs, the stop test takes the negated
+    multiplier in its ``g + J' lam`` convention, and the merit has no
+    positivity guard.  The step kernel, psi and the line search are the
+    library's.
     """
-    if x_ref is not None:
-        x_ref = oracles._check_point(p, x_ref)
-    stream = oracles.NoiseStream(spec)
+    counters = itertools.count()
     x = np.array(p.x_start, dtype=float)
     pi = cfg.pi_init
     trace = []
     status = Status.MAX_ITERS
     eps_c_stop, eps_g_stop, eps_J_stop = _effective_stop_bounds(cfg)
 
-    def record(k, alpha, merit0, model, backtracks, failed, merit_trial, eps_r):
-        if x_ref is not None:
-            r = x - x_ref
-            dist = math.sqrt(r.dot(r))
-        else:
-            dist = math.nan
+    def record(k, merit0, model=math.nan, alpha=math.nan, backtracks=0, failed=False,
+               merit_trial=math.nan, eps_r=math.nan):
+        dist = math.sqrt((x - x_ref).dot(x - x_ref)) if x_ref is not None else math.nan
         psi = math.nan
         if collect_psi:
-            exact = ev.exact
+            (_, c_x), (g_x, J_x) = p.eval_fc(x), p.eval_gJ(x)
             try:
-                psi = stationarity_psi(exact.g, exact.c, exact.J, pi, cfg.tau, cfg.beta)
+                psi = stationarity_psi(g_x, c_x, J_x, pi, cfg.tau, cfg.beta)
             except (SingularJacobianError, NonFiniteJacobianError):
                 pass
         trace.append(
@@ -197,54 +175,48 @@ def reference_solve(p, spec, cfg, x_ref=None, collect_psi=False):
         )
 
     for k in range(cfg.max_iters):
-        ev = oracles.eval_noisy(p, x, stream)
+        f, c, g, J = uniform_reference_eval(p, x, spec, next(counters))
         try:
-            step = solve_sqp_step(ev.J, ev.c, ev.g, cfg.beta)
+            step = solve_sqp_step(J, c, g, cfg.beta)
         except (SingularJacobianError, NonFiniteJacobianError) as err:
-            record(k, math.nan, merit_value_reference(ev.f, ev.c, pi), math.nan, 0, False,
-                   math.nan, math.nan)
+            record(k, merit_value_reference(f, c, pi))
             singular = isinstance(err, SingularJacobianError)
             status = Status.SINGULAR_JACOBIAN if singular else Status.NONFINITE
             break
 
         pi = update_penalty_reference(pi, step.lambda_hat, cfg.tau)
-        merit0 = merit_value_reference(ev.f, ev.c, pi)
-        model = linear_model_reference(ev.g, ev.c, ev.J, step.d, pi)
+        merit0 = merit_value_reference(f, c, pi)
+        model = linear_model_reference(g, c, J, step.d, pi)
         if not (math.isfinite(merit0) and math.isfinite(model)):
-            record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
+            record(k, merit0, model)
             status = Status.NONFINITE
             break
 
         if cfg.termination_enabled and check_termination_reference(
-            ev.c, ev.g, ev.J, -step.lambda_hat, eps_c_stop, eps_g_stop, eps_J_stop
+            c, g, J, -step.lambda_hat, eps_c_stop, eps_g_stop, eps_J_stop
         ):
-            record(k, math.nan, merit0, model, 0, False, math.nan, math.nan)
+            record(k, merit0, model)
             status = Status.CONVERGED
             break
 
         eps_r = 2.0 * (cfg.eps_f_est + pi * cfg.eps_c_est) if cfg.relaxation_enabled else 0.0
-
-        last_trial, trial_x = math.nan, x
+        trials = []
 
         def merit_at(alpha):
-            nonlocal last_trial, trial_x
-            trial_x = x + alpha * step.d
-            ev_t = oracles.eval_noisy(p, trial_x, stream, derivatives=False)
-            last_trial = merit_value_reference(ev_t.f, ev_t.c, pi)
-            return last_trial
+            f_t, c_t = uniform_reference_eval(p, x + alpha * step.d, spec, next(counters),
+                                              derivatives=False)
+            trials.append(merit_value_reference(f_t, c_t, pi))
+            return trials[-1]
 
         found = relaxed_line_search(merit_at, merit0, model, eps_r)
         if found is None:
-            record(k, math.nan, merit0, model, cfg.max_backtracks, True, math.nan, eps_r)
-            if math.isfinite(last_trial):
-                status = Status.LINE_SEARCH_FAILURE
-            else:
-                status = Status.NONFINITE
+            record(k, merit0, model, backtracks=cfg.max_backtracks, failed=True, eps_r=eps_r)
+            status = Status.LINE_SEARCH_FAILURE if math.isfinite(trials[-1]) else Status.NONFINITE
             break
 
         alpha, backtracks = found
-        record(k, alpha, merit0, model, backtracks, False, last_trial, eps_r)
-        x = trial_x
+        record(k, merit0, model, alpha, backtracks, merit_trial=trials[-1], eps_r=eps_r)
+        x = x + alpha * step.d
 
     return SolveResult(x=x, trace=trace, status=status)
 

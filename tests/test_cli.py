@@ -301,11 +301,15 @@ def test_misest_small_grid(tmp_path, capsys):
         (["misest", "--problems", "HS7,HS7"], "plan lists must not repeat a value: problems"),
         (["misest", "--eps-levels", "1e-3,0.001"],
          "plan lists must not repeat a value: eps_levels"),
-        # BT11's constraint estimate 3 * 1e308 overflows: rejected before HS7's runs.
-        (["tables", "--problems", "HS7,BT11", "--eps-levels", "1e-3,1e308", "--seeds", "0",
+        # BT11's Jacobian estimate 3 * sqrt(4) * 5e307 overflows: rejected before
+        # HS7's runs.
+        (["tables", "--problems", "HS7,BT11", "--eps-levels", "1e-3,5e307", "--seeds", "0",
           "--kmax", "5"], "invalid plan"),
-        (["misest", "--problems", "HS7,BT11", "--eps-levels", "1e-3,1e308", "--seeds", "0"],
+        (["misest", "--problems", "HS7,BT11", "--eps-levels", "1e-3,5e307", "--seeds", "0"],
          "invalid plan"),
+        # Its span 2e308 would make every draw inf or NaN.
+        (["solve", "--problem", "HS7", "--eps1", "1e308"],
+         "invalid noise: noise half-widths must be at most sys.float_info.max / 2, got 1e+308"),
     ],
 )
 def test_bad_input_exits_1_with_one_line_before_any_run(argv, message, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from conftest import EPS_LEVELS, SEEDS
 from noisy_sqp import (
     ExperimentPlan,
     NoiseSpec,
+    RunSummary,
     SolverConfig,
     get_problem,
     reference_solution,
@@ -188,6 +189,23 @@ class TestMisestimationTable:
         text = render_misestimation_table(run_misestimation_table(plan))
         assert "(opt)" in text and "(ls)" in text
 
+    def test_renderer_marks_mixed_kinds_and_missing_cells(self):
+        def run(problem, mult, seed, kind, iters_run, min_dist):
+            status = {"opt": "converged", "ls": "line_search_failure"}[kind]
+            return RunSummary(problem, 1e-3, 1e-3, seed, True, mult, status, None, min_dist, 0,
+                              iters_run, 100, kind)
+
+        text = render_misestimation_table([
+            run("HS7", 1.0, 0, "opt", 11, 0.1), run("HS7", 1.0, 1, "ls", 21, 0.3),
+            run("BT11", 1.0, 0, "opt", 5, 0.2), run("BT11", 10.0, 0, "opt", 3, 0.4),
+        ])
+        rows = {cells[0].strip(): [c.strip() for c in cells[1:]]
+                for cells in (line.split("|") for line in text.splitlines()) if len(cells) > 1}
+        # HS7's seeds end on two kinds at x1 and it has no run at x10.
+        assert rows["HS7"] == ["15 (mixed) 2.000e-01", "-"]
+        assert rows["BT11"] == ["4 (opt) 2.000e-01", "2 (opt) 4.000e-01"]
+        _assert_columns_line_up(text)
+
 
 def _assert_columns_line_up(text):
     # Every row of a block has its "|" at the header's offsets, under a rule
@@ -312,10 +330,11 @@ class TestPlanValidation:
             ({"k_max_values": (20, 0)}, "max_iters must be a positive integer, got 0"),
             ({"misest_max_iters": 2.5}, "max_iters must be a positive integer, got 2.5"),
             ({"eps_levels": ((1e-3, 1e-3), (math.inf, math.inf))}, "nonnegative and finite"),
-            # BT11's eps_c = 3 * 1e308 overflows; HS7's only under the multiplier 10.
-            ({"problems": ("BT11",), "eps_levels": ((1e308, 1e308),)},
+            # BT11's eps_J = 3 * sqrt(4) * 5e307 overflows; HS7's only under the
+            # multiplier 10.
+            ({"problems": ("BT11",), "eps_levels": ((5e307, 5e307),)},
              "estimated noise bounds must be nonnegative and finite"),
-            ({"eps_levels": ((1e308, 1e308),)},
+            ({"eps_levels": ((5e307, 5e307),)},
              "estimated noise bounds must be nonnegative and finite"),
         ],
         ids=["problem", "negative-seed", "float-seed", "bool-seed", "wide-seed", "nan-eps",

@@ -106,11 +106,11 @@ class TestNoisyEvaluation:
         for name in ("HS7", "BT11", "HS40"):
             p = get_problem(name)
             spec = NoiseSpec(eps1, eps2, seed=8)
-            stream, ref_stream = NoiseStream(spec), NoiseStream(spec)
-            for _ in range(50):
+            stream = NoiseStream(spec)
+            for counter in range(50):
                 x = p.x_start + rng.normal(size=p.n)
                 out = eval_noisy(p, x, stream)
-                f, c, g, J = uniform_reference_eval(p, x, ref_stream)
+                f, c, g, J = uniform_reference_eval(p, x, spec, counter)
                 assert type(out.f) is float
                 assert out.f == f
                 assert_array_equal(out.c, c)
@@ -506,6 +506,22 @@ class TestValidation:
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             NoiseSpec(1e-3, 1e-3, seed=seed)
+
+    def test_half_widths_are_at_most_half_the_largest_float(self):
+        # The widest U(-eps, eps) whose span eps - -eps is finite, as
+        # Generator.uniform needs; the next float up is rejected.
+        p, widest = get_problem("HS7"), sys.float_info.max / 2
+        spec = NoiseSpec(widest, widest, seed=1)
+        out = eval_noisy(p, p.x_start, NoiseStream(spec))
+        assert np.all(np.isfinite(out.J))
+        assert_array_equal(out.J, uniform_reference_eval(p, p.x_start, spec, 0)[3])
+        above = math.nextafter(widest, math.inf)
+        with pytest.raises(ValueError) as err:
+            NoiseSpec(1e-3, above)
+        assert str(err.value) == ("noise half-widths must be at most sys.float_info.max / 2, "
+                                  "got 8.98846567431158e+307")
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(-above, above)
 
     def test_largest_seed_accepted(self):
         spec = NoiseSpec(1e-3, 1e-3, seed=np.uint32(2**32 - 1))

@@ -1,5 +1,6 @@
 """Tests for the merit machinery, line search, and the full iteration."""
 
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -8,22 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
 
 import noisy_sqp.solver as solver_module
 from helpers import (
     check_termination_reference,
     linear_model_reference,
     merit_value_reference,
-    per_evaluation_draws,
     random_full_rank,
     reference_solve,
-    two_step_eval_noisy,
     update_penalty_reference,
 )
 from noisy_sqp import (
     NoiseSpec,
-    NoiseStream,
     Problem,
     SolverConfig,
     Status,
@@ -288,137 +285,81 @@ def _row_bits(row):
     return [np.asarray(getattr(row, f.name), dtype=float).tobytes() for f in fields(row)]
 
 
-class TestOracleFastPathsPreserveRuns:
-    """Runs are bitwise those of per-evaluation SeedSequence generators and full trials."""
-
-    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
-    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
-    def test_rows_match_reference_oracle(self, name, eps, monkeypatch):
-        p = get_problem(name)
-        spec = NoiseSpec(eps, eps, seed=13)
-        x_ref = reference_solution(name).x_star
-        relaxed = SolverConfig(max_iters=120, termination_enabled=False).with_estimates(
-            spec.bounds(p.n, p.m))
-        configs = (relaxed, SolverConfig(max_iters=120, relaxation_enabled=False))
-
-        def runs():
-            return [solve(p, spec, cfg, x_ref=x_ref, collect_psi=True) for cfg in configs]
-
-        fast = runs()
-
-        eval_noisy = solver_module.eval_noisy
-
-        def full_evaluation(p, x, stream, derivatives=True):
-            return eval_noisy(p, x, stream)
-
-        monkeypatch.setattr(NoiseStream, "next_rng", per_evaluation_draws)
-        monkeypatch.setattr(solver_module, "eval_noisy", full_evaluation)
-        reference = runs()
-
-        assert sum(r.backtracks for run in fast for r in run.trace) > 0
-        for a, b in zip(fast, reference):
-            assert a.status is b.status
-            assert a.x.tobytes() == b.x.tobytes()
-            assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
+BACKTRACKS = "backtracks"
 
 
-class TestOnePassOraclePreservesRuns:
-    """Runs are bitwise those of the uncached, per-evaluation SeedSequence,
-    two-step oracle path with x_{k+1} recomputed as x_k + alpha_k * d_k."""
+def _reference_cells():
+    """The runs checked against the reference, one per cell: problem, level,
+    seed, collect_psi, SolverConfig fields, estimate multiplier (None: no
+    estimates) and what the run must also show: some search backtracks, or
+    its status."""
+    cells = []
+    for name, eps in itertools.product(("HS7", "BT11", "HS40"), (1e-5, 1e-3, 1e-1)):
+        def cell(seed, psi, label, mult=1.0, expect=None, **config):
+            cells.append(pytest.param(name, eps, seed, psi, config, mult, expect,
+                                      id=f"{name}-{eps:g}-seed{seed}-{label}" + "-psi" * psi))
 
-    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
-    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
-    def test_rows_match_earlier_oracle_path(self, name, eps, monkeypatch):
-        p = get_problem(name)
-        spec = NoiseSpec(eps, eps, seed=41)
-        x_ref = reference_solution(name).x_star
-        relaxed = SolverConfig(max_iters=150, termination_enabled=False).with_estimates(
-            spec.bounds(p.n, p.m))
-        configs = (relaxed, SolverConfig(max_iters=150, relaxation_enabled=False))
-
-        def runs():
-            return [solve(p, spec, cfg, x_ref=x_ref) for cfg in configs]
-
-        fast = runs()
-        steps = []
-        solve_sqp_step = solver_module.solve_sqp_step
-
-        def recorded_step(*args):
-            steps.append(solve_sqp_step(*args))
-            return steps[-1]
-
-        monkeypatch.setattr(NoiseStream, "next_rng", per_evaluation_draws)
-        monkeypatch.setattr(solver_module, "eval_noisy", two_step_eval_noisy)
-        monkeypatch.setattr(solver_module, "solve_sqp_step", recorded_step)
-        reference = runs()
-
-        assert sum(r.backtracks for run in fast for r in run.trace) > 0
-        assert len(steps) == sum(len(run.trace) for run in reference)
-        run_steps = iter(steps)
-        for a, b in zip(fast, reference):
-            assert a.status is b.status
-            assert a.x.tobytes() == b.x.tobytes()
-            assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
-            ends = [r.x for r in b.trace[1:]] + [b.x]
-            for row, step, x_next in zip(b.trace, run_steps, ends):
-                if math.isfinite(row.alpha):
-                    assert x_next.tobytes() == (row.x + row.alpha * step.d).tobytes()
-
-
-class TestIterationMatchesReference:
-    """solve is bitwise the iteration written on the numpy-wrapper helpers,
-    each recomputing its own norms, with the stop test on the negated
-    multiplier."""
-
-    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
-    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
-    def test_rows_match_reference_solve(self, name, eps):
-        p = get_problem(name)
-        spec = NoiseSpec(eps, eps, seed=29)
-        x_ref = reference_solution(name).x_star
-        base = SolverConfig(max_iters=150)
-        bounds = spec.bounds(p.n, p.m)
-        runs = [
-            (replace(base, termination_enabled=False).with_estimates(bounds), True),
-            (replace(base, relaxation_enabled=False).with_estimates(bounds), False),
-            *((base.with_estimates(bounds, mult), False) for mult in (1e-3, 1.0, 1e3)),
-        ]
-        statuses = []
-        for cfg, collect_psi in runs:
-            a = solve(p, spec, cfg, x_ref=x_ref, collect_psi=collect_psi)
-            b = reference_solve(p, spec, cfg, x_ref=x_ref, collect_psi=collect_psi)
-            assert a.status is b.status
-            assert a.x.tobytes() == b.x.tobytes()
-            assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
-            statuses.append(a.status)
-        # The stop test fires, at the latest with the overestimated bounds.
-        assert statuses[-1] is Status.CONVERGED
-
+        for seed, iters, psi in ((13, 120, True), (41, 150, False)):
+            cell(seed, psi, "relaxed", max_iters=iters, termination_enabled=False)
+            cell(seed, psi, "classical", None, BACKTRACKS, max_iters=iters,
+                 relaxation_enabled=False)
+        cell(29, True, "relaxed", max_iters=150, termination_enabled=False)
+        cell(29, False, "classical-est", max_iters=150, relaxation_enabled=False)
+        for mult in (1e-3, 1.0, 1e3):
+            # The stop test fires, at the latest with the overestimated bounds.
+            cell(29, False, f"stop-x{mult:g}", mult, Status.CONVERGED if mult == 1e3 else None,
+                 max_iters=150)
+        cell(17, True, "relaxed", max_iters=150, termination_enabled=False)
     # A rank-deficient J after the iterates blow up, and steps so long that
     # the problem callbacks overflow at every trial of the first search.
-    @pytest.mark.parametrize("name, beta, seed, status", [
+    for (name, beta, seed, status), relaxation in itertools.product([
         ("BT11", 0.01, 2, Status.SINGULAR_JACOBIAN),
         ("HS7", 1e-100, 0, Status.NONFINITE),
         ("HS40", 1e-100, 0, Status.NONFINITE),
         ("BT11", 1e-300, 0, Status.NONFINITE),
-    ])
-    @pytest.mark.parametrize("relaxation", [True, False])
-    def test_terminal_exits_match_reference_solve(self, name, beta, seed, status, relaxation):
+    ], (True, False)):
+        cells.append(pytest.param(
+            name, 1e-3, seed, True, {"beta": beta, "relaxation_enabled": relaxation}, 1.0, status,
+            id=f"{name}-beta{beta:g}-seed{seed}-{'relaxed' if relaxation else 'classical'}-psi"))
+    return cells
+
+
+class TestRunsMatchTheNoiseContract:
+    """solve is bitwise ``helpers.reference_solve``, whose evaluations draw by
+    the noise contract itself and share nothing of the library's noise path."""
+
+    @pytest.mark.parametrize("name, eps, seed, psi, config, mult, expect", _reference_cells())
+    def test_run_matches_reference(self, name, eps, seed, psi, config, mult, expect,
+                                   monkeypatch):
         p = get_problem(name)
-        spec = NoiseSpec(1e-3, 1e-3, seed=seed)
-        cfg = SolverConfig(beta=beta, relaxation_enabled=relaxation).with_estimates(
-            spec.bounds(p.n, p.m))
+        spec = NoiseSpec(eps, eps, seed=seed)
+        cfg = SolverConfig(**config)
+        if mult is not None:
+            cfg = cfg.with_estimates(spec.bounds(p.n, p.m), mult)
         x_ref = reference_solution(name).x_star
-        a = solve(p, spec, cfg, x_ref=x_ref, collect_psi=True)  # RuntimeWarning is an error here
+        steps = []
+        solve_sqp_step = solver_module.solve_sqp_step
+
+        def counted_step(*args):
+            steps.append(args)
+            return solve_sqp_step(*args)
+
+        monkeypatch.setattr(solver_module, "solve_sqp_step", counted_step)
+        a = solve(p, spec, cfg, x_ref=x_ref, collect_psi=psi)  # RuntimeWarning is an error here
         # The reference's numpy-scalar merit warns where inf - inf gives NaN.
         with np.errstate(invalid="ignore"):
-            b = reference_solve(p, spec, cfg, x_ref=x_ref, collect_psi=True)
-        assert a.status is b.status is status
+            b = reference_solve(p, spec, cfg, x_ref=x_ref, collect_psi=psi)
+        assert a.status is b.status
         assert a.x.tobytes() == b.x.tobytes()
         assert [_row_bits(r) for r in a.trace] == [_row_bits(r) for r in b.trace]
-        last = a.trace[-1]
-        assert math.isnan(last.alpha) and math.isnan(last.merit_trial)
-        assert last.line_search_failed is (status is Status.NONFINITE)
+        assert len(steps) == len(a.trace)
+        if expect == BACKTRACKS:
+            assert any(r.backtracks for r in a.trace)
+        elif expect is not None:
+            assert a.status is expect
+            last = a.trace[-1]
+            assert math.isnan(last.alpha) and math.isnan(last.merit_trial)
+            assert last.line_search_failed is (expect is Status.NONFINITE)
 
 
 class TestPsiReadsTheIterateEvaluation:
@@ -450,20 +391,6 @@ class TestPsiReadsTheIterateEvaluation:
         trials = sum(r.backtracks + 1 for r in result.trace)
         assert np.all(np.isfinite([r.psi for r in result.trace]))
         assert calls == {"fc": iters + trials, "gJ": iters}
-
-    @pytest.mark.parametrize("eps", [1e-5, 1e-3, 1e-1])
-    @pytest.mark.parametrize("name", ["HS7", "BT11", "HS40"])
-    def test_psi_equals_a_fresh_exact_evaluation(self, name, eps):
-        p = get_problem(name)
-        spec = NoiseSpec(eps, eps, seed=17)
-        cfg = SolverConfig(max_iters=150, termination_enabled=False).with_estimates(
-            spec.bounds(p.n, p.m))
-        result = solve(p, spec, cfg, x_ref=reference_solution(name).x_star, collect_psi=True)
-        expected = []
-        for r in result.trace:
-            (_, c), (g, J) = p.eval_fc(r.x), p.eval_gJ(r.x)
-            expected.append(stationarity_psi(g, c, J, r.pi, cfg.tau, cfg.beta))
-        assert np.array([r.psi for r in result.trace]).tobytes() == np.array(expected).tobytes()
 
 
 def _random_problem(seed):
