@@ -221,11 +221,6 @@ def reference_solve(p, spec, cfg, x_ref=None, collect_psi=False):
     return SolveResult(x=x, trace=trace, status=status)
 
 
-def psi_reference(pg, c, pi, tau, b_u):
-    """(1/b_u)*||pg||^2 + pi*tau*||c||_1 through np.sum."""
-    return float(np.dot(pg, pg) / b_u + pi * tau * np.sum(np.abs(c)))
-
-
 def svd_gate_passes(J, rank_tol=1e-10):
     """numpy's SVD rank gate: False when sigma_min <= rank_tol * sigma_max."""
     s = np.linalg.svd(J, compute_uv=False)

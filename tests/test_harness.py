@@ -168,6 +168,12 @@ class TestRelaxationTable:
         assert cells.split("|")[columns.index("k_max=100")].strip() == "1.2500e-01"
 
 
+@pytest.fixture(scope="module")
+def hs7_misestimation():
+    plan = ExperimentPlan(problems=("HS7",), eps_levels=((1e-5, 1e-5),), seeds=(1,))
+    return run_misestimation_table(plan)
+
+
 class TestMisestimationTable:
     def test_multiplier_defaults_mirror_the_study(self):
         plan = ExperimentPlan()
@@ -176,17 +182,15 @@ class TestMisestimationTable:
         assert plan.multipliers_for(1e-1) == (1.0, 1e-1, 1e1)
         assert MISESTIMATION_MULTIPLIERS[1e-5] == (1.0, 1e-3, 1e3)
 
-    def test_under_and_over_estimation_outcomes(self):
-        plan = ExperimentPlan(problems=("HS7",), eps_levels=((1e-5, 1e-5),), seeds=(1,))
-        rows = {s.est_multiplier: s for s in run_misestimation_table(plan)}
+    def test_under_and_over_estimation_outcomes(self, hs7_misestimation):
+        rows = {s.est_multiplier: s for s in hs7_misestimation}
         assert rows[1.0].termination_kind == "opt"
         assert rows[1e-3].termination_kind == "ls"
         assert rows[1e3].termination_kind == "opt"
         assert rows[1e3].min_dist > rows[1.0].min_dist
 
-    def test_renderer_shows_kinds(self):
-        plan = ExperimentPlan(problems=("HS7",), eps_levels=((1e-5, 1e-5),), seeds=(1,))
-        text = render_misestimation_table(run_misestimation_table(plan))
+    def test_renderer_shows_kinds(self, hs7_misestimation):
+        text = render_misestimation_table(hs7_misestimation)
         assert "(opt)" in text and "(ls)" in text
 
     def test_renderer_marks_mixed_kinds_and_missing_cells(self):
@@ -424,3 +428,33 @@ class TestGridProperties:
                 for eps in EPS_LEVELS
             }
             assert medians[1e-1] >= medians[1e-3] >= medians[1e-5], (name, medians)
+
+    def test_relaxed_runs_reach_their_budget(self, experiment_grid):
+        for key, entry in experiment_grid["runs"].items():
+            assert entry.enabled.status is Status.MAX_ITERS, key
+
+    def test_classical_search_fails_where_relaxed_search_tracks_the_solution(
+            self, experiment_grid):
+        # The first 500 rows of a 1000-iteration run are the 500-iteration run.
+        entry = experiment_grid["runs"][("HS7", 1e-5, 1)]
+        classical = entry.disabled
+        assert classical.status is Status.LINE_SEARCH_FAILURE
+        assert classical.failure_iter is not None and classical.failure_iter < 500
+        assert classical.trace[-1].line_search_failed
+        assert entry.enabled_dists[:500].min() <= 1e-5
+
+    def test_accepted_steps_keep_the_sufficient_decrease_ledger(self, experiment_grid):
+        for key, entry in experiment_grid["runs"].items():
+            for result in (entry.enabled, entry.disabled):
+                for row in result.trace:
+                    if math.isnan(row.alpha):
+                        continue
+                    rhs = (row.merit_noisy + SolverConfig.nu * row.alpha * row.model_value
+                           + row.eps_R)
+                    assert row.merit_trial <= rhs + 1e-12, (key, row.k)
+                    assert row.alpha == 2.0 ** -row.backtracks
+
+    def test_stop_test_uses_the_estimates(self, misestimation_grid):
+        result, _ = misestimation_grid[("HS7", 1, 1.0)]
+        assert result.status is Status.CONVERGED
+        assert math.isnan(result.trace[-1].alpha)  # no step taken

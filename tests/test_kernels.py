@@ -102,17 +102,6 @@ class TestSolveStep:
         step = solve_sqp_step(J, c, g, 50.0)
         assert_allclose(step.d, dense_kkt_step(J, c, g, 50.0), atol=1e-10)
 
-    def test_oracle_equivalence_and_orthogonality(self):
-        rng = np.random.default_rng(4)
-        betas = (0.7, 1.0, 5.0, 50.0)
-        for i in range(100):
-            J, c, g = random_full_rank(rng)
-            beta = betas[i % len(betas)]
-            step = solve_sqp_step(J, c, g, beta)
-            assert np.max(np.abs(step.d - dense_kkt_step(J, c, g, beta))) <= 1e-9
-            uv = abs(np.dot(step.u, step.v))
-            assert uv <= 1e-10 * (np.linalg.norm(step.u) * np.linalg.norm(step.v) + 1.0)
-
     def test_components_solve_their_subsystems(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

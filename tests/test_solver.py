@@ -151,15 +151,6 @@ def _exact_kkt(p, x):
 
 
 class TestSolveExact:
-    def test_converges_on_all_problems(self):
-        for name in ("HS7", "BT11", "HS40"):
-            p = get_problem(name)
-            cfg = SolverConfig(beta=3.0, max_iters=200, relaxation_enabled=False)
-            result = solve(p, NoiseSpec(0.0, 0.0, seed=0), cfg)
-            assert result.status is Status.CONVERGED, name
-            assert np.sum(np.abs(p.eval_fc(result.x)[1])) <= 1e-8
-            assert _exact_kkt(p, result.x) <= 1e-8
-
     def test_default_beta_reaches_merit_floor(self):
         # With the experiment default beta=50 the merit comparison hits
         # double rounding near 1e-7; the run stays feasible and parked.
@@ -186,68 +177,6 @@ class TestSolveExact:
 
 
 class TestSolveNoisy:
-    def test_classical_search_fails_under_noise(self):
-        p = get_problem("HS7")
-        spec = NoiseSpec(1e-5, 1e-5, seed=1)
-        cfg = SolverConfig(max_iters=500, termination_enabled=False,
-                           relaxation_enabled=False).with_estimates(spec.bounds(p.n, p.m))
-        result = solve(p, spec, cfg)
-        assert result.status is Status.LINE_SEARCH_FAILURE
-        assert result.failure_iter is not None and result.failure_iter < 500
-        assert result.trace[-1].line_search_failed
-
-    def test_relaxed_search_tracks_solution(self):
-        p = get_problem("HS7")
-        ref = reference_solution("HS7")
-        spec = NoiseSpec(1e-5, 1e-5, seed=1)
-        cfg = SolverConfig(max_iters=500, termination_enabled=False).with_estimates(
-            spec.bounds(p.n, p.m))
-        result = solve(p, spec, cfg, x_ref=ref.x_star)
-        assert result.status is Status.MAX_ITERS
-        assert min(r.dist_to_ref for r in result.trace) <= 1e-5
-
-    def test_relaxation_never_fails_at_any_level(self):
-        for name in ("HS7", "BT11", "HS40"):
-            p = get_problem(name)
-            for eps in (1e-5, 1e-3, 1e-1):
-                spec = NoiseSpec(eps, eps, seed=0)
-                cfg = SolverConfig(max_iters=1000, termination_enabled=False).with_estimates(
-                    spec.bounds(p.n, p.m))
-                result = solve(p, spec, cfg)
-                assert result.status is Status.MAX_ITERS, (name, eps)
-
-    def test_sufficient_decrease_ledger(self):
-        p = get_problem("BT11")
-        spec = NoiseSpec(1e-3, 1e-3, seed=3)
-        cfg = SolverConfig(max_iters=300, termination_enabled=False).with_estimates(
-            spec.bounds(p.n, p.m))
-        result = solve(p, spec, cfg)
-        accepted = [r for r in result.trace if not math.isnan(r.alpha)]
-        assert accepted
-        for row in accepted:
-            rhs = row.merit_noisy + cfg.nu * row.alpha * row.model_value + row.eps_R
-            assert row.merit_trial <= rhs + 1e-12
-            assert row.alpha == 2.0 ** -row.backtracks
-
-    def test_penalty_monotone_and_settles(self):
-        p = get_problem("HS40")
-        spec = NoiseSpec(1e-3, 1e-3, seed=2)
-        cfg = SolverConfig(max_iters=1000, termination_enabled=False).with_estimates(
-            spec.bounds(p.n, p.m))
-        result = solve(p, spec, cfg)
-        pis = [r.pi for r in result.trace]
-        assert all(b >= a for a, b in zip(pis, pis[1:]))
-        tail = pis[len(pis) // 5:]
-        assert len(set(tail)) == 1
-
-    def test_stop_test_uses_estimates(self):
-        p = get_problem("HS7")
-        spec = NoiseSpec(1e-5, 1e-5, seed=1)
-        cfg = SolverConfig(max_iters=5000).with_estimates(spec.bounds(p.n, p.m))
-        result = solve(p, spec, cfg)
-        assert result.status is Status.CONVERGED
-        assert result.trace[-1].alpha != result.trace[-1].alpha  # nan: no step taken
-
     def test_singular_jacobian_is_a_status(self):
         p = Problem(
             "degenerate", 2, 1,
@@ -562,16 +491,17 @@ class TestHelpersBitwiseAgainstNumpyWrappers:
                     assert check_termination(c_l1, a["g"], J, lam_hat, lam_inf,
                                              *args[4:]) == check_termination_reference(*args)
 
-    @settings(max_examples=300, deadline=None)
-    @given(helper_inputs())
+    # b_u reaches below 1 as well: psi divides ||P g||^2 by it.  About a third
+    # of the examples get past the rank gate to the comparison.
+    @settings(max_examples=600, deadline=None)
+    @given(helper_inputs(), st.floats(1e-3, 1e7))
     # A 1x1 J, whose factors ndarray.dot multiplies as scalars, against a
     # negative zero gradient.
     @example({"f": 0.0, "c": np.array([0.0]), "g": np.array([-0.0]), "d": np.array([0.0]),
               "lam": np.array([0.0]), "J": np.array([[1.0]]), "pi": 1.0, "tau": 0.5,
-              "eps": [0.0] * 3})
-    def test_projection_and_psi_match(self, a):
+              "eps": [0.0] * 3}, 1.0)
+    def test_projection_and_psi_match(self, a, b_u):
         J, g, c, pi, tau = a["J"], a["g"], a["c"], a["pi"], a["tau"]
-        b_u = 1.0 + a["eps"][0]
         calls = (lambda: project_tangent(J, g), lambda: stationarity_psi(g, c, J, pi, tau, b_u))
         with np.errstate(all="ignore"):
             try:
