@@ -214,6 +214,22 @@ def test_check_fails_on_a_nan_gradient(monkeypatch, capsys):
     assert out.count("error nan  [FAIL]") == 3
 
 
+def test_check_bound_lies_between_a_1e_6_and_a_1e_4_gradient_error(monkeypatch, capsys):
+    import numpy as np
+
+    from noisy_sqp import Problem
+
+    for shift, code, verdict in ((1e-4, 1, "[FAIL]"), (1e-6, 0, "[ok]")):
+        def shifted_gradient(name):
+            p = get_problem(name)
+            return Problem(p.name, p.n, p.m, p.eval_fc,
+                           lambda x: (p.eval_gJ(x)[0] + shift, p.eval_gJ(x)[1]), p.x_start)
+
+        monkeypatch.setattr("noisy_sqp.cli.get_problem", shifted_gradient)
+        assert dispatch(["check"]) == code
+        assert capsys.readouterr().out.count(verdict) == 3
+
+
 def test_usage_errors_exit_1(capsys):
     assert dispatch([]) == 1
     assert dispatch(["solve"]) == 1                           # missing --problem

@@ -182,6 +182,11 @@ class TestMisestimationTable:
         assert plan.multipliers_for(1e-1) == (1.0, 1e-1, 1e1)
         assert MISESTIMATION_MULTIPLIERS[1e-5] == (1.0, 1e-3, 1e3)
 
+    def test_other_levels_take_a_tenfold_misestimate(self):
+        plan = ExperimentPlan(eps_levels=((1e-2, 1e-2),))
+        assert plan.multipliers_for(1e-2) == (1.0, 1e-1, 1e1)
+        assert plan.multipliers_for(0.5) == (1.0, 1e-1, 1e1)
+
     def test_under_and_over_estimation_outcomes(self, hs7_misestimation):
         rows = {s.est_multiplier: s for s in hs7_misestimation}
         assert rows[1.0].termination_kind == "opt"
@@ -203,12 +208,17 @@ class TestMisestimationTable:
             run("HS7", 1.0, 0, "opt", 11, 0.1), run("HS7", 1.0, 1, "ls", 21, 0.3),
             run("BT11", 1.0, 0, "opt", 5, 0.2), run("BT11", 10.0, 0, "opt", 3, 0.4),
         ])
-        rows = {cells[0].strip(): [c.strip() for c in cells[1:]]
-                for cells in (line.split("|") for line in text.splitlines()) if len(cells) > 1}
+        rows = _rows(text)
         # HS7's seeds end on two kinds at x1 and it has no run at x10.
         assert rows["HS7"] == ["15 (mixed) 2.000e-01", "-"]
         assert rows["BT11"] == ["4 (opt) 2.000e-01", "2 (opt) 4.000e-01"]
         _assert_columns_line_up(text)
+
+
+def _rows(text):
+    """The cells of a rendered table's rows, keyed by their first cell."""
+    return {cells[0].strip(): [c.strip() for c in cells[1:]]
+            for cells in (line.split("|") for line in text.splitlines()) if len(cells) > 1}
 
 
 def _assert_columns_line_up(text):
@@ -301,6 +311,24 @@ def no_solve(monkeypatch):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "solve", no_run)
+
+
+def test_renderers_leave_nan_distances_out_of_the_medians():
+    def run(seed, min_dist, relaxation=True):
+        status = "max_iters" if relaxation else "line_search_failure"
+        return RunSummary("HS7", 1e-3, 1e-3, seed, relaxation, 1.0, status,
+                          None if relaxation else 10, min_dist, 0, 100, 100,
+                          "max_iters" if relaxation else "ls")
+
+    runs = [run(0, 1.0), run(1, math.nan), run(2, 3.0),
+            run(0, 5.0, False), run(1, math.nan, False), run(2, 7.0, False)]
+    # A problem whose classical runs never fail has "-" for its failure iteration.
+    unfailed = dataclasses.replace(runs[3], problem="BT11", failure_iter=None)
+    rows = _rows(render_relaxation_table(runs + [unfailed]))
+    assert rows["HS7"] == ["10", "6.0000e+00", "2.0000e+00"]
+    assert rows["BT11"] == ["-", "5.0000e+00", "-"]
+    rows = _rows(render_misestimation_table([r for r in runs if r.relaxation]))
+    assert rows["HS7"] == ["100 (max_iters) 2.000e+00"]
 
 
 def test_renderers_keep_levels_that_share_eps1_apart():
@@ -437,11 +465,24 @@ class TestGridProperties:
             self, experiment_grid):
         # The first 500 rows of a 1000-iteration run are the 500-iteration run.
         entry = experiment_grid["runs"][("HS7", 1e-5, 1)]
-        classical = entry.disabled
-        assert classical.status is Status.LINE_SEARCH_FAILURE
-        assert classical.failure_iter is not None and classical.failure_iter < 500
-        assert classical.trace[-1].line_search_failed
+        assert entry.disabled.failure_iter < 500
         assert entry.enabled_dists[:500].min() <= 1e-5
+
+    def test_a_failed_search_reports_the_k_of_its_row(self, experiment_grid):
+        for key, entry in experiment_grid["runs"].items():
+            classical = entry.disabled
+            assert classical.status is Status.LINE_SEARCH_FAILURE, key
+            assert classical.trace[-1].line_search_failed, key
+            assert classical.failure_iter == classical.trace[-1].k == classical.iters_run - 1
+            assert entry.enabled.failure_iter is None, key
+
+    def test_distances_end_with_the_final_point(self, experiment_grid):
+        for (name, *_), entry in experiment_grid["runs"].items():
+            x_star = reference_solution(name).x_star
+            for result, dists in ((entry.enabled, entry.enabled_dists),
+                                  (entry.disabled, entry.disabled_dists)):
+                assert len(dists) == result.iters_run + 1
+                assert dists[-1] == np.linalg.norm(result.x - x_star)
 
     def test_accepted_steps_keep_the_sufficient_decrease_ledger(self, experiment_grid):
         for key, entry in experiment_grid["runs"].items():

@@ -99,6 +99,20 @@ def test_verify_derivatives_detects_a_wrong_gradient():
     assert verify_derivatives(broken, p.x_start) > 1e-3
 
 
+@pytest.mark.parametrize("entry", ["g", "J"])
+@pytest.mark.parametrize("size", [1e3, 1e-3])
+def test_verify_derivatives_error_is_relative_to_the_entry_or_1(entry, size):
+    # f and c are linear, so the differences are exact but for rounding; one
+    # analytic entry is off by 1e-6 max(1, size).
+    from noisy_sqp import Problem
+
+    g, J = np.array([size, 1.0]), np.array([[size, -1.0]])
+    (g if entry == "g" else J[0])[0] += 1e-6 * max(1.0, size)
+    p = Problem("linear", 2, 1, lambda x: (size * x[0] + x[1], np.array([size * x[0] - x[1]])),
+                lambda x: (g, J), np.ones(2))
+    assert verify_derivatives(p, p.x_start) == pytest.approx(1e-6, rel=1e-3)
+
+
 def test_verify_derivatives_rejects_a_point_of_another_length():
     # BT11's callbacks unpack x, so a 3-vector raised a bare TypeError.
     with pytest.raises(ValueError, match=r"^point has shape \(3,\), expected \(4,\) for BT11"):

@@ -121,6 +121,11 @@ class TestRelaxedLineSearch:
         # alpha = 1 and its 50 halvings: README's "all 51 trials"
         assert len(calls) == SolverConfig.max_backtracks + 1 == 51
 
+    def test_margin_is_eps_R_once(self):
+        # 5.2 exceeds the full step's bound 5.0 - 0.1 + eps_R, not that of a 2 eps_R margin
+        out = relaxed_line_search(lambda a: 5.2 if a == 1.0 else 5.0 - a, 5.0, -1.0, 0.2)
+        assert out == (0.5, 1)
+
 
 def _stop(c, g, J, lambda_hat, eps_c, eps_g, eps_J):
     """check_termination fed the two norms the way solve computes them."""
@@ -142,6 +147,22 @@ class TestCheckTermination:
         assert _stop(np.array([0.0]), np.array([0.5, 0.0]),
                      np.array([[1.0, 0.0]]), np.array([0.5]),
                      1e-3, 1e-3, 1e-3)
+
+
+_TOL = SolverConfig.zero_noise_tol
+
+
+@pytest.mark.parametrize("estimates, bounds", [
+    ({}, (_TOL, _TOL, 0.0)),
+    ({"eps_c_est": 1e-3}, (1e-3, _TOL, 0.0)),
+    ({"eps_g_est": 2e-3}, (_TOL, 2e-3, 0.0)),
+    ({"eps_J_est": 3e-3}, (_TOL, 0.0, 3e-3)),
+    ({"eps_c_est": 1e-3, "eps_g_est": 2e-3, "eps_J_est": 3e-3}, (1e-3, 2e-3, 3e-3)),
+], ids=["exact", "c", "g", "J", "all"])
+def test_stop_bounds_fall_back_to_the_tolerance_only_where_estimates_are_zero(estimates, bounds):
+    # ||c||_1 falls back when eps_c_est is 0; the residual only when eps_g_est
+    # and eps_J_est both are, and then with no multiplier term.
+    assert solver_module._effective_stop_bounds(SolverConfig(**estimates)) == bounds
 
 
 def _exact_kkt(p, x):
